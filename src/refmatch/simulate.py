@@ -13,18 +13,22 @@ employed, holds vacancy information with probability
 ``phi * (1 - (1 - vacancy_share)^d_f)`` -- an employed contact watches
 the d_f jobs adjacent to its own, each vacant with probability
 ``vacancy_share``, and passes information on with frequency ``phi``.
+Contacts reached through parallel edges are drawn per edge, matching
+the stub-count degree that the mean-field expectation uses; self-loop
+stubs can never inform the (unemployed) focal worker.  So a focal
+worker with k reachable contacts (its degree minus two per self-loop)
+is informed with probability 1 - (1 - q)^k, q = ``employment_rate *
+informed_given_employed``, and each trial draws that one event.
 Because the contact states are redrawn independently per trial, trials
 are i.i.d. Bernoulli and the reported binomial standard error is exact
-for the network-conditional success rate.  Contacts reached through
-parallel edges are drawn per edge, matching the stub-count degree that
-the mean-field expectation uses; self-loop stubs can never inform the
-(unemployed) focal worker.
+for the network-conditional success rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,24 +47,43 @@ _PARITY_RESAMPLE_LIMIT = 100
 
 @dataclass(frozen=True)
 class Network:
-    """Configuration-model multigraph in flat adjacency form.
+    """Configuration-model multigraph stored as its shuffled stub list.
 
-    ``neighbors[offsets[i]:offsets[i+1]]`` lists node i's adjacency
-    entries, one per stub: parallel edges repeat a partner, a self-loop
-    contributes the node itself twice.
+    ``stubs[2k]`` and ``stubs[2k + 1]`` are the nodes at the two ends of
+    edge k.  The flat adjacency is derived on first read:
+    ``neighbors[offsets[i]:offsets[i+1]]`` lists node i's entries, one per
+    stub: parallel edges repeat a partner, a self-loop contributes the
+    node itself twice.
     """
 
     n: int
     degrees: np.ndarray
-    neighbors: np.ndarray
-    offsets: np.ndarray
+    stubs: np.ndarray
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        offsets = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=offsets[1:])
+        return offsets
+
+    @cached_property
+    def neighbors(self) -> np.ndarray:
+        # Sorting the slots by owner groups them by node; slot ^ 1 is the
+        # partner at the other end of the same edge.
+        return self.stubs[np.argsort(self.stubs, kind="stable") ^ 1]
 
     def neighbors_of(self, node: int) -> np.ndarray:
         return self.neighbors[self.offsets[node]:self.offsets[node + 1]]
 
     @property
     def stub_count(self) -> int:
-        return int(self.offsets[-1])
+        return self.stubs.size
+
+    def reachable_degrees(self) -> np.ndarray:
+        """Per-node count of adjacency entries that lead to another node."""
+        ends, partners = self.stubs[0::2], self.stubs[1::2]
+        loops = np.bincount(ends[ends == partners], minlength=self.n)
+        return self.degrees - 2 * loops
 
 
 def build_configuration_network(
@@ -90,23 +113,12 @@ def build_configuration_network(
         else:
             degrees[-1] += 1
 
-    total = int(degrees.sum())
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    if total == 0:
-        return Network(n=n, degrees=degrees, neighbors=np.empty(0, dtype=np.int64), offsets=offsets)
-
-    # stubs[perm] is the uniformly shuffled stub list; consecutive pairs
-    # form edges.  inv maps a node-grouped stub to its shuffled slot, and
-    # slot ^ 1 is its partner, so the node-grouped partner list (i.e. the
-    # flat adjacency) falls out without any sort.
-    stubs_by_node = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    perm = rng.permutation(total)
-    shuffled = stubs_by_node[perm]
-    inv = np.empty(total, dtype=np.int64)
-    inv[perm] = np.arange(total, dtype=np.int64)
-    neighbors = shuffled[inv ^ 1]
-    return Network(n=n, degrees=degrees, neighbors=neighbors, offsets=offsets)
+    # Shuffling the node-grouped stub list in place uses the same draws
+    # as, and equals, indexing it with rng.permutation(total), without
+    # the permutation's own stub-length array.
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    rng.shuffle(stubs)
+    return Network(n=n, degrees=degrees, stubs=stubs)
 
 
 @dataclass(frozen=True)
@@ -200,26 +212,10 @@ def estimate_referral_rate(config: SimConfig) -> ReferralEstimate:
     net = build_configuration_network(config.dist, config.n_workers, rng)
 
     t = config.n_trials
-    focal = rng.integers(0, net.n, size=t)
-    deg = net.offsets[focal + 1] - net.offsets[focal]
-    total = int(deg.sum())
-    if total == 0:
-        return ReferralEstimate(estimate=0.0, std_error=0.0, n_trials=t, successes=0)
-
-    # Ragged gather of each focal worker's adjacency entries.
-    trial_of_entry = np.repeat(np.arange(t, dtype=np.int64), deg)
-    before = np.concatenate(([0], np.cumsum(deg)[:-1]))
-    entry_idx = np.repeat(net.offsets[focal], deg) + (np.arange(total, dtype=np.int64) - np.repeat(before, deg))
-    contacts = net.neighbors[entry_idx]
-    is_self = contacts == np.repeat(focal, deg)
-
-    p_informed = config.informed_given_employed
-    informed = (
-        (rng.random(total) < config.employment_rate)
-        & (rng.random(total) < p_informed)
-        & ~is_self
-    )
-    successes = int(np.count_nonzero(np.bincount(trial_of_entry[informed], minlength=t)))
+    reachable = net.reachable_degrees()[rng.integers(0, net.n, size=t)]
+    q = config.employment_rate * config.informed_given_employed
+    informed = rng.random(t) < -np.expm1(reachable * math.log1p(-q))
+    successes = int(np.count_nonzero(informed))
     est = successes / t
     se = math.sqrt(est * (1.0 - est) / t)
     return ReferralEstimate(estimate=est, std_error=se, n_trials=t, successes=successes)

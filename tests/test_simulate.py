@@ -75,6 +75,28 @@ class TestNetworkBuild:
         c = build_configuration_network(Zipf(2.3), 2000, seed_or_rng=124)
         assert not np.array_equal(a.neighbors, c.neighbors)
 
+    def test_pairing_is_a_uniform_permutation_of_the_stubs(self):
+        # A seed's pairing is stubs[rng.permutation(total)] drawn right
+        # after the degrees, and the per-node adjacency matches the one
+        # read off through the inverse permutation.
+        dist, n, seed = Poisson(5.0), 300, 2
+        net = build_configuration_network(dist, n, seed_or_rng=seed)
+        rng = np.random.default_rng(seed)
+        degrees = dist.sample(rng, n)
+        assert degrees.sum() % 2 == 0  # no parity resample draws in between
+        assert np.array_equal(net.degrees, degrees)
+        owners = np.repeat(np.arange(n), degrees)
+        perm = rng.permutation(owners.size)
+        shuffled = owners[perm]
+        assert np.array_equal(net.stubs, shuffled)
+        inv = np.empty_like(perm)
+        inv[perm] = np.arange(perm.size)
+        reference = shuffled[inv ^ 1]
+        assert np.array_equal(
+            net.neighbors[np.lexsort((net.neighbors, owners))],
+            reference[np.lexsort((reference, owners))],
+        )
+
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             build_configuration_network(Poisson(3.0), 1, seed_or_rng=0)
@@ -89,6 +111,32 @@ class TestReferralEstimate:
         est = estimate_referral_rate(config)
         assert est.estimate == 0.0
         assert est.successes == 0
+
+    def test_no_contacts_is_exact_zero(self):
+        est = estimate_referral_rate(config_for(Degenerate(0), n_workers=5_000, n_trials=5_000))
+        assert est.estimate == 0.0
+        assert est.std_error == 0.0
+
+    def test_network_conditional_exactness_with_self_loops(self):
+        # A 40-node network has a few self-loops; at a high contact
+        # information rate they move the network's success rate by many
+        # standard errors, so the estimate must track the exact
+        # network-conditional mean, not the one over raw degrees.
+        config = SimConfig(
+            dist=Poisson(4.0), n_workers=40, n_trials=200_000, seed=3, d_f=16,
+            employment_rate=0.9, vacancy_share=0.3, phi=0.5,
+        )
+        net = build_configuration_network(config.dist, config.n_workers, config.seed)
+        self_entries = np.array(
+            [np.count_nonzero(net.neighbors_of(i) == i) for i in range(net.n)]
+        )
+        assert self_entries.sum() > 0
+        q = config.employment_rate * config.informed_given_employed
+        exact = np.mean(1.0 - (1.0 - q) ** (net.degrees - self_entries))
+        ignoring_loops = np.mean(1.0 - (1.0 - q) ** net.degrees)
+        est = estimate_referral_rate(config)
+        assert abs(est.z_score(exact)) < 4.0
+        assert abs(est.z_score(ignoring_loops)) > 4.0
 
     @pytest.mark.parametrize(
         "dist",
