@@ -13,9 +13,11 @@ generating function G(x) = E[x^d]:
 
     E[1 - (1 - P)^d] = 1 - G(1 - P)
 
-For the Zipf law G(x) = Li_a(x) / zeta(a), so a polylogarithm and the
-Riemann zeta function are implemented here as well; both are plain
-float64 routines with no external special-function dependency.
+Poisson and Degenerate write that difference without cancellation at
+small P, as -expm1(-lam P) and -expm1(k log1p(-P)).  For the Zipf law
+G(x) = Li_a(x) / zeta(a), so a polylogarithm and the Riemann zeta
+function are implemented here as well; both are plain float64 routines
+with no external special-function dependency.
 """
 
 from __future__ import annotations
@@ -128,6 +130,10 @@ class DegreeDistribution:
             raise ValueError(f"information probability must lie in [0, 1], got {p_info}")
         if p_info == 0.0:
             return 0.0
+        return self._reach(p_info)
+
+    def _reach(self, p_info: float) -> float:
+        """E[1 - (1 - P)^d] for P in (0, 1], by default 1 - G(1 - P)."""
         return 1.0 - self.pgf(1.0 - p_info)
 
 
@@ -146,6 +152,9 @@ class Poisson(DegreeDistribution):
 
     def pgf(self, x: float) -> float:
         return math.exp(self.lam * (float(x) - 1.0))
+
+    def _reach(self, p_info: float) -> float:
+        return -math.expm1(-self.lam * p_info)
 
     def pmf(self, k) -> np.ndarray:
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
@@ -173,6 +182,12 @@ class Degenerate(DegreeDistribution):
 
     def pgf(self, x: float) -> float:
         return float(x) ** self.k
+
+    def _reach(self, p_info: float) -> float:
+        # log1p(-1) is a domain error, and k = 0 would return -0.0.
+        if self.k == 0 or p_info == 1.0:
+            return float(self.k > 0)
+        return -math.expm1(self.k * math.log1p(-p_info))
 
     def pmf(self, k) -> np.ndarray:
         k = np.asarray(k)

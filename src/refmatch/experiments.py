@@ -68,13 +68,11 @@ _FREE_ENTRY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named economy: parameters, groups, and an optional sweep axis."""
+    """A named economy: parameters and groups."""
 
     name: str
     params: ModelParams
     groups: tuple[GroupSpec, ...]
-    sweep_axis: str | None = None
-    sweep_values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,6 @@ class SweepResult:
             for r in self.rows
             if r.scenario == scenario and r.group == group
         ]
-
-    def extend(self, other: "SweepResult") -> None:
-        self.rows.extend(other.rows)
-        self.notes.extend(other.notes)
 
 
 def _fmt(x: float) -> str:

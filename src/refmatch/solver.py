@@ -3,14 +3,15 @@
 The equilibrium is a pair (u_1..u_I, v) satisfying, simultaneously,
 group-level flow balance u_i p_i = delta (1 - u_i) and the free-entry
 vacancy closure.  The solver runs a damped outer fixed-point iteration:
-given the current unemployment vector it sets v from the closure, then
-re-solves each group's scalar flow-balance equation with aggregates
-frozen (a Jacobi sweep, so group order cannot matter), damps the update,
-and repeats until the flow residuals vanish.  Each scalar solve is a
-bracketed Illinois iteration on an interval that provably contains a
-root (see _solve_group_u); damping halves when the residual rises twice
-in a row, which tames the overshoot the u -> v -> u loop can produce at
-high referral frequencies.
+given the unemployment vector and its closure v, it re-solves each
+group's scalar flow-balance equation with aggregates frozen (a Jacobi
+sweep, so group order cannot matter), damps the update, and repeats
+until the flow residuals vanish, each residual check's v carrying over.
+A scalar solve is an Illinois iteration on a bracket that provably holds
+a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
+adjacent doubles; damping halves when the residual rises twice in a row,
+which tames the overshoot the u -> v -> u loop can produce at high
+referral frequencies.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ class SolverConfig:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not 0.0 < self.initial_u < 1.0:
             raise ValueError(f"initial unemployment must lie in (0, 1), got {self.initial_u}")
+        if self.max_outer_iters < 1:
+            raise ValueError(f"max outer iterations must be >= 1, got {self.max_outer_iters}")
         if self.multistart < 0:
             raise ValueError(f"multistart count must be >= 0, got {self.multistart}")
 
@@ -92,7 +95,11 @@ def flow_residual(
 
 
 def _illinois(g: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of g on [lo, hi] given a sign change; Illinois-damped regula falsi."""
+    """Root of g on [lo, hi] given a sign change; Illinois-damped regula falsi.
+
+    Stops at a zero of g, at hi - lo < 4e-18 + 1e-16 hi, or once no double
+    lies strictly inside [lo, hi]; 200 evaluations are a safety cap.
+    """
     side = 0
     for _ in range(200):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
@@ -112,7 +119,7 @@ def _illinois(g: Callable[[float], float], lo: float, hi: float, f_lo: float, f_
             if side == -1:
                 f_hi *= 0.5
             side = -1
-        if hi - lo < 4e-18 + 1e-16 * hi:
+        if hi - lo < 4e-18 + 1e-16 * hi or not lo < 0.5 * (lo + hi) < hi:
             break
     return 0.5 * (lo + hi)
 
@@ -165,10 +172,10 @@ def _iterate(
     damping = config.damping
     prev_residual = np.inf
     worse_streak = 0
+    v = vacancy_closure(params, groups, u_vec)
 
     for it in range(1, config.max_outer_iters + 1):
         u = float(u_vec @ sizes) / total
-        v = vacancy_closure(params, groups, u_vec)
         p_m = market_arrival(params, u, v)
         vacant_share = v / (1.0 - u + v)
         phi_bracket = params.phi * (1.0 - (1.0 - vacant_share) ** params.d_f)

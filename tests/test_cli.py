@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,11 @@ class TestBadConfigs:
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
 
+    def test_zero_outer_iterations(self, tmp_path):
+        config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": {"max_outer_iters": 0}})
+        code, _ = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+
     def test_load_scenario_reports_group_index(self, tmp_path):
         config = write_config(
             tmp_path, {"groups": [{"family": "poisson", "size": 1e6, "mean": 5.0},
@@ -153,6 +162,17 @@ class TestCalibrateCommand:
         )
         code, _ = run_cli("calibrate", "--config", config)
         assert code == EXIT_INFEASIBLE_CALIBRATION
+
+
+class TestModuleEntry:
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-m", "refmatch", "calibrate"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("gamma = ")
 
 
 class TestSweepCommands:

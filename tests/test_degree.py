@@ -105,7 +105,10 @@ class TestConstruction:
     def test_degenerate_zero_allowed(self):
         dist = Degenerate(0)
         assert dist.mean() == 0.0
-        assert dist.referral_expectation(0.7) == 0.0
+        for p_info in (1e-12, 0.7, 1.0):
+            # +0.0, not -0.0, so printed rates never read "-0"
+            assert math.copysign(1.0, dist.referral_expectation(p_info)) == 1.0
+            assert dist.referral_expectation(p_info) == 0.0
 
 
 class TestMean:
@@ -176,6 +179,21 @@ class TestReferralExpectation:
             low = Degenerate(3).referral_expectation(p)
             high = Degenerate(9).referral_expectation(p)
             assert low <= high
+
+    @pytest.mark.parametrize(
+        "dist", [Poisson(22.47), Poisson(0.5), Degenerate(16), Degenerate(1)],
+        ids=["poisson22.47", "poisson0.5", "regular16", "regular1"],
+    )
+    @pytest.mark.parametrize("p_info", [1e-12, 1e-8, 3e-5, 0.022064, 0.5, 1.0 - 1e-9, 1.0])
+    def test_no_cancellation_at_small_information(self, dist, p_info):
+        # mpmath at 40 digits of 1 - exp(-lam P) and 1 - (1 - P)^k
+        with mpmath.workdps(40):
+            p = mpmath.mpf(p_info)
+            if isinstance(dist, Poisson):
+                ref = -mpmath.expm1(-mpmath.mpf(dist.lam) * p)
+            else:
+                ref = 1 - (1 - p) ** dist.k
+        assert dist.referral_expectation(p_info) == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
     def test_information_probability_domain(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import pytest
 from refmatch import (
     ConvergenceError,
     Degenerate,
+    DegreeDistribution,
     GroupSpec,
     ModelParams,
     Poisson,
@@ -16,6 +17,7 @@ from refmatch import (
     solve_equilibrium,
     vacancy_closure,
 )
+from refmatch.solver import _solve_group_u
 from test_model import draw_params
 
 PUBLISHED = ModelParams()
@@ -187,6 +189,8 @@ class TestSolverControls:
             SolverConfig(initial_u=1.0)
         with pytest.raises(ValueError):
             SolverConfig(multistart=-1)
+        with pytest.raises(ValueError, match="outer iterations"):
+            SolverConfig(max_outer_iters=0)
 
     def test_initial_point_respected(self):
         eq_low = solve_equilibrium(PUBLISHED, [GroupSpec(1e6, Poisson(22.47))],
@@ -203,3 +207,47 @@ class TestSolverControls:
         assert found[0].u == pytest.approx(default.u, abs=1e-12)
         # the baseline economy shows a unique steady state across restarts
         assert len(found) == 1
+
+
+class CountingDist(DegreeDistribution):
+    """Delegates to a degree law and counts referral-kernel calls."""
+
+    def __init__(self, dist: DegreeDistribution):
+        self.dist, self.calls = dist, 0
+
+    def referral_expectation(self, p_info: float) -> float:
+        self.calls += 1
+        return self.dist.referral_expectation(p_info)
+
+
+class TestGroupSolveStopRule:
+    # With these frozen aggregates the group root is u = 0.1376...; one ulp
+    # there (2.8e-17) exceeds the width tolerance 4e-18 + 1e-16 u, so only
+    # the adjacent-doubles rule can stop the bracket from stalling until the
+    # 200-evaluation cap (203 kernel calls before that rule existed).
+    P_M, PHI_BRACKET = 0.2, 0.03
+
+    def residual(self, dist, u_i: float) -> float:
+        p_r = dist.referral_expectation(self.PHI_BRACKET * (1.0 - u_i))
+        return u_i * (self.P_M + p_r) - PUBLISHED.delta * (1.0 - u_i)
+
+    def test_stops_at_adjacent_doubles(self):
+        dist = CountingDist(Poisson(1.0))
+        u = _solve_group_u(PUBLISHED, GroupSpec(1e6, dist), self.P_M, self.PHI_BRACKET)
+        assert 0.125 <= u < 0.238
+        assert dist.calls < 30
+        f = self.residual(dist.dist, u)
+        below = self.residual(dist.dist, np.nextafter(u, 0.0))
+        above = self.residual(dist.dist, np.nextafter(u, 1.0))
+        assert f == 0.0 or (below < 0.0) != (f < 0.0) or (f < 0.0) != (above < 0.0)
+
+    def test_equilibrium_unchanged(self):
+        # Values computed with the same degree kernels before the
+        # adjacent-doubles rule, when 24 of this solve's group solves ran
+        # into the evaluation cap.
+        params = ModelParams(delta=0.06, gamma=0.4)
+        eq = solve_equilibrium(params, (GroupSpec(1e6, Poisson(2.0)),
+                                        GroupSpec(1e6, Poisson(22.47))))
+        assert eq.iterations == 45
+        assert group_u(eq).tolist() == [0.13959372728130465, 0.07295339583715263]
+        assert eq.v == 0.049602615131138984
