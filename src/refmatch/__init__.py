@@ -49,7 +49,6 @@ from .model import (
     ModelParams,
     info_probability,
     market_arrival,
-    referral_arrival,
     surplus,
     vacancy_closure,
     value_functions,
@@ -105,7 +104,6 @@ __all__ = [
     "market_arrival",
     "polylog",
     "reference_checks",
-    "referral_arrival",
     "run_df_sweep",
     "run_phi_sweep",
     "run_structure_sweeps",

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from .degree import Poisson
 from .model import GroupSpec, ModelParams
-from .solver import SolverConfig, solve_equilibrium
+from .solver import solve_equilibrium
 
-__all__ = ["CalibrationTargets", "CalibrationError", "calibrate"]
+__all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate"]
 
 _VERIFY_TOL = 1e-6
 
@@ -62,6 +62,14 @@ class CalibrationTargets:
             raise ValueError(f"mean degree must be positive, got {self.baseline_mean_degree}")
         if self.d_f < 0:
             raise ValueError(f"job-network degree must be >= 0, got {self.d_f}")
+
+
+def baseline_groups(
+    mean_degree: float = CalibrationTargets.baseline_mean_degree,
+) -> tuple[GroupSpec, GroupSpec]:
+    """The baseline economy: two groups of 10^6 workers on Poisson(mean_degree) networks."""
+    group = GroupSpec(size=1e6, dist=Poisson(mean_degree))
+    return (group, group)
 
 
 def calibrate(
@@ -132,9 +140,7 @@ def calibrate(
 
 
 def _verify(params: ModelParams, t: CalibrationTargets) -> None:
-    dist = Poisson(t.baseline_mean_degree)
-    groups = [GroupSpec(size=1e6, dist=dist), GroupSpec(size=1e6, dist=dist)]
-    eq = solve_equilibrium(params, groups, SolverConfig())
+    eq = solve_equilibrium(params, baseline_groups(t.baseline_mean_degree))
     g = eq.groups[0]
     share = g.p_referral / g.p_total
     checks = {

@@ -18,7 +18,7 @@ import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-from .calibration import CalibrationError, CalibrationTargets, calibrate
+from .calibration import CalibrationError, CalibrationTargets, baseline_groups, calibrate
 from .degree import Degenerate, DegreeDistribution, Poisson, Zipf, zipf_alpha_for_mean
 from .experiments import (
     Scenario,
@@ -30,6 +30,7 @@ from .experiments import (
     run_structure_sweeps,
     run_table2,
     summary_report,
+    sweep,
 )
 from .metrics import gini, social_welfare
 from .model import Equilibrium, GroupSpec, ModelParams
@@ -79,7 +80,7 @@ def _build_group(entry: dict, index: int) -> GroupSpec:
     family = str(data.pop("family", "")).lower().replace("_", "-")
     size = data.pop("size", 1e6)
     try:
-        dist = _build_dist(family, data, index)
+        dist = _build_dist(family, data)
     except ValueError as exc:
         raise ConfigError(f"group {index}: {exc}") from exc
     if data:
@@ -90,20 +91,32 @@ def _build_group(entry: dict, index: int) -> GroupSpec:
         raise ConfigError(f"group {index}: {exc}") from exc
 
 
-def _build_dist(family: str, data: dict, index: int) -> DegreeDistribution:
+def _number(data: dict, *keys: str) -> float:
+    """Pop the first of ``keys`` present in a group entry, as a float."""
+    for key in keys:
+        if key in data:
+            value = data.pop(key)
+            try:
+                return float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"{key} must be a number, got {value!r}") from None
+    raise ValueError(f"missing {' or '.join(keys)}")
+
+
+def _build_dist(family: str, data: dict) -> DegreeDistribution:
     if family in ("poisson", "er", "erdos-renyi"):
-        return Poisson(float(data.pop("mean")))
+        return Poisson(_number(data, "mean"))
     if family in ("regular", "degenerate"):
-        k = data.pop("k", None)
-        if k is None:
-            k = data.pop("mean")
+        k = _number(data, "k", "mean")
+        if not k.is_integer():
+            raise ValueError(f"regular networks need an integer degree, got {k:g}")
         return Degenerate(int(k))
     if family in ("zipf", "scale-free"):
         if "alpha" in data:
-            return Zipf(float(data.pop("alpha")))
-        return Zipf(zipf_alpha_for_mean(float(data.pop("mean"))))
-    raise ConfigError(
-        f"group {index}: unknown family {family!r} "
+            return Zipf(_number(data, "alpha"))
+        return Zipf(zipf_alpha_for_mean(_number(data, "mean")))
+    raise ValueError(
+        f"unknown family {family!r} "
         "(expected poisson/er, regular/degenerate, or zipf/scale-free)"
     )
 
@@ -176,13 +189,8 @@ def _cmd_solve(args, out) -> int:
     eq = solve_equilibrium(scenario.params, scenario.groups, solver_config)
     _print_equilibrium(scenario.name, eq, out)
     if args.out:
-        from dataclasses import replace as dc_replace
-
-        rows = [
-            dc_replace(row, axis_value=group.dist.mean())
-            for row, group in zip(equilibrium_rows(scenario.name, 0.0, eq), scenario.groups)
-        ]
-        SweepResult(rows=rows, notes=[]).write_csv(args.out)
+        means = [group.dist.mean() for group in scenario.groups]
+        SweepResult(rows=equilibrium_rows(scenario.name, means, eq), notes=[]).write_csv(args.out)
         print(f"wrote {args.out}", file=out)
     return EXIT_OK
 
@@ -198,29 +206,28 @@ def _cmd_calibrate(args, out) -> int:
     return EXIT_OK
 
 
+# The scenarios of each ``sweep --axis``.
+SWEEP_AXES = {
+    "mean-degree": ("er_vs_regular",),
+    "alpha": ("er_vs_scale_free",),
+    "df": ("df",),
+    "phi": ("phi", "phi_fine"),
+}
+
+
 def _cmd_table2(args, out) -> int:
-    result = run_table2()
-    _emit(result, args.out, out)
+    _emit(run_table2(), args.out, out)
     return EXIT_OK
 
 
 def _cmd_sweep(args, out) -> int:
-    runners = {
-        "mean-degree": lambda: run_structure_sweeps(alphas=()),
-        "alpha": lambda: run_structure_sweeps(mean_grid=()),
-        "df": run_df_sweep,
-        "phi": run_phi_sweep,
-    }
-    _emit(runners[args.axis](), args.out, out)
+    _emit(sweep(*SWEEP_AXES[args.axis]), args.out, out)
     return EXIT_OK
 
 
 def _cmd_simulate(args, out) -> int:
     params = calibrate()
-    baseline = solve_equilibrium(
-        params,
-        (GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, Poisson(22.47))),
-    )
+    baseline = solve_equilibrium(params, baseline_groups())
     g = baseline.groups[0]
     families = {
         "poisson": Poisson(22.47),
@@ -249,25 +256,21 @@ def _cmd_reproduce_all(args, out) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     calibrated = calibrate()
-    baseline = solve_equilibrium(
-        calibrated,
-        (GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, Poisson(22.47))),
+    baseline = solve_equilibrium(calibrated, baseline_groups())
+    # Looked up here, not at import, so each runner is read from this
+    # module's globals when the command runs.
+    runs = (
+        ("table2", run_table2), ("structure_sweep", run_structure_sweeps),
+        ("df_sweep", run_df_sweep), ("phi_sweep", run_phi_sweep),
     )
-    table2 = run_table2()
-    structure = run_structure_sweeps()
-    df = run_df_sweep()
-    phi = run_phi_sweep()
-
-    for name, result in (
-        ("table2", table2), ("structure_sweep", structure),
-        ("df_sweep", df), ("phi_sweep", phi),
-    ):
-        result.write_csv(outdir / f"{name}.csv")
+    results = []
+    for name, run in runs:
+        results.append(run())
+        results[-1].write_csv(outdir / f"{name}.csv")
         print(f"wrote {outdir / (name + '.csv')}", file=out)
 
-    checks = reference_checks(calibrated, baseline, table2, structure, df, phi)
-    notes = list(table2.notes) + list(structure.notes) + list(df.notes) + list(phi.notes)
-    report = summary_report(checks, notes)
+    checks = reference_checks(calibrated, baseline, *results)
+    report = summary_report(checks, [note for r in results for note in r.notes])
     (outdir / "summary.txt").write_text(report, encoding="utf-8")
     print(report, file=out, end="")
     return EXIT_OK
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_t2.add_argument("--out", help="CSV output path (default: stdout)")
 
     p_sweep = sub.add_parser("sweep", help="comparative-statics sweep")
-    p_sweep.add_argument("--axis", required=True, choices=("mean-degree", "alpha", "df", "phi"))
+    p_sweep.add_argument("--axis", required=True, choices=tuple(SWEEP_AXES))
     p_sweep.add_argument("--out", help="CSV output path (default: stdout)")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of the referral formula")

@@ -1,35 +1,41 @@
-"""Scenario runners for the network-comparison experiments.
+"""The network-comparison experiments: one scenario table, one solve loop.
 
-Each runner solves a family of two-group economies and emits a
-:class:`SweepResult`: one CSV row per (scenario, grid point, group) with
-the group outcomes and the economy-wide Gini/social-welfare values.
+Every experiment solves two-group economies whose networks differ, at
+each point of a grid.  :data:`SCENARIOS` holds one entry per CSV
+scenario, in the published row order: its grid, the economy at each grid
+value, and its note.  :func:`sweep` solves the named scenarios and emits
+a :class:`SweepResult`: one CSV row per (scenario, grid point, group)
+with the group outcomes and the economy-wide Gini/social-welfare values.
 Rows are only emitted after the equilibrium passes the solver
 invariants (flow balance and free entry), so a written CSV is always a
-set of verified steady states.
+set of verified steady states.  The four ``run_*`` runners are the
+published tables and sweeps, each a fixed list of scenarios.
 
-The canonical grids reproduce the published comparison tables and
-figure sweeps; embedded reference values and tolerance checks are in
+Embedded reference values and tolerance checks are in
 :func:`reference_checks` / :func:`summary_report`.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Any, Callable, Iterable, Sequence
 
 from .degree import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
 from .metrics import gini, social_welfare
 from .model import Equilibrium, GroupSpec, ModelParams
-from .solver import SolverConfig, solve_equilibrium
+from .solver import solve_equilibrium
 
 __all__ = [
     "Scenario",
     "SweepRow",
     "SweepResult",
+    "SweepScenario",
     "CheckOutcome",
     "CSV_HEADER",
+    "SCENARIOS",
     "equilibrium_rows",
+    "sweep",
     "STRUCTURE_MEAN_GRID",
     "ALPHA_GRID",
     "DF_GRID",
@@ -43,19 +49,17 @@ __all__ = [
     "summary_report",
 ]
 
-CSV_HEADER = (
-    "scenario", "axis_value", "group", "u", "w", "p_market",
-    "p_referral", "P_i", "S", "gini", "sw", "v",
-)
-
 DEFAULT_GROUP_SIZE = 1e6
 
-# Mean-degree grid for the Erdos-Renyi vs regular comparison (integers so
-# the regular network is well defined), the scale-parameter grid for the
-# Erdos-Renyi vs scale-free comparison, and the job-network / referral
-# frequency grids.
+# Group mean degrees of the two-group comparison table, the mean-degree
+# grid for the Erdos-Renyi vs regular comparison (integers so the regular
+# network is well defined), the scale-parameter grid for the Erdos-Renyi
+# vs scale-free comparison, the common mean degree of the job-network /
+# referral-frequency sweeps, and their grids.
+TABLE2_MEANS = (15.0, 30.0)
 STRUCTURE_MEAN_GRID = (0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 ALPHA_GRID = (2.028, 2.05, 2.1, 2.3, 2.5, 3.0, 5.0)
+COMMON_MEAN_DEGREE = 22.47
 DF_GRID = (0, 1, 2, 3, 5, 10, 16, 20, 40)
 # The published referral-frequency value set, deduplicated and sorted; it
 # contains an apparent typo (0.408, with 0.1 listed twice), noted in the
@@ -91,6 +95,9 @@ class SweepRow:
     v: float
 
 
+CSV_HEADER = tuple(f.name for f in fields(SweepRow))
+
+
 @dataclass
 class SweepResult:
     """Rows plus free-form metadata notes, serializable to the CSV contract."""
@@ -109,11 +116,8 @@ class SweepResult:
     def _write(self, fh) -> None:
         fh.write(",".join(CSV_HEADER) + "\n")
         for r in self.rows:
-            fields = [r.scenario, _fmt(r.axis_value), str(r.group)] + [
-                _fmt(x)
-                for x in (r.u, r.w, r.p_market, r.p_referral, r.P_i, r.S, r.gini, r.sw, r.v)
-            ]
-            fh.write(",".join(fields) + "\n")
+            values = (getattr(r, name) for name in CSV_HEADER)
+            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in values) + "\n")
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -143,142 +147,126 @@ def _check_invariants(eq: Equilibrium) -> None:
         raise RuntimeError(f"refusing to emit row: free entry violated, rV = {eq.V * eq.params.r:.3e}")
 
 
-def equilibrium_rows(scenario: str, axis_value: float, eq: Equilibrium) -> list[SweepRow]:
-    """CSV rows for one verified equilibrium (one row per group)."""
+def equilibrium_rows(scenario: str, axis_values: Sequence[float], eq: Equilibrium) -> list[SweepRow]:
+    """CSV rows for one verified equilibrium: one row per group, with its axis value."""
     _check_invariants(eq)
     g_val = gini(eq)
     sw_val = social_welfare(eq)
     return [
         SweepRow(
-            scenario=scenario, axis_value=float(axis_value), group=i + 1,
+            scenario=scenario, axis_value=float(x), group=i + 1,
             u=gs.u, w=gs.w, p_market=gs.p_market, p_referral=gs.p_referral,
             P_i=gs.P, S=gs.S, gini=g_val, sw=sw_val, v=eq.v,
         )
-        for i, gs in enumerate(eq.groups)
+        for i, (gs, x) in enumerate(zip(eq.groups, axis_values, strict=True))
     ]
 
 
-def _pair(dist_a, dist_b, size: float) -> tuple[GroupSpec, GroupSpec]:
-    return (GroupSpec(size=size, dist=dist_a), GroupSpec(size=size, dist=dist_b))
+# ---------------------------------------------------------------------------
+# The scenario table and its solve loop.
+
+Economy = tuple[ModelParams, tuple[GroupSpec, ...]]
 
 
-def run_table2(
-    params: ModelParams | None = None,
-    *,
-    means: tuple[float, float] = (15.0, 30.0),
-    size: float = DEFAULT_GROUP_SIZE,
-    config: SolverConfig | None = None,
-) -> SweepResult:
-    """Two-group comparison across the three network structures.
+@dataclass(frozen=True)
+class SweepScenario:
+    """One CSV scenario: its grid, the economy at each grid value, its note.
 
-    For each structure both groups share it but differ in expected
-    degree; the scale-free scale parameters are fitted to the target
-    means.  axis_value carries the group's expected degree.
+    ``economy_at(x, fixed)`` is the economy at grid value ``x``.  ``fixed``
+    is what the ``fixed`` builder returns (None without one); :func:`sweep`
+    builds it once per call and shares it among the scenarios that name
+    the same builder.  A grid value is the rows' ``axis_value``: one
+    number for every group, or a tuple with one number per group.
     """
-    params = params or ModelParams()
-    m1, m2 = means
-    if m1 != int(m1) or m2 != int(m2):
-        raise ValueError(f"regular networks need integer degrees, got means {means}")
-    scenarios = [
-        ("er", _pair(Poisson(m1), Poisson(m2), size)),
-        ("regular", _pair(Degenerate(int(m1)), Degenerate(int(m2)), size)),
-        ("scale_free", _pair(Zipf(zipf_alpha_for_mean(m1)), Zipf(zipf_alpha_for_mean(m2)), size)),
-    ]
-    result = SweepResult(rows=[], notes=[])
-    for name, groups in scenarios:
-        eq = solve_equilibrium(params, groups, config)
-        for row, mean in zip(equilibrium_rows(name, 0.0, eq), means):
-            result.rows.append(replace(row, axis_value=float(mean)))
-    return result
+
+    grid: tuple
+    economy_at: Callable[[Any, Any], Economy]
+    fixed: Callable[[], Any] | None = None
+    note: str = ""
 
 
-def run_structure_sweeps(
-    params: ModelParams | None = None,
-    *,
-    mean_grid: Sequence[int] = STRUCTURE_MEAN_GRID,
-    alphas: Sequence[float] = ALPHA_GRID,
-    size: float = DEFAULT_GROUP_SIZE,
-    config: SolverConfig | None = None,
-) -> SweepResult:
-    """Same expected degree, different structure.
-
-    ``er_vs_regular``: group 1 Poisson, group 2 regular, over a common
-    integer mean-degree grid (degree 0 uses an empty network for both
-    groups; the Poisson law needs a positive mean).  ``er_vs_scale_free``:
-    group 2 Zipf with scale parameter alpha, group 1 Poisson matched to
-    the Zipf mean; axis_value is alpha.
-    """
-    params = params or ModelParams()
-    result = SweepResult(rows=[], notes=[])
-    for m in mean_grid:
-        if m != int(m):
-            raise ValueError(f"regular networks need integer degrees, got {m}")
-        m = int(m)
-        groups = (
-            _pair(Degenerate(0), Degenerate(0), size)
-            if m == 0
-            else _pair(Poisson(float(m)), Degenerate(m), size)
-        )
-        eq = solve_equilibrium(params, groups, config)
-        result.rows.extend(equilibrium_rows("er_vs_regular", float(m), eq))
-    for a in alphas:
-        mean = Zipf(a).mean()
-        groups = _pair(Poisson(mean), Zipf(a), size)
-        eq = solve_equilibrium(params, groups, config)
-        result.rows.extend(equilibrium_rows("er_vs_scale_free", float(a), eq))
-    result.notes.append(
-        "er_vs_scale_free: group 1 is Poisson matched to the Zipf mean of group 2."
-    )
-    return result
+def _groups(*dists) -> tuple[GroupSpec, ...]:
+    return tuple(GroupSpec(size=DEFAULT_GROUP_SIZE, dist=d) for d in dists)
 
 
-def run_df_sweep(
-    params: ModelParams | None = None,
-    *,
-    df_values: Sequence[int] = DF_GRID,
-    mean_degree: float = 22.47,
-    size: float = DEFAULT_GROUP_SIZE,
-    config: SolverConfig | None = None,
-) -> SweepResult:
-    """Job-network connectivity sweep: Poisson vs Zipf at a common mean."""
-    params = params or ModelParams()
-    alpha = zipf_alpha_for_mean(mean_degree)
-    groups = _pair(Poisson(mean_degree), Zipf(alpha), size)
-    result = SweepResult(rows=[], notes=[])
-    for d_f in df_values:
-        eq = solve_equilibrium(replace(params, d_f=int(d_f)), groups, config)
-        result.rows.extend(equilibrium_rows("df", float(d_f), eq))
-    return result
+def _groups_at(dists_at) -> Callable[[Any, Any], Economy]:
+    """Economy whose degree laws ``dists_at(x)`` follow the grid value."""
+    return lambda x, _: (ModelParams(), _groups(*dists_at(x)))
 
 
-def run_phi_sweep(
-    params: ModelParams | None = None,
-    *,
-    phi_values: Sequence[float] = PHI_GRID,
-    fine_values: Sequence[float] = PHI_FINE_GRID,
-    mean_degree: float = 22.47,
-    size: float = DEFAULT_GROUP_SIZE,
-    config: SolverConfig | None = None,
-) -> SweepResult:
-    """Referral-frequency sweep: Poisson vs Zipf at a common mean.
+def _param_at(name: str) -> Callable[[Any, Any], Economy]:
+    """Economy whose parameter ``name`` is the grid value, on fixed groups."""
+    return lambda x, groups: (replace(ModelParams(), **{name: x}), groups)
 
-    Emits the published value set under scenario ``phi`` and a fine grid
-    under ``phi_fine`` used to locate the inequality peak.
-    """
-    params = params or ModelParams()
-    alpha = zipf_alpha_for_mean(mean_degree)
-    groups = _pair(Poisson(mean_degree), Zipf(alpha), size)
-    result = SweepResult(rows=[], notes=[])
-    for name, values in (("phi", phi_values), ("phi_fine", fine_values)):
-        for phi in values:
-            eq = solve_equilibrium(replace(params, phi=float(phi)), groups, config)
-            result.rows.extend(equilibrium_rows(name, float(phi), eq))
-    result.notes.append(
-        "phi grid: published value set lists 0.1 twice and an isolated 0.408 "
+
+def _common_mean_groups() -> tuple[GroupSpec, ...]:
+    """Poisson vs Zipf at the common mean degree, the d_f and phi economy."""
+    return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(zipf_alpha_for_mean(COMMON_MEAN_DEGREE)))
+
+
+SCENARIOS: dict[str, SweepScenario] = {
+    # The two-group comparison table: both groups share a structure and
+    # differ in mean degree; scale-free scale parameters fit the means.
+    "er": SweepScenario((TABLE2_MEANS,), _groups_at(lambda ms: map(Poisson, ms))),
+    "regular": SweepScenario(
+        (TABLE2_MEANS,), _groups_at(lambda ms: (Degenerate(int(m)) for m in ms))),
+    "scale_free": SweepScenario(
+        (TABLE2_MEANS,), _groups_at(lambda ms: (Zipf(zipf_alpha_for_mean(m)) for m in ms))),
+    # Same mean degree, different structure.  Degree 0 is an empty network
+    # for both groups, as Poisson needs a positive mean.
+    "er_vs_regular": SweepScenario(STRUCTURE_MEAN_GRID, _groups_at(
+        lambda m: (Poisson(float(m)), Degenerate(m)) if m else (Degenerate(0),) * 2)),
+    "er_vs_scale_free": SweepScenario(
+        ALPHA_GRID, _groups_at(lambda a: (Poisson(Zipf(a).mean()), Zipf(a))),
+        note="er_vs_scale_free: group 1 is Poisson matched to the Zipf mean of group 2.",
+    ),
+    # Job-network connectivity and referral frequency, Poisson vs Zipf.
+    "df": SweepScenario(DF_GRID, _param_at("d_f"), _common_mean_groups),
+    "phi": SweepScenario(
+        PHI_GRID, _param_at("phi"), _common_mean_groups,
+        note="phi grid: published value set lists 0.1 twice and an isolated 0.408 "
         "(apparent typo); the deduplicated sorted set is used here, plus a "
-        "fine grid on (0, 0.3] to locate the Gini peak."
-    )
+        "fine grid on (0, 0.3] to locate the Gini peak.",
+    ),
+    "phi_fine": SweepScenario(PHI_FINE_GRID, _param_at("phi"), _common_mean_groups),
+}
+
+
+def sweep(*names: str) -> SweepResult:
+    """Solve, verify and emit the rows of the named scenarios, in order."""
+    result = SweepResult(rows=[], notes=[])
+    built: dict = {None: None}  # fixed economies of this call, by builder
+    for name in names:
+        scenario = SCENARIOS[name]
+        if scenario.fixed not in built:
+            built[scenario.fixed] = scenario.fixed()
+        for x in scenario.grid:
+            params, groups = scenario.economy_at(x, built[scenario.fixed])
+            eq = solve_equilibrium(params, groups)
+            axis = x if isinstance(x, tuple) else (x,) * len(groups)
+            result.rows.extend(equilibrium_rows(name, axis, eq))
+        if scenario.note:
+            result.notes.append(scenario.note)
     return result
+
+
+def run_table2() -> SweepResult:
+    """The comparison table; axis_value is each group's mean degree."""
+    return sweep("er", "regular", "scale_free")
+
+
+def run_structure_sweeps() -> SweepResult:
+    """ER vs regular over mean degree, ER vs scale-free over alpha."""
+    return sweep("er_vs_regular", "er_vs_scale_free")
+
+
+def run_df_sweep() -> SweepResult:
+    return sweep("df")
+
+
+def run_phi_sweep() -> SweepResult:
+    """The published phi values, then the fine grid that locates the Gini peak."""
+    return sweep("phi", "phi_fine")
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "AssetValues",
     "market_arrival",
     "info_probability",
-    "referral_arrival",
     "surplus",
     "wage",
     "vacancy_closure",
@@ -162,11 +161,6 @@ def info_probability(params: ModelParams, u_i: float, u: float, v: float) -> flo
         raise ValueError(f"degenerate job pool: 1 - u + v = {denom}")
     vacant_share = v / denom
     return params.phi * (1.0 - u_i) * (1.0 - (1.0 - vacant_share) ** params.d_f)
-
-
-def referral_arrival(dist: DegreeDistribution, p_info: float) -> float:
-    """Offer arrival rate through referral, E[1 - (1 - P)^d]."""
-    return dist.referral_expectation(p_info)
 
 
 def surplus(params: ModelParams, p_i: float) -> float:

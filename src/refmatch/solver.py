@@ -16,6 +16,7 @@ referral frequencies.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,6 +53,9 @@ class SolverConfig:
     multistart_seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_outer_iters", "multistart", "multistart_seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.residual_tol > 0.0:
             raise ValueError(f"residual tolerance must be positive, got {self.residual_tol}")
         if not 0.0 < self.damping <= 1.0:

@@ -1,8 +1,6 @@
 import pytest
 
 from refmatch import (
-    GroupSpec,
-    Poisson,
     calibrate,
     run_df_sweep,
     run_phi_sweep,
@@ -10,6 +8,7 @@ from refmatch import (
     run_table2,
     solve_equilibrium,
 )
+from refmatch.calibration import baseline_groups
 
 
 @pytest.fixture(scope="session")
@@ -19,8 +18,7 @@ def calibrated_params():
 
 @pytest.fixture(scope="session")
 def baseline_eq(calibrated_params):
-    groups = (GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, Poisson(22.47)))
-    return solve_equilibrium(calibrated_params, groups)
+    return solve_equilibrium(calibrated_params, baseline_groups())
 
 
 @pytest.fixture(scope="session")

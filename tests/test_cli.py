@@ -14,6 +14,7 @@ from refmatch.cli import (
     EXIT_INFEASIBLE_CALIBRATION,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    ConfigError,
     load_scenario,
     main,
 )
@@ -117,6 +118,8 @@ class TestBadConfigs:
         config = write_config(
             tmp_path, {"groups": [{"family": "smallworld", "size": 1e6, "mean": 3}]}
         )
+        with pytest.raises(ConfigError, match="^group 1: unknown family"):
+            load_scenario(config)
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
 
@@ -126,9 +129,33 @@ class TestBadConfigs:
         assert code == EXIT_BAD_CONFIG
 
     def test_zero_outer_iterations(self, tmp_path):
-        config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": {"max_outer_iters": 0}})
+        # iteration and restart counts must be positive integers
+        for solver in ({"max_outer_iters": 0}, {"max_outer_iters": 50.5}, {"multistart": 1.5}):
+            config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": solver})
+            code, _ = run_cli("solve", "--config", config)
+            assert code == EXIT_BAD_CONFIG, solver
+
+    @pytest.mark.parametrize("group, message", [
+        ({"family": "poisson", "size": 1e6}, "missing mean"),
+        ({"family": "zipf", "size": 1e6}, "missing mean"),
+        ({"family": "poisson", "size": 1e6, "mean": None}, "mean must be a number"),
+    ])
+    def test_malformed_group_entry(self, tmp_path, group, message):
+        config = write_config(tmp_path, {"groups": [BASELINE_CONFIG["groups"][0], group]})
+        with pytest.raises(ConfigError, match=f"group 2: {message}"):
+            load_scenario(config)
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
+
+    def test_non_integer_regular_degree(self, tmp_path):
+        for key in ("mean", "k"):
+            config = write_config(
+                tmp_path, {"groups": [{"family": "regular", "size": 1e6, key: 22.47}]}
+            )
+            with pytest.raises(ConfigError, match="group 1: regular networks need an integer"):
+                load_scenario(config)
+            code, _ = run_cli("solve", "--config", config)
+            assert code == EXIT_BAD_CONFIG
 
     def test_load_scenario_reports_group_index(self, tmp_path):
         config = write_config(
@@ -189,6 +216,22 @@ class TestSweepCommands:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 2 * 11
         assert all(line.split(",")[0] == "er_vs_regular" for line in lines[1:])
+
+    @pytest.mark.parametrize("argv, fixture", [
+        (("table2",), "table2_result"),
+        (("sweep", "--axis", "df"), "df_result"),
+        (("sweep", "--axis", "phi"), "phi_result"),
+    ])
+    def test_stdout_matches_runner(self, request, argv, fixture):
+        code, text = run_cli(*argv)
+        assert code == EXIT_OK
+        assert text == request.getfixturevalue(fixture).to_csv_text()
+
+    def test_structure_axes_match_runner(self, structure_result):
+        _, by_mean = run_cli("sweep", "--axis", "mean-degree")
+        _, by_alpha = run_cli("sweep", "--axis", "alpha")
+        _, alpha_rows = by_alpha.split("\n", 1)
+        assert by_mean + alpha_rows == structure_result.to_csv_text()
 
     def test_sweep_requires_axis(self):
         code, _ = run_cli("sweep")

@@ -8,10 +8,20 @@ from refmatch import (
     CSV_HEADER,
     equilibrium_rows,
     reference_checks,
+    run_df_sweep,
+    run_phi_sweep,
+    run_structure_sweeps,
     run_table2,
     summary_report,
 )
-from refmatch.experiments import check_df, check_phi, check_structure, check_table2
+from refmatch import experiments
+from refmatch.experiments import (
+    SCENARIOS,
+    check_df,
+    check_phi,
+    check_structure,
+    check_table2,
+)
 
 
 class TestCsvContract:
@@ -51,6 +61,36 @@ class TestCsvContract:
         assert out.read_text().startswith("scenario,")
 
 
+class TestScenarioTable:
+    def test_table_order_is_row_order(self, table2_result, structure_result,
+                                      df_result, phi_result):
+        results = (table2_result, structure_result, df_result, phi_result)
+        scenarios = [r.scenario for result in results for r in result.rows]
+        assert list(dict.fromkeys(scenarios)) == list(SCENARIOS)
+
+    def test_solves_and_alpha_fits_per_runner(self, monkeypatch, baseline_eq):
+        # each grid point is one solve; the fixed d_f/phi economy is
+        # built once per runner call, not once per grid point
+        calls = {"solve": 0, "fit": 0}
+        fit = experiments.zipf_alpha_for_mean
+
+        def fake_solve(params, groups):
+            calls["solve"] += 1
+            return baseline_eq
+
+        def counting_fit(mean):
+            calls["fit"] += 1
+            return fit(mean)
+
+        monkeypatch.setattr(experiments, "solve_equilibrium", fake_solve)
+        monkeypatch.setattr(experiments, "zipf_alpha_for_mean", counting_fit)
+        for run, solves, fits in ((run_table2, 3, 2), (run_structure_sweeps, 18, 0),
+                                  (run_df_sweep, 9, 1), (run_phi_sweep, 22, 1)):
+            calls.update(solve=0, fit=0)
+            run()
+            assert (calls["solve"], calls["fit"]) == (solves, fits), run.__name__
+
+
 class TestTable2:
     def test_scenarios_and_ordering(self, table2_result):
         assert [r.scenario for r in table2_result.rows] == (
@@ -83,10 +123,6 @@ class TestTable2:
         outcomes = check_table2(table2_result)
         failed = [c.name for c in outcomes if not c.passed]
         assert failed == []
-
-    def test_non_integer_regular_mean_rejected(self):
-        with pytest.raises(ValueError):
-            run_table2(means=(15.5, 30.0))
 
 
 class TestStructureSweep:
@@ -158,13 +194,17 @@ class TestPhiSweep:
 
 class TestRowEmission:
     def test_rows_require_verified_equilibrium(self, baseline_eq):
-        rows = equilibrium_rows("x", 1.0, baseline_eq)
-        assert len(rows) == 2
+        rows = equilibrium_rows("x", (1.0, 2.0), baseline_eq)
+        assert [r.axis_value for r in rows] == [1.0, 2.0]
         from dataclasses import replace
 
         broken = replace(baseline_eq, residual=1.0)
         with pytest.raises(RuntimeError):
-            equilibrium_rows("x", 1.0, broken)
+            equilibrium_rows("x", (1.0, 1.0), broken)
+
+    def test_one_axis_value_per_group(self, baseline_eq):
+        with pytest.raises(ValueError):
+            equilibrium_rows("x", (1.0,), baseline_eq)
 
 
 class TestSummaryReport:

@@ -10,7 +10,6 @@ from refmatch import (
     Poisson,
     info_probability,
     market_arrival,
-    referral_arrival,
     surplus,
     vacancy_closure,
     value_functions,
@@ -95,12 +94,12 @@ class TestInfoProbability:
 
 class TestReferralArrival:
     def test_delegates_to_distribution(self):
-        assert referral_arrival(Poisson(22.47), 0.0) == 0.0
-        val = referral_arrival(Poisson(22.47), 0.022064)
+        assert Poisson(22.47).referral_expectation(0.0) == 0.0
+        val = Poisson(22.47).referral_expectation(0.022064)
         assert val == pytest.approx(0.3909032031633885, abs=1e-10)
 
     def test_regular_network_power(self):
-        assert referral_arrival(Degenerate(16), 0.1) == pytest.approx(1.0 - 0.9**16, rel=1e-12)
+        assert Degenerate(16).referral_expectation(0.1) == pytest.approx(1.0 - 0.9**16, rel=1e-12)
 
 
 class TestSurplusAndWage:

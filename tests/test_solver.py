@@ -191,6 +191,9 @@ class TestSolverControls:
             SolverConfig(multistart=-1)
         with pytest.raises(ValueError, match="outer iterations"):
             SolverConfig(max_outer_iters=0)
+        for name in ("max_outer_iters", "multistart", "multistart_seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SolverConfig(**{name: 1.5})
 
     def test_initial_point_respected(self):
         eq_low = solve_equilibrium(PUBLISHED, [GroupSpec(1e6, Poisson(22.47))],
