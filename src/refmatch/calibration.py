@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .degree import Poisson
+from .degree import Poisson, as_count
 from .model import GroupSpec, ModelParams
 from .solver import solve_equilibrium
 
@@ -60,8 +60,7 @@ class CalibrationTargets:
             raise ValueError(f"referral share must lie in [0, 1], got {self.referral_share}")
         if not self.baseline_mean_degree > 0.0:
             raise ValueError(f"mean degree must be positive, got {self.baseline_mean_degree}")
-        if self.d_f < 0:
-            raise ValueError(f"job-network degree must be >= 0, got {self.d_f}")
+        object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
 
 
 def baseline_groups(
@@ -80,7 +79,6 @@ def calibrate(
     r: float = 0.012,
     delta: float = 0.036,
     eta: float = 0.72,
-    verify: bool = True,
 ) -> ModelParams:
     """Complete the parameter vector from the baseline targets.
 
@@ -88,8 +86,8 @@ def calibrate(
     returned :class:`ModelParams` carries them plus the recovered
     (gamma, beta, c, phi).  Raises :class:`CalibrationError` when the
     targets are infeasible (referral share requiring P > 1 or phi > 1,
-    beta outside [0, 1]) or when ``verify`` is on and a fresh
-    equilibrium solve does not reproduce the targets to 1e-6.
+    beta outside [0, 1]) or when a fresh equilibrium solve does not
+    reproduce the targets to 1e-6.
     """
     t = targets or CalibrationTargets()
     if not b < t.wage_target < y:
@@ -134,8 +132,7 @@ def calibrate(
         y=y, b=b, r=r, delta=delta, eta=eta,
         gamma=gamma, beta=beta, c=c, phi=phi, d_f=t.d_f,
     )
-    if verify:
-        _verify(params, t)
+    _verify(params, t)
     return params
 
 

@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``solve`` (one scenario from a config file), ``calibrate``,
+Subcommands: ``solve`` (one scenario from a config file; every distinct
+equilibrium when its ``solver.multistart`` asks for restarts), ``calibrate``,
 ``table2``, ``sweep --axis {mean-degree|alpha|df|phi}``, ``simulate``
 (Monte Carlo validation of the referral formula), and ``reproduce-all``
 (every experiment plus a pass/fail summary against the embedded
@@ -35,7 +36,7 @@ from .experiments import (
 from .metrics import gini, social_welfare
 from .model import Equilibrium, GroupSpec, ModelParams
 from .simulate import SimConfig, estimate_referral_rate
-from .solver import ConvergenceError, SolverConfig, solve_equilibrium
+from .solver import ConvergenceError, SolverConfig, solve_all, solve_equilibrium
 
 EXIT_OK = 0
 EXIT_NO_CONVERGENCE = 2
@@ -55,7 +56,9 @@ class ConfigError(ValueError):
 #   targets  optional partial override of CalibrationTargets fields
 #   groups   required list of {"family", "size", and "mean"|"alpha"|"k"}
 #            family: "poisson"/"er", "regular"/"degenerate", "zipf"/"scale-free"
-#   solver   optional partial override of SolverConfig fields
+#   solver   optional partial override of SolverConfig fields; with
+#            "multistart": n, solve prints every distinct equilibrium of
+#            the default start and n random restarts
 
 
 def _field_names(cls) -> set[str]:
@@ -69,7 +72,7 @@ def _build_dataclass(cls, data: dict, where: str):
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -153,7 +156,12 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
             raise ConfigError(
                 f"params {sorted(leftover)} cannot be overridden when calibrating"
             )
-        params = calibrate(targets, **given)
+        try:
+            params = calibrate(targets, **given)
+        except CalibrationError:
+            raise
+        except ValueError as exc:  # a given parameter or the target degree law
+            raise ConfigError(f"invalid calibration input: {exc}") from exc
     else:
         if "targets" in data:
             raise ConfigError("'targets' only applies when 'calibrate' is true")
@@ -186,11 +194,13 @@ def _print_equilibrium(name: str, eq: Equilibrium, out) -> None:
 
 def _cmd_solve(args, out) -> int:
     scenario, solver_config = load_scenario(args.config)
-    eq = solve_equilibrium(scenario.params, scenario.groups, solver_config)
-    _print_equilibrium(scenario.name, eq, out)
+    equilibria = solve_all(scenario.params, scenario.groups, solver_config)
+    for eq in equilibria:
+        _print_equilibrium(scenario.name, eq, out)
     if args.out:
         means = [group.dist.mean() for group in scenario.groups]
-        SweepResult(rows=equilibrium_rows(scenario.name, means, eq), notes=[]).write_csv(args.out)
+        rows = [row for eq in equilibria for row in equilibrium_rows(scenario.name, means, eq)]
+        SweepResult(rows=rows, notes=[]).write_csv(args.out)
         print(f"wrote {args.out}", file=out)
     return EXIT_OK
 

@@ -8,16 +8,15 @@ toward 2).
 
 The quantity the labor-market model needs from a distribution is the
 referral success probability E[1 - (1 - P)^d] for a contact-information
-probability P.  It is evaluated exactly through the probability
-generating function G(x) = E[x^d]:
+probability P, which each law evaluates exactly.  Poisson and
+Degenerate write it without cancellation at small P, as -expm1(-lam P)
+and -expm1(k log1p(-P)).  The Zipf law uses its probability generating
+function, 1 - Li_a(1 - P) / zeta(a), so a polylogarithm and the Riemann
+zeta function are implemented here as well; both are plain float64
+routines with no external special-function dependency.
 
-    E[1 - (1 - P)^d] = 1 - G(1 - P)
-
-Poisson and Degenerate write that difference without cancellation at
-small P, as -expm1(-lam P) and -expm1(k log1p(-P)).  For the Zipf law
-G(x) = Li_a(x) / zeta(a), so a polylogarithm and the Riemann zeta
-function are implemented here as well; both are plain float64 routines
-with no external special-function dependency.
+:func:`as_count` is the package's one check of a non-negative integer
+count (a regular degree, a job-network degree).
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ __all__ = [
     "Poisson",
     "Degenerate",
     "Zipf",
+    "as_count",
     "zeta",
     "polylog",
     "zipf_alpha_for_mean",
@@ -47,6 +47,18 @@ _ZETA_SERIES_TERMS = 64
 _POLYLOG_RTOL = 1e-12
 _POLYLOG_MAX_TERMS = 10**6
 _POLYLOG_BLOCK = 4096
+
+
+def as_count(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is a finite integer >= 0."""
+    try:
+        count = int(value)
+        valid = count == value and count >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+    return count
 
 
 def zeta(s: float) -> float:
@@ -106,10 +118,6 @@ class DegreeDistribution:
         """Expected number of contacts E[d]."""
         raise NotImplementedError
 
-    def pgf(self, x: float) -> float:
-        """Probability generating function E[x^d] for x in [0, 1]."""
-        raise NotImplementedError
-
     def pmf(self, k) -> np.ndarray:
         """Probability mass at integer degree(s) k."""
         raise NotImplementedError
@@ -133,8 +141,8 @@ class DegreeDistribution:
         return self._reach(p_info)
 
     def _reach(self, p_info: float) -> float:
-        """E[1 - (1 - P)^d] for P in (0, 1], by default 1 - G(1 - P)."""
-        return 1.0 - self.pgf(1.0 - p_info)
+        """E[1 - (1 - P)^d] for P in (0, 1]."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -144,14 +152,11 @@ class Poisson(DegreeDistribution):
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"Poisson mean degree must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"Poisson mean degree must be positive and finite, got {self.lam}")
 
     def mean(self) -> float:
         return self.lam
-
-    def pgf(self, x: float) -> float:
-        return math.exp(self.lam * (float(x) - 1.0))
 
     def _reach(self, p_info: float) -> float:
         return -math.expm1(-self.lam * p_info)
@@ -173,15 +178,10 @@ class Degenerate(DegreeDistribution):
     k: int
 
     def __post_init__(self):
-        if self.k != int(self.k) or self.k < 0:
-            raise ValueError(f"regular-network degree must be an integer >= 0, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", as_count(self.k, "regular-network degree k"))
 
     def mean(self) -> float:
         return float(self.k)
-
-    def pgf(self, x: float) -> float:
-        return float(x) ** self.k
 
     def _reach(self, p_info: float) -> float:
         # log1p(-1) is a domain error, and k = 0 would return -0.0.
@@ -208,16 +208,14 @@ class Zipf(DegreeDistribution):
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > 2.0:
-            raise ValueError(
-                f"Zipf scale parameter must exceed 2 for a finite mean, got {self.alpha}"
-            )
+        if not 2.0 < self.alpha < math.inf:
+            raise ValueError(f"Zipf scale parameter must be finite and exceed 2, got {self.alpha}")
 
     def mean(self) -> float:
         return zeta(self.alpha - 1.0) / zeta(self.alpha)
 
-    def pgf(self, x: float) -> float:
-        return polylog(self.alpha, float(x)) / zeta(self.alpha)
+    def _reach(self, p_info: float) -> float:
+        return 1.0 - polylog(self.alpha, 1.0 - p_info) / zeta(self.alpha)
 
     def pmf(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)

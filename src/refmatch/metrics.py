@@ -1,29 +1,17 @@
 """Welfare and inequality statistics over a solved equilibrium.
 
-Inequality is measured across group mean incomes by default: group i's
-expected income is u_i * b + (1 - u_i) * w_i and groups are weighted by
-population share.  An individual-level variant treats each group as two
-income points (employed at w_i, unemployed at b); it produces roughly
-twice the group-level coefficient for the two-group economies studied
-here and is exposed behind a flag for sensitivity checks.
+Inequality is measured across group mean incomes: group i's expected
+income is u_i * b + (1 - u_i) * w_i and groups are weighted by
+population share.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Equilibrium
 
-__all__ = ["WelfareReport", "social_welfare", "gini", "group_incomes", "welfare_report"]
-
-
-@dataclass(frozen=True)
-class WelfareReport:
-    gini: float
-    social_welfare: float
-    group_incomes: tuple[float, ...]
+__all__ = ["social_welfare", "gini", "group_incomes"]
 
 
 def group_incomes(eq: Equilibrium) -> tuple[float, ...]:
@@ -50,28 +38,8 @@ def _weighted_gini(values: np.ndarray, weights: np.ndarray) -> float:
     return spread / (2.0 * mean)
 
 
-def gini(eq: Equilibrium, *, individual: bool = False) -> float:
-    """Gini coefficient of the equilibrium income distribution.
-
-    Group-level by default (one income point per group at its expected
-    income); ``individual=True`` splits each group into employed and
-    unemployed income points instead.
-    """
+def gini(eq: Equilibrium) -> float:
+    """Gini coefficient of the group mean incomes, weighted by group size."""
     total = eq.total_size
-    if individual:
-        values, weights = [], []
-        for g in eq.groups:
-            values.extend([g.w, eq.params.b])
-            weights.extend([(1.0 - g.u) * g.size / total, g.u * g.size / total])
-    else:
-        values = list(group_incomes(eq))
-        weights = [g.size / total for g in eq.groups]
-    return _weighted_gini(np.asarray(values, dtype=np.float64), np.asarray(weights, dtype=np.float64))
-
-
-def welfare_report(eq: Equilibrium) -> WelfareReport:
-    return WelfareReport(
-        gini=gini(eq),
-        social_welfare=social_welfare(eq),
-        group_incomes=group_incomes(eq),
-    )
+    weights = np.array([g.size / total for g in eq.groups])
+    return _weighted_gini(np.array(group_incomes(eq)), weights)

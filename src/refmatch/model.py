@@ -19,10 +19,11 @@ pins the vacancy rate through ``vacancy_closure``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .degree import DegreeDistribution
+from .degree import DegreeDistribution, as_count
 
 __all__ = [
     "ModelParams",
@@ -62,6 +63,10 @@ class ModelParams:
     d_f: int = 16
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.y > self.b > 0.0:
             raise ValueError(f"need y > b > 0, got y={self.y}, b={self.b}")
         if not self.r > 0.0:
@@ -78,9 +83,7 @@ class ModelParams:
             raise ValueError(f"vacancy cost must be positive, got {self.c}")
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError(f"referral frequency must lie in [0, 1], got {self.phi}")
-        if self.d_f != int(self.d_f) or self.d_f < 0:
-            raise ValueError(f"job-network degree must be an integer >= 0, got {self.d_f}")
-        object.__setattr__(self, "d_f", int(self.d_f))
+        object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,8 @@ class GroupSpec:
     dist: DegreeDistribution
 
     def __post_init__(self):
-        if not self.size > 0.0:
-            raise ValueError(f"group size must be positive, got {self.size}")
+        if not 0.0 < self.size < math.inf:
+            raise ValueError(f"group size must be positive and finite, got {self.size}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import DegreeDistribution
+from .degree import DegreeDistribution, as_count
 
 __all__ = [
     "Network",
@@ -143,8 +143,7 @@ class SimConfig:
             raise ValueError(f"need at least 2 workers, got {self.n_workers}")
         if self.n_trials < 1:
             raise ValueError(f"need at least one trial, got {self.n_trials}")
-        if self.d_f < 0:
-            raise ValueError(f"job-network degree must be >= 0, got {self.d_f}")
+        object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
         for name in ("employment_rate", "vacancy_share", "phi"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

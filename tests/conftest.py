@@ -1,14 +1,8 @@
 import pytest
 
-from refmatch import (
-    calibrate,
-    run_df_sweep,
-    run_phi_sweep,
-    run_structure_sweeps,
-    run_table2,
-    solve_equilibrium,
-)
+from refmatch import calibrate, solve_equilibrium
 from refmatch.calibration import baseline_groups
+from refmatch.experiments import run_df_sweep, run_phi_sweep, run_structure_sweeps, run_table2
 
 
 @pytest.fixture(scope="session")

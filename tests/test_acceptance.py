@@ -19,14 +19,13 @@ from refmatch import (
     Degenerate,
     GroupSpec,
     Poisson,
-    SimConfig,
     Zipf,
     calibrate,
-    estimate_referral_rate,
-    run_table2,
     solve_equilibrium,
     zipf_alpha_for_mean,
 )
+from refmatch.experiments import run_table2
+from refmatch.simulate import SimConfig, estimate_referral_rate
 from test_degree import brute_force_referral
 from test_model import draw_params
 

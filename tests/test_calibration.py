@@ -34,10 +34,6 @@ class TestPublishedCalibration:
         assert abs(g.w - 0.6) < 1e-6
         assert abs(g.p_referral / g.p_total - 0.5) < 1e-6
 
-    def test_verify_flag_does_not_change_values(self, calibrated_params):
-        fast = calibrate(verify=False)
-        assert fast == calibrated_params
-
 
 class TestMarketOnlyCorner:
     def test_zero_referral_share(self):
@@ -122,3 +118,6 @@ class TestInfeasibility:
             CalibrationTargets(referral_share=1.5)
         with pytest.raises(ValueError):
             CalibrationTargets(baseline_mean_degree=0.0)
+        for d_f in (-1, 2.5, float("inf")):
+            with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
+                CalibrationTargets(d_f=d_f)

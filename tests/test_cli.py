@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from refmatch import cli, solver
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE_CALIBRATION,
@@ -84,6 +86,41 @@ class TestSolveCommand:
         code, text = run_cli("solve", "--config", config)
         assert code == EXIT_OK
 
+    def test_multistart_runs_every_restart(self, tmp_path, monkeypatch):
+        calls = []
+        iterate = solver._iterate
+
+        def counting(*args):
+            calls.append(args)
+            return iterate(*args)
+
+        monkeypatch.setattr(solver, "_iterate", counting)
+        config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": {"multistart": 3}})
+        code, _ = run_cli("solve", "--config", config)
+        assert code == EXIT_OK
+        assert len(calls) == 4
+
+    def test_unique_equilibrium_prints_once(self, tmp_path):
+        plain = write_config(tmp_path, BASELINE_CONFIG, "plain.json")
+        multi = write_config(
+            tmp_path, {**BASELINE_CONFIG, "solver": {"multistart": 3}}, "multi.json")
+        code, text = run_cli("solve", "--config", multi)
+        assert code == EXIT_OK
+        assert text == run_cli("solve", "--config", plain)[1]
+
+    def test_every_equilibrium_printed_and_written(self, tmp_path, monkeypatch):
+        # Two equilibria, as solve_all reports a multiplicity: both are
+        # printed, and the CSV holds both equilibria's rows in that order.
+        solve_all = cli.solve_all
+        monkeypatch.setattr(cli, "solve_all", lambda *args: solve_all(*args) * 2)
+        config = write_config(tmp_path, BASELINE_CONFIG)
+        out_csv = tmp_path / "eq.csv"
+        code, text = run_cli("solve", "--config", config, "--out", str(out_csv))
+        assert code == EXIT_OK
+        assert text.count("scenario: baseline") == 2
+        lines = out_csv.read_text().strip().split("\n")
+        assert len(lines) == 5 and lines[1:3] == lines[3:5]
+
     def test_non_convergence_exit_code(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -156,6 +193,35 @@ class TestBadConfigs:
                 load_scenario(config)
             code, _ = run_cli("solve", "--config", config)
             assert code == EXIT_BAD_CONFIG
+
+    @pytest.mark.parametrize("payload", [
+        {"params": {"d_f": math.inf}},
+        {"calibrate": True, "targets": {"d_f": 2.5}},
+        {"calibrate": True, "targets": {"d_f": math.inf}},
+    ])
+    def test_job_network_degree_is_a_count(self, tmp_path, capsys, payload):
+        config = write_config(tmp_path, {**BASELINE_CONFIG, **payload})
+        code, _ = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        assert "d_f must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, field", [
+        ({"params": {"c": math.inf}}, "c must be finite"),
+        ({"params": {"r": math.inf}}, "r must be finite"),
+        ({"params": {"gamma": math.inf}}, "gamma must be finite"),
+        ({"params": {"eta": math.inf}}, "eta must be finite"),
+        ({"params": {"c": 10**400}}, "invalid params"),  # too large for a float
+        ({"calibrate": True, "params": {"y": math.inf}}, "y must be finite"),
+        ({"calibrate": True, "targets": {"baseline_mean_degree": math.inf}}, "Poisson mean"),
+        ({"groups": [{"family": "poisson", "mean": 22.47, "size": math.inf}]}, "group size"),
+        ({"groups": [{"family": "zipf", "alpha": math.inf}]}, "Zipf scale parameter"),
+        ({"groups": [{"family": "poisson", "mean": math.inf}]}, "Poisson mean"),
+    ])
+    def test_non_finite_inputs(self, tmp_path, capsys, payload, field):
+        config = write_config(tmp_path, {**BASELINE_CONFIG, **payload})
+        code, _ = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        assert field in capsys.readouterr().err
 
     def test_load_scenario_reports_group_index(self, tmp_path):
         config = write_config(

@@ -15,7 +15,8 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import poisson as scipy_poisson
 
-from refmatch import Degenerate, Poisson, Zipf, polylog, zeta, zipf_alpha_for_mean
+from refmatch import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
+from refmatch.degree import as_count, polylog, zeta
 
 
 def brute_force_referral(dist, p_info: float) -> float:
@@ -101,6 +102,21 @@ class TestConstruction:
             Zipf(2.0)  # infinite mean
         with pytest.raises(ValueError):
             Zipf(1.5)
+        with pytest.raises(ValueError, match="finite"):
+            Poisson(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            Zipf(math.inf)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5, -1, "3", None])
+    def test_count_rule(self, value):
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            Degenerate(value)
+        with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
+            as_count(value, "d_f")
+
+    def test_integral_floats_become_ints(self):
+        assert as_count(16.0, "d_f") == 16 and type(as_count(16.0, "d_f")) is int
+        assert Degenerate(22.0).k == 22 and type(Degenerate(22.0).k) is int
 
     def test_degenerate_zero_allowed(self):
         dist = Degenerate(0)

@@ -4,8 +4,14 @@ import io
 
 import pytest
 
-from refmatch import (
+from refmatch import experiments
+from refmatch.experiments import (
     CSV_HEADER,
+    SCENARIOS,
+    check_df,
+    check_phi,
+    check_structure,
+    check_table2,
     equilibrium_rows,
     reference_checks,
     run_df_sweep,
@@ -13,14 +19,6 @@ from refmatch import (
     run_structure_sweeps,
     run_table2,
     summary_report,
-)
-from refmatch import experiments
-from refmatch.experiments import (
-    SCENARIOS,
-    check_df,
-    check_phi,
-    check_structure,
-    check_table2,
 )
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from refmatch import Equilibrium, GroupState, ModelParams, gini, social_welfare, welfare_report
-from refmatch.metrics import _weighted_gini
+from refmatch import Equilibrium, ModelParams, gini, social_welfare
+from refmatch.metrics import _weighted_gini, group_incomes
+from refmatch.model import GroupState
 
 
 def synthetic_eq(u_w_pairs, params=None, sizes=None, v=0.04):
@@ -63,15 +64,6 @@ class TestGini:
         balanced = synthetic_eq([(0.0, 0.5), (0.0, 0.9)], sizes=[5e6, 5e6])
         assert gini(small_rich) < gini(balanced)
 
-    def test_individual_level_variant(self, table2_result):
-        # splitting groups into employed/unemployed points roughly doubles
-        # the coefficient for the published two-group comparison
-        rows = table2_result.rows_for("er")
-        eq = synthetic_eq([(rows[0].u, rows[0].w), (rows[1].u, rows[1].w)])
-        val = gini(eq, individual=True)
-        assert 0.023 < val < 0.033
-        assert val > gini(eq)
-
     def test_degenerate_incomes_rejected(self):
         with pytest.raises(ValueError):
             _weighted_gini(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
@@ -98,12 +90,10 @@ class TestSocialWelfare:
         assert abs(sf.sw - 0.627) < 0.003
 
 
-class TestWelfareReport:
-    def test_fields_consistent(self, baseline_eq):
-        report = welfare_report(baseline_eq)
-        assert report.gini == gini(baseline_eq)
-        assert report.social_welfare == social_welfare(baseline_eq)
-        assert len(report.group_incomes) == len(baseline_eq.groups)
+class TestGroupIncomes:
+    def test_between_home_production_and_output(self, baseline_eq):
+        incomes = group_incomes(baseline_eq)
+        assert len(incomes) == len(baseline_eq.groups)
         b, y = baseline_eq.params.b, baseline_eq.params.y
-        for income in report.group_incomes:
+        for income in incomes:
             assert b <= income <= y

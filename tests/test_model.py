@@ -1,13 +1,12 @@
 """Structural equations: closed-form spot values and grid properties."""
 
+import math
+
 import numpy as np
 import pytest
 
-from refmatch import (
-    Degenerate,
-    GroupSpec,
-    ModelParams,
-    Poisson,
+from refmatch import Degenerate, GroupSpec, ModelParams, Poisson
+from refmatch.model import (
     info_probability,
     market_arrival,
     surplus,
@@ -229,9 +228,18 @@ class TestParamsValidation:
             ModelParams(c=0.0)
         with pytest.raises(ValueError):
             ModelParams(phi=-0.1)
-        with pytest.raises(ValueError):
-            ModelParams(d_f=-1)
+        for d_f in (-1, 2.5, math.inf):
+            with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
+                ModelParams(d_f=d_f)
+
+    @pytest.mark.parametrize("name", ["y", "b", "r", "delta", "eta", "gamma", "beta", "c", "phi"])
+    def test_rejects_non_finite_parameters(self, name):
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                ModelParams(**{name: value})
 
     def test_group_spec_validation(self):
+        with pytest.raises(ValueError):
+            GroupSpec(size=math.inf, dist=Poisson(5.0))
         with pytest.raises(ValueError):
             GroupSpec(size=0.0, dist=Poisson(5.0))

@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from refmatch import (
-    Degenerate,
-    Poisson,
-    SimConfig,
-    Zipf,
-    build_configuration_network,
-    estimate_referral_rate,
-)
+from refmatch import Degenerate, Poisson, Zipf
+from refmatch.simulate import SimConfig, build_configuration_network, estimate_referral_rate
 
 # Baseline snapshot context shared by the estimator tests (unemployment,
 # aggregate unemployment, vacancy rate, referral frequency, job degree).
@@ -176,6 +170,9 @@ class TestReferralEstimate:
         with pytest.raises(ValueError):
             SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0, d_f=16,
                       employment_rate=1.2, vacancy_share=0.04, phi=0.048)
+        with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
+            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0, d_f=2.5,
+                      employment_rate=0.9, vacancy_share=0.04, phi=0.048)
 
     def test_z_score(self):
         est = estimate_referral_rate(config_for(Poisson(22.47), n_workers=20_000, n_trials=20_000))

@@ -6,18 +6,17 @@ import pytest
 from refmatch import (
     ConvergenceError,
     Degenerate,
-    DegreeDistribution,
     GroupSpec,
     ModelParams,
     Poisson,
     SolverConfig,
     Zipf,
-    flow_residual,
     solve_all,
     solve_equilibrium,
-    vacancy_closure,
 )
-from refmatch.solver import _solve_group_u
+from refmatch.degree import DegreeDistribution
+from refmatch.model import vacancy_closure
+from refmatch.solver import _solve_group_u, flow_residual
 from test_model import draw_params
 
 PUBLISHED = ModelParams()
