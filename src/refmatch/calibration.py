@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 from .degree import Poisson, as_count
-from .model import GroupSpec, ModelParams
+from .model import GroupSpec, ModelParams, contact_reach
 from .solver import solve_equilibrium
 
 __all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate"]
@@ -112,8 +112,7 @@ def calibrate(
             f"referral share needs per-contact information probability {p_info:.4f} > 1"
         )
 
-    vacant_share = v / (1.0 - u + v)
-    reach = (1.0 - u) * (1.0 - (1.0 - vacant_share) ** t.d_f)
+    reach = (1.0 - u) * contact_reach(1.0, t.d_f, u, v)
     if p_info > 0.0 and reach == 0.0:
         raise CalibrationError("referral target positive but no contact can observe a vacancy")
     phi = p_info / reach if reach > 0.0 else 0.0

@@ -240,16 +240,13 @@ def zipf_alpha_for_mean(target_mean: float) -> float:
     if not target_mean > 1.0:
         raise ValueError(f"Zipf mean exceeds 1 for every alpha > 2, got target {target_mean}")
 
-    def mean_at(a: float) -> float:
-        return zeta(a - 1.0) / zeta(a)
-
     lo, hi = 2.0 + 1e-6, 50.0
-    # mean_at is strictly decreasing: huge near the lower edge, ~1 at 50.
-    if not (mean_at(hi) < target_mean < mean_at(lo)):
+    # The mean is strictly decreasing: huge near the lower edge, ~1 at 50.
+    if not (Zipf(hi).mean() < target_mean < Zipf(lo).mean()):
         raise ValueError(f"target mean {target_mean} not bracketed on alpha in (2, 50]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        m = mean_at(mid)
+        m = Zipf(mid).mean()
         if abs(m - target_mean) < 1e-8 * 0.5:
             return mid
         if m > target_mean:
@@ -257,6 +254,6 @@ def zipf_alpha_for_mean(target_mean: float) -> float:
         else:
             hi = mid
     alpha = 0.5 * (lo + hi)
-    if abs(mean_at(alpha) - target_mean) >= 1e-8:
+    if abs(Zipf(alpha).mean() - target_mean) >= 1e-8:
         raise ValueError(f"bisection failed to reach tolerance for target {target_mean}")
     return alpha

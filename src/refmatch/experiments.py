@@ -17,14 +17,13 @@ Embedded reference values and tolerance checks are in
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterable, Sequence
 
 from .degree import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
 from .metrics import gini, social_welfare
 from .model import Equilibrium, GroupSpec, ModelParams
-from .solver import solve_equilibrium
+from .solver import ConvergenceError, solve_equilibrium
 
 __all__ = [
     "Scenario",
@@ -105,24 +104,18 @@ class SweepResult:
     rows: list[SweepRow]
     notes: list[str]
 
-    def write_csv(self, target) -> None:
-        """Write the contract CSV (floats at 10 significant digits)."""
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="utf-8", newline="") as fh:
-                self._write(fh)
-        else:
-            self._write(target)
-
-    def _write(self, fh) -> None:
-        fh.write(",".join(CSV_HEADER) + "\n")
-        for r in self.rows:
-            values = (getattr(r, name) for name in CSV_HEADER)
-            fh.write(",".join(x if isinstance(x, str) else _fmt(x) for x in values) + "\n")
+    def write_csv(self, path) -> None:
+        """Write :meth:`to_csv_text` to the file at ``path``."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(self.to_csv_text())
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write(buf)
-        return buf.getvalue()
+        """The contract CSV (floats at 10 significant digits)."""
+        lines = [",".join(CSV_HEADER)]
+        for r in self.rows:
+            values = (getattr(r, name) for name in CSV_HEADER)
+            lines.append(",".join(x if isinstance(x, str) else _fmt(x) for x in values))
+        return "\n".join(lines) + "\n"
 
     def rows_for(self, scenario: str) -> list[SweepRow]:
         return [r for r in self.rows if r.scenario == scenario]
@@ -141,10 +134,13 @@ def _fmt(x: float) -> str:
 
 
 def _check_invariants(eq: Equilibrium) -> None:
-    if not eq.residual < 1e-10:
-        raise RuntimeError(f"refusing to emit row: flow residual {eq.residual:.3e}")
-    if not abs(eq.V * eq.params.r) < _FREE_ENTRY_TOL:
-        raise RuntimeError(f"refusing to emit row: free entry violated, rV = {eq.V * eq.params.r:.3e}")
+    """Raise ConvergenceError unless ``eq`` holds flow balance and free entry to row precision."""
+    rv = eq.V * eq.params.r
+    if not (eq.residual < 1e-10 and abs(rv) < _FREE_ENTRY_TOL):
+        raise ConvergenceError(
+            f"refusing to emit row: flow residual {eq.residual:.3e}, rV = {rv:.3e}",
+            [g.u for g in eq.groups], eq.v, eq.residual, eq.iterations,
+        )
 
 
 def equilibrium_rows(scenario: str, axis_values: Sequence[float], eq: Equilibrium) -> list[SweepRow]:

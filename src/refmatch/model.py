@@ -10,7 +10,9 @@ Worker flows.  An unemployed worker in group i receives offers at rate
 group's social network.  A referral reaches the worker when at least one
 contact is employed, has spotted a vacancy among the ``d_f`` positions
 adjacent to its own job, and passes the information on (frequency
-``phi``); the per-contact probability of all that is ``info_probability``.
+``phi``).  ``contact_reach`` is the chance an employed contact spots and
+passes on a vacancy; times the contact's employment probability it is
+the per-contact probability ``info_probability``.
 
 Bargaining and entry.  Wages split the match surplus ``S_i`` with worker
 share ``beta``; free entry drives the vacant-job value to zero, which
@@ -32,6 +34,7 @@ __all__ = [
     "Equilibrium",
     "AssetValues",
     "market_arrival",
+    "contact_reach",
     "info_probability",
     "surplus",
     "wage",
@@ -108,7 +111,6 @@ class GroupState:
     p_market: float
     p_referral: float
     p_total: float
-    q: float  # worker arrival rate faced by a vacancy
     S: float  # match surplus
     w: float  # bargained wage
     W: float  # employed worker value
@@ -146,15 +148,15 @@ def market_arrival(params: ModelParams, u: float, v: float) -> float:
     return params.gamma * (u / v) ** (params.eta - 1.0)
 
 
-def info_probability(params: ModelParams, u_i: float, u: float, v: float) -> float:
-    """Probability an arbitrary group-i worker holds vacancy information.
+def contact_reach(phi: float, d_f: int, u: float, v: float) -> float:
+    """Chance an employed contact spots a vacancy and passes it on.
 
-    The worker must be employed (prob 1-u_i), at least one of the d_f
-    jobs adjacent to its own must be vacant (each is vacant with
-    probability v/(1-u+v)), and the phi-frequency search must fire.
+    At least one of the d_f jobs adjacent to the contact's own must be
+    vacant, each with probability v/(1-u+v), and the phi-frequency search
+    must fire: phi (1 - (1 - v/(1-u+v))^d_f).
     """
-    if not 0.0 <= u_i <= 1.0:
-        raise ValueError(f"group unemployment rate must lie in [0, 1], got {u_i}")
+    if not 0.0 <= phi <= 1.0:
+        raise ValueError(f"referral frequency must lie in [0, 1], got {phi}")
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"aggregate unemployment rate must lie in [0, 1], got {u}")
     if v < 0.0:
@@ -162,8 +164,18 @@ def info_probability(params: ModelParams, u_i: float, u: float, v: float) -> flo
     denom = 1.0 - u + v
     if not denom > 0.0:
         raise ValueError(f"degenerate job pool: 1 - u + v = {denom}")
-    vacant_share = v / denom
-    return params.phi * (1.0 - u_i) * (1.0 - (1.0 - vacant_share) ** params.d_f)
+    return phi * (1.0 - (1.0 - v / denom) ** d_f)
+
+
+def info_probability(params: ModelParams, u_i: float, u: float, v: float) -> float:
+    """Probability an arbitrary group-i worker holds vacancy information.
+
+    The worker must be employed (prob 1-u_i) and reach a vacancy as a
+    contact does: (phi (1-u_i)) (1 - (1 - v/(1-u+v))^d_f).
+    """
+    if not 0.0 <= u_i <= 1.0:
+        raise ValueError(f"group unemployment rate must lie in [0, 1], got {u_i}")
+    return contact_reach(params.phi * (1.0 - u_i), params.d_f, u, v)
 
 
 def surplus(params: ModelParams, p_i: float) -> float:

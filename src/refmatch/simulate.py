@@ -10,9 +10,10 @@ Snapshot design.  Each trial picks a uniformly random focal worker,
 conditions it unemployed, and draws its contacts' states fresh: a
 contact is employed with probability ``employment_rate`` and, if
 employed, holds vacancy information with probability
-``phi * (1 - (1 - vacancy_share)^d_f)`` -- an employed contact watches
-the d_f jobs adjacent to its own, each vacant with probability
-``vacancy_share``, and passes information on with frequency ``phi``.
+``informed_given_employed``, the model's ``contact_reach`` -- an employed
+contact watches the d_f jobs adjacent to its own, each vacant with
+probability v / (1 - u + v), and passes information on with frequency
+``phi``.
 Contacts reached through parallel edges are drawn per edge, matching
 the stub-count degree that the mean-field expectation uses; self-loop
 stubs can never inform the (unemployed) focal worker.  So a focal
@@ -33,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .degree import DegreeDistribution, as_count
+from .model import contact_reach
 
 __all__ = [
     "Network",
@@ -126,25 +128,22 @@ class SimConfig:
     """Snapshot experiment configuration.
 
     ``employment_rate`` is 1 - u_i for the simulated group;
-    ``vacancy_share`` is the fraction of jobs vacant, v / (1 - u + v).
+    ``informed_given_employed`` is P(contact holds info | employed).
     """
 
     dist: DegreeDistribution
     n_workers: int
     n_trials: int
     seed: int
-    d_f: int
     employment_rate: float
-    vacancy_share: float
-    phi: float
+    informed_given_employed: float
 
     def __post_init__(self):
         if self.n_workers < 2:
             raise ValueError(f"need at least 2 workers, got {self.n_workers}")
         if self.n_trials < 1:
             raise ValueError(f"need at least one trial, got {self.n_trials}")
-        object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
-        for name in ("employment_rate", "vacancy_share", "phi"):
+        for name in ("employment_rate", "informed_given_employed"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
@@ -163,25 +162,10 @@ class SimConfig:
         n_trials: int = 100_000,
         seed: int = 0,
     ) -> "SimConfig":
-        """Build a config from model-level quantities (u_i, u, v, phi)."""
-        denom = 1.0 - u + v
-        if not denom > 0.0:
-            raise ValueError(f"degenerate job pool: 1 - u + v = {denom}")
-        return cls(
-            dist=dist,
-            n_workers=n_workers,
-            n_trials=n_trials,
-            seed=seed,
-            d_f=d_f,
-            employment_rate=1.0 - u_i,
-            vacancy_share=v / denom,
-            phi=phi,
-        )
-
-    @property
-    def informed_given_employed(self) -> float:
-        """P(contact holds info | employed) = phi (1 - (1 - vacancy_share)^d_f)."""
-        return self.phi * (1.0 - (1.0 - self.vacancy_share) ** self.d_f)
+        """Build a config from model-level quantities (u_i, u, v, phi, d_f)."""
+        reach = contact_reach(phi, as_count(d_f, "job-network degree d_f"), u, v)
+        return cls(dist=dist, n_workers=n_workers, n_trials=n_trials, seed=seed,
+                   employment_rate=1.0 - u_i, informed_given_employed=reach)
 
 
 @dataclass(frozen=True)

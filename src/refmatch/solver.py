@@ -7,6 +7,10 @@ given the unemployment vector and its closure v, it re-solves each
 group's scalar flow-balance equation with aggregates frozen (a Jacobi
 sweep, so group order cannot matter), damps the update, and repeats
 until the flow residuals vanish, each residual check's v carrying over.
+Within a sweep every group shares the frozen ``contact_reach``, so a
+group's per-contact information probability is that times (1 - u_i).
+``_rates`` is the one evaluation of the per-group rates at (u_i, v),
+read by both the residual check and the assembled equilibrium.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
@@ -16,8 +20,9 @@ referral frequencies.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +32,7 @@ from .model import (
     GroupSpec,
     GroupState,
     ModelParams,
+    contact_reach,
     market_arrival,
     info_probability,
     surplus,
@@ -56,8 +62,8 @@ class SolverConfig:
         for name in ("max_outer_iters", "multistart", "multistart_seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.residual_tol > 0.0:
-            raise ValueError(f"residual tolerance must be positive, got {self.residual_tol}")
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not 0.0 < self.initial_u < 1.0:
@@ -71,12 +77,22 @@ class SolverConfig:
 class ConvergenceError(RuntimeError):
     """Raised when the outer iteration fails; carries the last iterate."""
 
-    def __init__(self, message: str, u_vec: np.ndarray, v: float, residual: float, iterations: int):
+    def __init__(self, message: str, u_vec: Sequence[float], v: float, residual: float, iterations: int):
         super().__init__(message)
-        self.u_vec = u_vec
+        self.u_vec = np.asarray(u_vec)
         self.v = v
         self.residual = residual
         self.iterations = iterations
+
+
+def _rates(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float):
+    """Aggregate u, market rate p_m, and lists of each group's P_i and referral rate."""
+    sizes = np.array([g.size for g in groups], dtype=np.float64)
+    u = float(u_vec @ sizes) / float(sizes.sum())
+    p_m = market_arrival(params, u, v)
+    p_info = [info_probability(params, float(u_i), u, v) for u_i in u_vec]
+    p_r = [g.dist.referral_expectation(P) for g, P in zip(groups, p_info)]
+    return u, p_m, p_info, p_r
 
 
 def flow_residual(
@@ -87,15 +103,8 @@ def flow_residual(
 ) -> np.ndarray:
     """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i)."""
     u_vec = np.asarray(u_vec, dtype=np.float64)
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    u = float(u_vec @ sizes) / float(sizes.sum())
-    p_m = market_arrival(params, u, v)
-    out = np.empty(len(groups))
-    for i, g in enumerate(groups):
-        p_info = info_probability(params, float(u_vec[i]), u, v)
-        p_i = p_m + g.dist.referral_expectation(p_info)
-        out[i] = u_vec[i] * p_i - params.delta * (1.0 - u_vec[i])
-    return out
+    _, p_m, _, p_r = _rates(params, groups, u_vec, v)
+    return u_vec * (p_m + np.array(p_r)) - params.delta * (1.0 - u_vec)
 
 
 def _illinois(g: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -133,8 +142,8 @@ def _solve_group_u(
 ) -> float:
     """Solve u p(u) = delta (1 - u) for one group with aggregates frozen.
 
-    ``phi_bracket`` is phi * (1 - (1 - vacant_share)^d_f), so the
-    per-contact information probability is phi_bracket * (1 - u).
+    ``phi_bracket`` is the frozen ``contact_reach``, so the per-contact
+    information probability is phi_bracket * (1 - u).
 
     The total arrival rate lies in [p_m, p_m + p_r_max] with p_r_max the
     referral rate of a fully employed group, so any root sits inside
@@ -168,11 +177,10 @@ def _iterate(
     params: ModelParams,
     groups: Sequence[GroupSpec],
     config: SolverConfig,
-    initial_u: float,
 ) -> tuple[np.ndarray, float, float, int]:
     sizes = np.array([g.size for g in groups], dtype=np.float64)
     total = float(sizes.sum())
-    u_vec = np.full(len(groups), initial_u, dtype=np.float64)
+    u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
     damping = config.damping
     prev_residual = np.inf
     worse_streak = 0
@@ -181,8 +189,7 @@ def _iterate(
     for it in range(1, config.max_outer_iters + 1):
         u = float(u_vec @ sizes) / total
         p_m = market_arrival(params, u, v)
-        vacant_share = v / (1.0 - u + v)
-        phi_bracket = params.phi * (1.0 - (1.0 - vacant_share) ** params.d_f)
+        phi_bracket = contact_reach(params.phi, params.d_f, u, v)
 
         target = np.array(
             [_solve_group_u(params, g, p_m, phi_bracket) for g in groups]
@@ -221,26 +228,21 @@ def _assemble(
     residual: float,
     iterations: int,
 ) -> Equilibrium:
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    total = float(sizes.sum())
-    u = float(u_vec @ sizes) / total
-    p_m = market_arrival(params, u, v)
-
+    u, p_m, p_info, p_refs = _rates(params, groups, u_vec, v)
+    total = float(np.sum([g.size for g in groups]))
     states = []
     entry_flow = 0.0
-    for g, u_i in zip(groups, u_vec):
-        p_info = info_probability(params, float(u_i), u, v)
-        p_r = g.dist.referral_expectation(p_info)
+    for g, u_i, P, p_r in zip(groups, u_vec, p_info, p_refs):
         p_i = p_m + p_r
-        q_i = g.size * u_i * p_i / (total * v)
+        q_i = g.size * u_i * p_i / (total * v)  # worker arrival rate faced by a vacancy
         s_i = surplus(params, p_i)
         w_i = wage(params, s_i)
         vals = value_functions(params, w_i, p_i)
         entry_flow += q_i * (1.0 - params.beta) * s_i
         states.append(
             GroupState(
-                size=g.size, u=float(u_i), P=p_info, p_market=p_m, p_referral=p_r,
-                p_total=p_i, q=q_i, S=s_i, w=w_i, W=vals.W, U=vals.U, J=vals.J,
+                size=g.size, u=float(u_i), P=P, p_market=p_m, p_referral=p_r,
+                p_total=p_i, S=s_i, w=w_i, W=vals.W, U=vals.U, J=vals.J,
             )
         )
     vacant_value = (entry_flow - params.c) / params.r
@@ -263,7 +265,7 @@ def solve_equilibrium(
     if len(groups) == 0:
         raise ValueError("need at least one worker group")
     config = config or SolverConfig()
-    u_vec, v, residual, iters = _iterate(params, groups, config, config.initial_u)
+    u_vec, v, residual, iters = _iterate(params, groups, config)
     return _assemble(params, groups, u_vec, v, residual, iters)
 
 
@@ -283,12 +285,11 @@ def solve_all(
     found = [solve_equilibrium(params, groups, config)]
     rng = np.random.default_rng(config.multistart_seed)
     for _ in range(config.multistart):
-        init = float(rng.uniform(0.002, 0.6))
+        restart = replace(config, initial_u=float(rng.uniform(0.002, 0.6)))
         try:
-            u_vec, v, residual, iters = _iterate(params, groups, config, init)
+            candidate = solve_equilibrium(params, groups, restart)
         except ConvergenceError:
             continue
-        candidate = _assemble(params, groups, u_vec, v, residual, iters)
         cand_u = np.array([s.u for s in candidate.groups])
         distinct = all(
             np.max(np.abs(cand_u - np.array([s.u for s in eq.groups]))) > 1e-6

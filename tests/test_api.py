@@ -1,12 +1,20 @@
 """The documented API: the README quick start runs, and the exports stay as documented."""
 
+import importlib
+import importlib.util
 import pkgutil
 import re
 from pathlib import Path
 
-import refmatch
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import refmatch
+from refmatch import ModelParams, solve_equilibrium
+from refmatch.calibration import baseline_groups
+from refmatch.solver import SolverConfig, _iterate
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # What the README says ``refmatch`` exports: the names for building,
 # calibrating and solving an economy and for catching its errors.
@@ -33,3 +41,25 @@ def test_exports_match_documented_api():
     for module in pkgutil.iter_modules(refmatch.__path__):
         if module.name != "__main__":
             exec(f"from refmatch.{module.name} import *", {})
+
+
+def traced_sites():
+    """(span, module, attribute, owner) of every site the benchmark tracer wraps."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return [(name, *site) for name, sites in spans.SITES.items() for site in sites]
+
+
+@pytest.mark.parametrize("span, module, attr, owner", traced_sites())
+def test_traced_site_resolves(span, module, attr, owner):
+    target = importlib.import_module(f"refmatch.{module}")
+    if owner != "module":
+        target = getattr(target, owner)
+    assert callable(getattr(target, attr)), span
+
+
+def test_iterate_reports_iterations_at_index_3():
+    # The tracer counts outer iterations from _iterate's return value.
+    params, groups = ModelParams(), baseline_groups()
+    assert _iterate(params, groups, SolverConfig())[3] == solve_equilibrium(params, groups).iterations

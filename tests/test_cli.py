@@ -216,12 +216,29 @@ class TestBadConfigs:
         ({"groups": [{"family": "poisson", "mean": 22.47, "size": math.inf}]}, "group size"),
         ({"groups": [{"family": "zipf", "alpha": math.inf}]}, "Zipf scale parameter"),
         ({"groups": [{"family": "poisson", "mean": math.inf}]}, "Poisson mean"),
+        ({"solver": {"residual_tol": math.inf}}, "residual_tol"),
     ])
     def test_non_finite_inputs(self, tmp_path, capsys, payload, field):
         config = write_config(tmp_path, {**BASELINE_CONFIG, **payload})
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
         assert field in capsys.readouterr().err
+
+    def test_row_gate_failure_exits_cleanly(self, tmp_path, capsys):
+        # A tolerance looser than the 1e-10 row gate converges, prints the
+        # state, and then refuses to write its rows.
+        config = write_config(tmp_path, {
+            "groups": [{"family": "poisson", "mean": 2.744973717646443},
+                       {"family": "zipf", "alpha": 2.3}],
+            "solver": {"residual_tol": 1e-9},
+        })
+        out_csv = tmp_path / "eq.csv"
+        code, _ = run_cli("solve", "--config", config, "--out", str(out_csv))
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "refusing to emit row" in err[0]
+        assert not out_csv.exists()
 
     def test_load_scenario_reports_group_index(self, tmp_path):
         config = write_config(

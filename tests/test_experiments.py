@@ -1,7 +1,5 @@
 """Sweep runners, the CSV contract, and the embedded reference checks."""
 
-import io
-
 import pytest
 
 from refmatch import experiments
@@ -40,9 +38,7 @@ class TestCsvContract:
                 float(x)
 
     def test_ten_significant_digits(self, table2_result):
-        buf = io.StringIO()
-        table2_result.write_csv(buf)
-        first = buf.getvalue().strip().split("\n")[1].split(",")
+        first = table2_result.to_csv_text().strip().split("\n")[1].split(",")
         # u at the published comparison has no short exact representation,
         # so the 10-significant-digit format yields 10 mantissa digits
         mantissa = first[3].replace("-", "").replace(".", "").lstrip("0")

@@ -15,7 +15,7 @@ def synthetic_eq(u_w_pairs, params=None, sizes=None, v=0.04):
     groups = tuple(
         GroupState(
             size=s, u=u, P=0.0, p_market=0.0, p_referral=0.0, p_total=0.0,
-            q=0.0, S=0.0, w=w, W=0.0, U=0.0, J=0.0,
+            S=0.0, w=w, W=0.0, U=0.0, J=0.0,
         )
         for (u, w), s in zip(u_w_pairs, sizes)
     )

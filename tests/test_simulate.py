@@ -117,8 +117,8 @@ class TestReferralEstimate:
         # standard errors, so the estimate must track the exact
         # network-conditional mean, not the one over raw degrees.
         config = SimConfig(
-            dist=Poisson(4.0), n_workers=40, n_trials=200_000, seed=3, d_f=16,
-            employment_rate=0.9, vacancy_share=0.3, phi=0.5,
+            dist=Poisson(4.0), n_workers=40, n_trials=200_000, seed=3,
+            employment_rate=0.9, informed_given_employed=0.5 * (1.0 - 0.7**16),
         )
         net = build_configuration_network(config.dist, config.n_workers, config.seed)
         self_entries = np.array(
@@ -154,25 +154,29 @@ class TestReferralEstimate:
 
     def test_no_unemployed_candidates(self):
         config = SimConfig(
-            dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0, d_f=16,
-            employment_rate=1.0, vacancy_share=0.04, phi=0.048,
+            dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
+            employment_rate=1.0, informed_given_employed=0.02,
         )
         with pytest.raises(ValueError):
             estimate_referral_rate(config)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SimConfig(dist=Poisson(5.0), n_workers=1, n_trials=10, seed=0, d_f=16,
-                      employment_rate=0.9, vacancy_share=0.04, phi=0.048)
+            SimConfig(dist=Poisson(5.0), n_workers=1, n_trials=10, seed=0,
+                      employment_rate=0.9, informed_given_employed=0.02)
         with pytest.raises(ValueError):
-            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=0, seed=0, d_f=16,
-                      employment_rate=0.9, vacancy_share=0.04, phi=0.048)
+            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=0, seed=0,
+                      employment_rate=0.9, informed_given_employed=0.02)
         with pytest.raises(ValueError):
-            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0, d_f=16,
-                      employment_rate=1.2, vacancy_share=0.04, phi=0.048)
+            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
+                      employment_rate=1.2, informed_given_employed=0.02)
+        with pytest.raises(ValueError):
+            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
+                      employment_rate=0.9, informed_given_employed=1.5)
         with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
-            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0, d_f=2.5,
-                      employment_rate=0.9, vacancy_share=0.04, phi=0.048)
+            SimConfig.at_context(Poisson(5.0), **{**CONTEXT, "d_f": 2.5})
+        with pytest.raises(ValueError, match="referral frequency"):
+            SimConfig.at_context(Poisson(5.0), **{**CONTEXT, "phi": 1.5})
 
     def test_z_score(self):
         est = estimate_referral_rate(config_for(Poisson(22.47), n_workers=20_000, n_trials=20_000))

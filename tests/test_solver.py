@@ -178,8 +178,9 @@ class TestSolverControls:
             solve_equilibrium(PUBLISHED, [])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="residual_tol"):
+                SolverConfig(residual_tol=tol)
         with pytest.raises(ValueError):
             SolverConfig(damping=0.0)
         with pytest.raises(ValueError):
@@ -253,3 +254,31 @@ class TestGroupSolveStopRule:
         assert eq.iterations == 45
         assert group_u(eq).tolist() == [0.13959372728130465, 0.07295339583715263]
         assert eq.v == 0.049602615131138984
+
+    def test_er_vs_zipf_unchanged(self):
+        # Bit-exact values of the published ER-vs-Zipf(2.3) economy, computed
+        # before the per-group rates and the contact reach each got one
+        # definition.
+        zipf = Zipf(2.3)
+        eq = solve_equilibrium(PUBLISHED, (GroupSpec(1e6, Poisson(zipf.mean())),
+                                           GroupSpec(1e6, zipf)))
+        assert eq.iterations == 45
+        assert group_u(eq).tolist() == [0.08228276926657493, 0.08526716680837916]
+        assert eq.v == 0.04533762919048985
+        assert [g.P for g in eq.groups] == [0.023710793832285068, 0.023633686818863575]
+        assert [g.p_referral for g in eq.groups] == [0.06301265798846371, 0.04769937029064153]
+
+    def test_restarts_unchanged(self):
+        # At a loose tolerance each restart stops at its own point, so all
+        # three restarts are kept and their values pin the restart path.
+        zipf = Zipf(2.3)
+        found = solve_all(
+            PUBLISHED, (GroupSpec(1e6, Poisson(zipf.mean())), GroupSpec(1e6, zipf)),
+            SolverConfig(residual_tol=1e-5, multistart=3, multistart_seed=7),
+        )
+        assert [(group_u(eq).tolist(), eq.v, eq.iterations) for eq in found] == [
+            ([0.08226147123344742, 0.08524367364847901], 0.045336268179641995, 14),
+            ([0.08230078429468549, 0.08528692807761044], 0.045338776321366736, 18),
+            ([0.08229856308965224, 0.08528450809563312], 0.04533863540252402, 19),
+            ([0.08230566876803291, 0.08529228552010004], 0.04533908718892572, 18),
+        ]
