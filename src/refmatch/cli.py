@@ -195,11 +195,12 @@ def _print_equilibrium(name: str, eq: Equilibrium, out) -> None:
 def _cmd_solve(args, out) -> int:
     scenario, solver_config = load_scenario(args.config)
     equilibria = solve_all(scenario.params, scenario.groups, solver_config)
+    # The rows' gate runs before anything is printed, with or without --out.
+    means = [group.dist.mean() for group in scenario.groups]
+    rows = [row for eq in equilibria for row in equilibrium_rows(scenario.name, means, eq)]
     for eq in equilibria:
         _print_equilibrium(scenario.name, eq, out)
     if args.out:
-        means = [group.dist.mean() for group in scenario.groups]
-        rows = [row for eq in equilibria for row in equilibrium_rows(scenario.name, means, eq)]
         SweepResult(rows=rows, notes=[]).write_csv(args.out)
         print(f"wrote {args.out}", file=out)
     return EXIT_OK

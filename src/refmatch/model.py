@@ -171,11 +171,11 @@ def info_probability(params: ModelParams, u_i: float, u: float, v: float) -> flo
     """Probability an arbitrary group-i worker holds vacancy information.
 
     The worker must be employed (prob 1-u_i) and reach a vacancy as a
-    contact does: (phi (1-u_i)) (1 - (1 - v/(1-u+v))^d_f).
+    contact does: contact_reach(phi, d_f, u, v) (1 - u_i).
     """
     if not 0.0 <= u_i <= 1.0:
         raise ValueError(f"group unemployment rate must lie in [0, 1], got {u_i}")
-    return contact_reach(params.phi * (1.0 - u_i), params.d_f, u, v)
+    return contact_reach(params.phi, params.d_f, u, v) * (1.0 - u_i)
 
 
 def surplus(params: ModelParams, p_i: float) -> float:
@@ -216,7 +216,7 @@ def vacancy_closure(
             * share
             / (u_i * (params.r + params.delta) + params.beta * params.delta * (1.0 - u_i))
         )
-    return (params.y - params.b) * (1.0 - params.beta) * params.delta / params.c * acc
+    return float((params.y - params.b) * (1.0 - params.beta) * params.delta / params.c * acc)
 
 
 def value_functions(params: ModelParams, w_i: float, p_i: float) -> AssetValues:

@@ -2,15 +2,20 @@
 
 The equilibrium is a pair (u_1..u_I, v) satisfying, simultaneously,
 group-level flow balance u_i p_i = delta (1 - u_i) and the free-entry
-vacancy closure.  The solver runs a damped outer fixed-point iteration:
-given the unemployment vector and its closure v, it re-solves each
-group's scalar flow-balance equation with aggregates frozen (a Jacobi
-sweep, so group order cannot matter), damps the update, and repeats
-until the flow residuals vanish, each residual check's v carrying over.
-Within a sweep every group shares the frozen ``contact_reach``, so a
-group's per-contact information probability is that times (1 - u_i).
-``_rates`` is the one evaluation of the per-group rates at (u_i, v),
-read by both the residual check and the assembled equilibrium.
+vacancy closure.  The solver runs a damped outer fixed-point iteration
+whose every step
+  1. re-solves each group's scalar flow-balance equation with the market
+     rate p_m and the contact reach frozen (a Jacobi sweep, so group
+     order cannot matter) and damps the update;
+  2. closes v at the new unemployment vector;
+  3. evaluates the economy once at (u_i, v) (``_evaluate``): aggregate u,
+     p_m, the contact reach, each group's P_i and referral rate, and the
+     flow residuals.
+Until the residuals vanish, each evaluation's p_m and reach are what the
+next sweep freezes; the last one holds the equilibrium's rates, so
+assembling it evaluates nothing again.  A group's per-contact
+information probability has one formula, contact reach times (1 - u_i)
+(``info_probability``), which a sweep forms from its frozen reach.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,26 +90,44 @@ class ConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-def _rates(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float):
-    """Aggregate u, market rate p_m, and lists of each group's P_i and referral rate."""
+class _Point(NamedTuple):
+    """The economy evaluated at (u_vec, v), once per outer step.
+
+    u, p_m and reach are what the next Jacobi sweep freezes; P, p_r and
+    the flow residuals R are what an equilibrium reports.
+    """
+
+    u_vec: np.ndarray
+    v: float
+    u: float
+    p_m: float
+    reach: float
+    P: list[float]
+    p_r: list[float]
+    R: np.ndarray
+
+
+def _aggregates(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float):
+    """Aggregate u, market rate p_m and contact reach at (u_vec, v)."""
     sizes = np.array([g.size for g in groups], dtype=np.float64)
     u = float(u_vec @ sizes) / float(sizes.sum())
-    p_m = market_arrival(params, u, v)
-    p_info = [info_probability(params, float(u_i), u, v) for u_i in u_vec]
-    p_r = [g.dist.referral_expectation(P) for g, P in zip(groups, p_info)]
-    return u, p_m, p_info, p_r
+    return u, market_arrival(params, u, v), contact_reach(params.phi, params.d_f, u, v)
+
+
+def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float) -> _Point:
+    """The one evaluation of the economy at (u_vec, v) an outer step makes."""
+    u, p_m, reach = _aggregates(params, groups, u_vec, v)
+    P = [info_probability(params, u_i, u, v) for u_i in u_vec.tolist()]
+    p_r = [g.dist.referral_expectation(P_i) for g, P_i in zip(groups, P)]
+    R = u_vec * (p_m + np.array(p_r)) - params.delta * (1.0 - u_vec)
+    return _Point(u_vec, v, u, p_m, reach, P, p_r, R)
 
 
 def flow_residual(
-    params: ModelParams,
-    groups: Sequence[GroupSpec],
-    u_vec: Sequence[float],
-    v: float,
+    params: ModelParams, groups: Sequence[GroupSpec], u_vec: Sequence[float], v: float
 ) -> np.ndarray:
     """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i)."""
-    u_vec = np.asarray(u_vec, dtype=np.float64)
-    _, p_m, _, p_r = _rates(params, groups, u_vec, v)
-    return u_vec * (p_m + np.array(p_r)) - params.delta * (1.0 - u_vec)
+    return _evaluate(params, groups, np.asarray(u_vec, dtype=np.float64), v).R
 
 
 def _illinois(g: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
@@ -174,33 +197,25 @@ def _solve_group_u(
 
 
 def _iterate(
-    params: ModelParams,
-    groups: Sequence[GroupSpec],
-    config: SolverConfig,
-) -> tuple[np.ndarray, float, float, int]:
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    total = float(sizes.sum())
+    params: ModelParams, groups: Sequence[GroupSpec], config: SolverConfig
+) -> tuple[np.ndarray, float, float, int, _Point]:
+    """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, last point)."""
     u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
     damping = config.damping
     prev_residual = np.inf
     worse_streak = 0
-    v = vacancy_closure(params, groups, u_vec)
+    _, p_m, reach = _aggregates(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
 
     for it in range(1, config.max_outer_iters + 1):
-        u = float(u_vec @ sizes) / total
-        p_m = market_arrival(params, u, v)
-        phi_bracket = contact_reach(params.phi, params.d_f, u, v)
-
-        target = np.array(
-            [_solve_group_u(params, g, p_m, phi_bracket) for g in groups]
-        )
+        target = np.array([_solve_group_u(params, g, p_m, reach) for g in groups])
         u_vec = (1.0 - damping) * u_vec + damping * target
         u_vec = np.clip(u_vec, _U_EPS, 1.0 - _U_EPS)
 
-        v = vacancy_closure(params, groups, u_vec)
-        residual = float(np.max(np.abs(flow_residual(params, groups, u_vec, v))))
+        point = _evaluate(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
+        residual = float(np.max(np.abs(point.R)))
         if residual < config.residual_tol:
-            return u_vec, v, residual, it
+            return u_vec, point.v, residual, it, point
+        p_m, reach = point.p_m, point.reach
 
         # The u -> v -> u loop can overshoot at high phi; back off the
         # damping after two consecutive residual increases.
@@ -216,38 +231,36 @@ def _iterate(
     raise ConvergenceError(
         f"no convergence after {config.max_outer_iters} outer iterations "
         f"(residual {residual:.3e})",
-        u_vec, v, residual, config.max_outer_iters,
+        u_vec, point.v, residual, config.max_outer_iters,
     )
 
 
 def _assemble(
     params: ModelParams,
     groups: Sequence[GroupSpec],
-    u_vec: np.ndarray,
-    v: float,
+    point: _Point,
     residual: float,
     iterations: int,
 ) -> Equilibrium:
-    u, p_m, p_info, p_refs = _rates(params, groups, u_vec, v)
     total = float(np.sum([g.size for g in groups]))
     states = []
     entry_flow = 0.0
-    for g, u_i, P, p_r in zip(groups, u_vec, p_info, p_refs):
-        p_i = p_m + p_r
-        q_i = g.size * u_i * p_i / (total * v)  # worker arrival rate faced by a vacancy
+    for g, u_i, P, p_r in zip(groups, point.u_vec.tolist(), point.P, point.p_r):
+        p_i = point.p_m + p_r
+        q_i = g.size * u_i * p_i / (total * point.v)  # worker arrival rate faced by a vacancy
         s_i = surplus(params, p_i)
         w_i = wage(params, s_i)
         vals = value_functions(params, w_i, p_i)
         entry_flow += q_i * (1.0 - params.beta) * s_i
         states.append(
             GroupState(
-                size=g.size, u=float(u_i), P=P, p_market=p_m, p_referral=p_r,
+                size=g.size, u=u_i, P=P, p_market=point.p_m, p_referral=p_r,
                 p_total=p_i, S=s_i, w=w_i, W=vals.W, U=vals.U, J=vals.J,
             )
         )
     vacant_value = (entry_flow - params.c) / params.r
     return Equilibrium(
-        params=params, groups=tuple(states), u=u, v=v, V=vacant_value,
+        params=params, groups=tuple(states), u=point.u, v=point.v, V=vacant_value,
         residual=residual, iterations=iterations,
     )
 
@@ -265,8 +278,8 @@ def solve_equilibrium(
     if len(groups) == 0:
         raise ValueError("need at least one worker group")
     config = config or SolverConfig()
-    u_vec, v, residual, iters = _iterate(params, groups, config)
-    return _assemble(params, groups, u_vec, v, residual, iters)
+    *_, residual, iters, point = _iterate(params, groups, config)
+    return _assemble(params, groups, point, residual, iters)
 
 
 def solve_all(

@@ -225,8 +225,8 @@ class TestBadConfigs:
         assert field in capsys.readouterr().err
 
     def test_row_gate_failure_exits_cleanly(self, tmp_path, capsys):
-        # A tolerance looser than the 1e-10 row gate converges, prints the
-        # state, and then refuses to write its rows.
+        # A tolerance looser than the 1e-10 row gate converges, and the
+        # gate then refuses its rows before anything is printed or written.
         config = write_config(tmp_path, {
             "groups": [{"family": "poisson", "mean": 2.744973717646443},
                        {"family": "zipf", "alpha": 2.3}],
@@ -239,6 +239,19 @@ class TestBadConfigs:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "refusing to emit row" in err[0]
         assert not out_csv.exists()
+
+    def test_row_gate_failure_prints_no_state(self, tmp_path, capsys):
+        # Without --out the same gate runs: a non-equilibrium is not printed.
+        config = write_config(tmp_path, {
+            "groups": [{"family": "poisson", "mean": 2.744973717646443},
+                       {"family": "zipf", "alpha": 2.3}],
+            "solver": {"residual_tol": 1e-2},
+        })
+        code, text = run_cli("solve", "--config", config)
+        assert code == EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "aggregate:" not in text
 
     def test_load_scenario_reports_group_index(self, tmp_path):
         config = write_config(

@@ -1,8 +1,11 @@
 """Equilibrium solver: reductions, invariants, and error paths."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from refmatch import solver
 from refmatch import (
     ConvergenceError,
     Degenerate,
@@ -282,3 +285,63 @@ class TestGroupSolveStopRule:
             ([0.08229856308965224, 0.08528450809563312], 0.04533863540252402, 19),
             ([0.08230566876803291, 0.08529228552010004], 0.04533908718892572, 18),
         ]
+
+
+class TestDampingBackoff:
+    def test_backoff_path_unchanged(self):
+        # The residual rises twice in a row at iteration 8, so the damping
+        # halves there; values computed before each outer step made one
+        # evaluation.
+        params = ModelParams(
+            delta=0.09519054027932829, eta=0.5978794338451769, gamma=0.010599796687408415,
+            beta=0.83678618923307, c=1.3533671532034335, phi=0.02768754272576368, d_f=5,
+        )
+        eq = solve_equilibrium(params, (GroupSpec(84102.27630957599, Zipf(3.1965527201739166)),
+                                        GroupSpec(2651.356532079594, Degenerate(31))))
+        assert group_u(eq).tolist() == [0.9924288791199192, 0.5463020508467606]
+        assert eq.v == 0.0010199517037302696
+        assert eq.residual == 9.18640163938278e-13
+        assert eq.iterations == 108
+
+
+class TestOneEvaluationPerStep:
+    ECONOMY = (GroupSpec(1e6, Poisson(Zipf(2.3).mean())), GroupSpec(1e6, Zipf(2.3)))
+
+    def test_market_arrival_once_per_step(self, monkeypatch):
+        calls = []
+        market_arrival = solver.market_arrival
+
+        def counting(*args):
+            calls.append(args)
+            return market_arrival(*args)
+
+        monkeypatch.setattr(solver, "market_arrival", counting)
+        eq = solve_equilibrium(PUBLISHED, self.ECONOMY)
+        assert len(calls) == eq.iterations + 1
+
+    def test_kernel_calls_outside_sweeps(self, monkeypatch):
+        # Each step evaluates every group's referral rate once; the
+        # equilibrium reuses the last evaluation instead of making its own.
+        dists = [CountingDist(g.dist) for g in self.ECONOMY]
+        groups = [GroupSpec(g.size, d) for g, d in zip(self.ECONOMY, dists)]
+        in_sweeps = []
+        solve_group_u = solver._solve_group_u
+
+        def counting(params, group, p_m, reach):
+            before = group.dist.calls
+            u = solve_group_u(params, group, p_m, reach)
+            in_sweeps.append(group.dist.calls - before)
+            return u
+
+        monkeypatch.setattr(solver, "_solve_group_u", counting)
+        eq = solve_equilibrium(PUBLISHED, groups)
+        outside = sum(d.calls for d in dists) - sum(in_sweeps)
+        assert outside == len(groups) * eq.iterations
+
+    def test_equilibrium_numbers_are_floats(self):
+        eq = solve_equilibrium(PUBLISHED, self.ECONOMY)
+        for obj in (eq, *eq.groups):
+            for f in fields(obj):
+                if f.name not in ("params", "groups", "iterations"):
+                    assert type(getattr(obj, f.name)) is float, f.name
+        assert "np.float64(" not in repr(eq)
