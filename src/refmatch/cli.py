@@ -24,6 +24,7 @@ from .degree import Degenerate, DegreeDistribution, Poisson, Zipf, zipf_alpha_fo
 from .experiments import (
     Scenario,
     SweepResult,
+    SweepRow,
     equilibrium_rows,
     reference_checks,
     run_df_sweep,
@@ -33,7 +34,8 @@ from .experiments import (
     summary_report,
     sweep,
 )
-from .metrics import gini, social_welfare
+# Unused here since the rows carry both numbers; perfbench/spans.py traces these names.
+from .metrics import gini, social_welfare  # noqa: F401
 from .model import Equilibrium, GroupSpec, ModelParams
 from .simulate import SimConfig, estimate_referral_rate
 from .solver import ConvergenceError, SolverConfig, solve_all, solve_equilibrium
@@ -176,14 +178,15 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
 # Subcommands.
 
 
-def _print_equilibrium(name: str, eq: Equilibrium, out) -> None:
+def _print_equilibrium(name: str, eq: Equilibrium, row: SweepRow, out) -> None:
+    """Print ``eq``, with the gini and social welfare held by ``row``, one of its CSV rows."""
     print(f"scenario: {name}", file=out)
     print(
         f"aggregate: u = {eq.u:.6f}  v = {eq.v:.6f}  V = {eq.V:.3e}  "
         f"residual = {eq.residual:.2e}  iterations = {eq.iterations}",
         file=out,
     )
-    print(f"gini = {gini(eq):.6e}  social welfare = {social_welfare(eq):.6f}", file=out)
+    print(f"gini = {row.gini:.6e}  social welfare = {row.sw:.6f}", file=out)
     for i, g in enumerate(eq.groups, start=1):
         print(
             f"group {i}: u = {g.u:.6f}  w = {g.w:.6f}  p_market = {g.p_market:.6f}  "
@@ -197,11 +200,11 @@ def _cmd_solve(args, out) -> int:
     equilibria = solve_all(scenario.params, scenario.groups, solver_config)
     # The rows' gate runs before anything is printed, with or without --out.
     means = [group.dist.mean() for group in scenario.groups]
-    rows = [row for eq in equilibria for row in equilibrium_rows(scenario.name, means, eq)]
-    for eq in equilibria:
-        _print_equilibrium(scenario.name, eq, out)
+    rows = [equilibrium_rows(scenario.name, means, eq) for eq in equilibria]
+    for eq, eq_rows in zip(equilibria, rows):
+        _print_equilibrium(scenario.name, eq, eq_rows[0], out)
     if args.out:
-        SweepResult(rows=rows, notes=[]).write_csv(args.out)
+        SweepResult(rows=[row for eq_rows in rows for row in eq_rows], notes=[]).write_csv(args.out)
         print(f"wrote {args.out}", file=out)
     return EXIT_OK
 

@@ -121,6 +121,30 @@ class TestSolveCommand:
         lines = out_csv.read_text().strip().split("\n")
         assert len(lines) == 5 and lines[1:3] == lines[3:5]
 
+    def test_metrics_computed_once_per_equilibrium(self, tmp_path, monkeypatch):
+        # The printed gini and social welfare are the numbers the CSV rows
+        # hold: one call of each per equilibrium, with or without --out.
+        from refmatch import experiments
+
+        calls = {"gini": 0, "social_welfare": 0}
+        for name in calls:
+            metric = getattr(experiments, name)
+
+            def counting(eq, name=name, metric=metric):
+                calls[name] += 1
+                return metric(eq)
+
+            for module in (cli, experiments):
+                monkeypatch.setattr(module, name, counting)
+        config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": {"multistart": 3}})
+        for extra in ((), ("--out", str(tmp_path / "eq.csv"))):
+            calls.update(gini=0, social_welfare=0)
+            code, text = run_cli("solve", "--config", config, *extra)
+            assert code == EXIT_OK
+            printed = text.count("scenario: baseline")
+            assert printed >= 1
+            assert calls == {"gini": printed, "social_welfare": printed}
+
     def test_non_convergence_exit_code(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -350,13 +374,18 @@ class TestSimulateCommand:
         assert abs(z) < 4.0
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
 class TestReproduceAll:
     def test_writes_outputs_and_summary(self, tmp_path):
         outdir = tmp_path / "results"
         code, text = run_cli("reproduce-all", "--outdir", str(outdir))
         assert code == EXIT_OK
-        for name in ("table2", "structure_sweep", "df_sweep", "phi_sweep"):
-            assert (outdir / f"{name}.csv").exists()
+        # Every output file matches the benchmark's golden copy byte for byte.
+        for name in ("table2.csv", "structure_sweep.csv", "df_sweep.csv", "phi_sweep.csv",
+                     "summary.txt"):
+            assert (outdir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
         summary = (outdir / "summary.txt").read_text()
         assert "PASS calibration gamma" in summary
         assert "reference checks passed" in summary

@@ -7,6 +7,7 @@ scipy (Poisson) or computed directly from the normalized power law
 mpmath.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -15,7 +16,7 @@ import pytest
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import poisson as scipy_poisson
 
-from refmatch import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
+from refmatch import Degenerate, Poisson, Zipf, degree, zipf_alpha_for_mean
 from refmatch.degree import as_count, polylog, zeta
 
 
@@ -216,6 +217,64 @@ class TestReferralExpectation:
             Poisson(5.0).referral_expectation(-0.1)
         with pytest.raises(ValueError):
             Poisson(5.0).referral_expectation(1.0001)
+
+
+class TestCachedZipfKernel:
+    """Each Zipf law computes zeta(alpha) and k^alpha of the polylog's first block once."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3, 3.0, 5.0])
+    def test_equals_uncached_formula(self, alpha):
+        # 1e-17: 1 - P rounds to 1; 1e-6: the series runs over several blocks.
+        grid = [1e-17, 1e-9, 1e-6, 1e-3, 0.048, 0.5, 1.0 - 1e-12, 1.0]
+        law = Zipf(alpha)
+        for _ in range(2):  # the second pass reads the filled cache
+            for p_info in grid:
+                expected = 1.0 - polylog(alpha, 1.0 - p_info) / zeta(alpha)
+                assert law.referral_expectation(p_info) == expected
+
+    @pytest.mark.parametrize("alpha", [2.028, 3, 5.0])
+    def test_mean_and_pmf_equal_uncached_formulas(self, alpha):
+        law = Zipf(alpha)
+        law.referral_expectation(0.1)
+        k = np.arange(-2, 40)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pmf = np.where(k >= 1, 1.0 / (zeta(alpha) * np.power(k.astype(np.float64), alpha)), 0.0)
+        for _ in range(2):
+            assert law.mean() == zeta(alpha - 1.0) / zeta(alpha)
+            assert np.array_equal(law.pmf(k), pmf)
+
+    def test_zeta_once_per_law(self, monkeypatch):
+        calls = []
+        original = degree.zeta
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        monkeypatch.setattr(degree, "zeta", counting)
+        law = Zipf(2.3)
+        for p_info in [1e-17, 1.0, *np.geomspace(1e-4, 0.9, 98)]:
+            law.referral_expectation(float(p_info))
+        assert len(calls) <= 1
+
+    def test_cache_leaves_identity_alone(self):
+        law = Zipf(2.3)
+        before = repr(law)
+        law.referral_expectation(0.05)
+        law.pmf(3)
+        fresh = Zipf(2.3)
+        assert law == fresh and hash(law) == hash(fresh)
+        assert repr(law) == before == "Zipf(alpha=2.3)"
+
+    def test_replace_recomputes(self):
+        law = Zipf(2.3)
+        law.referral_expectation(0.05)
+        law.mean()
+        other = dataclasses.replace(law, alpha=3.0)
+        assert other.alpha == 3.0
+        assert other.referral_expectation(0.05) == Zipf(3.0).referral_expectation(0.05)
+        assert other.referral_expectation(0.05) != law.referral_expectation(0.05)
+        assert other.mean() == Zipf(3.0).mean()
 
 
 class TestZipfAlphaForMean:
