@@ -251,10 +251,13 @@ def _cmd_simulate(args, out) -> int:
     chosen = [args.family] if args.family != "all" else list(families)
     for fam in chosen:
         dist = families[fam]
-        config = SimConfig.at_context(
-            dist, u_i=g.u, u=baseline.u, v=baseline.v, phi=params.phi,
-            d_f=params.d_f, n_workers=args.workers, n_trials=args.trials, seed=args.seed,
-        )
+        try:
+            config = SimConfig.at_context(
+                dist, u_i=g.u, u=baseline.u, v=baseline.v, phi=params.phi,
+                d_f=params.d_f, n_workers=args.workers, n_trials=args.trials, seed=args.seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"invalid simulation settings: {exc}") from exc
         target = dist.referral_expectation(g.P)
         est = estimate_referral_rate(config)
         print(

@@ -15,6 +15,11 @@ zeta(a), so a polylogarithm and the Riemann zeta function are
 implemented here as well; both are plain float64 routines with no
 external special-function dependency.  Each Zipf law computes zeta(a)
 and the first block of k^a of the polylog series once and keeps them.
+Each 4,096-term block of the series is summed over the shortest
+power-of-two prefix whose remainder provably cannot change numpy's
+pairwise sum of the block, so the result is bit-identical to the
+full-block sum.  Only that bit-identity depends on numpy's summation
+layout, which the tests pin; the value is accurate either way.
 
 The Zipf form is not exact at small P: the subtraction cancels and the
 series stops at 10^6 terms.  Against 40-digit mpmath, its relative
@@ -55,6 +60,10 @@ _ZETA_SERIES_TERMS = 64
 _POLYLOG_RTOL = 1e-12
 _POLYLOG_MAX_TERMS = 10**6
 _POLYLOG_BLOCK = 4096
+# Shortest prefix _block_sum tries (numpy's pairwise-sum leaf), and the
+# share of a block's first term its dropped remainder must stay below.
+_PAIRWISE_LEAF = 128
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def as_count(value, name: str) -> int:
@@ -114,12 +123,44 @@ def _polylog_blocks(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) 
     """Li_alpha(x) for 0 < x < 1, summed block by block from the first block's k and k^alpha."""
     total = 0.0
     while True:
-        total += float(np.sum(np.power(x, k) / k_alpha))
+        total += _block_sum(alpha, x, k, k_alpha)
         k0 = int(k[-1]) + 1
-        if x**k0 / ((1.0 - x) * k0**alpha) < _POLYLOG_RTOL * total or k0 > _POLYLOG_MAX_TERMS:
+        if _series_tail(alpha, x, k0) < _POLYLOG_RTOL * total or k0 > _POLYLOG_MAX_TERMS:
             return total
         k = np.arange(k0, min(k0 + _POLYLOG_BLOCK, _POLYLOG_MAX_TERMS + 1), dtype=np.float64)
         k_alpha = np.power(k, alpha)
+
+
+def _series_tail(alpha: float, x: float, big_k: int) -> float:
+    """Geometric bound x^K / ((1-x) K^alpha) on sum_{k>=K} x^k / k^alpha."""
+    return x**big_k / ((1.0 - x) * big_k**alpha)
+
+
+def _block_sum(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> float:
+    """np.sum(x^k / k^alpha) over one block, bit for bit, from its shortest sufficient prefix.
+
+    numpy's float64 ``np.sum`` is a pairwise sum: it halves a 4,096-term
+    block down to 128-term leaves, so every prefix of m = 128, 256, ...,
+    2,048 terms is a left subtree.  A full block is summed over the
+    shortest such prefix whose remainder bound 2 T(k0 + m), with T the
+    geometric tail bound, falls below 2^-53 of the block's first term,
+    and that prefix sum ``head`` is kept only if ``head + 2 T == head``.
+    Every dropped right subtree is then a computed sum of positive terms
+    below 2 T, so, rounding being monotone, it is absorbed at its level
+    of the tree, and ``head`` is the full-block sum bit for bit.  Partial
+    blocks (only at the 10^6-term cap) and prefixes that fail the check
+    are summed in full.  Only the bit-identity depends on numpy's
+    summation layout, which the tests pin.
+    """
+    if len(k) == _POLYLOG_BLOCK:
+        k0, m = int(k[0]), _POLYLOG_BLOCK
+        floor = _UNIT_ROUNDOFF * x**k0 / float(k_alpha[0])
+        while m > _PAIRWISE_LEAF and 2.0 * _series_tail(alpha, x, k0 + m // 2) < floor:
+            m //= 2
+        head = float(np.sum(np.power(x, k[:m]) / k_alpha[:m]))
+        if m == _POLYLOG_BLOCK or head + 2.0 * _series_tail(alpha, x, k0 + m) == head:
+            return head
+    return float(np.sum(np.power(x, k) / k_alpha))
 
 
 class DegreeDistribution:

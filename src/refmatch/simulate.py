@@ -139,10 +139,11 @@ class SimConfig:
     informed_given_employed: float
 
     def __post_init__(self):
-        if self.n_workers < 2:
-            raise ValueError(f"need at least 2 workers, got {self.n_workers}")
-        if self.n_trials < 1:
-            raise ValueError(f"need at least one trial, got {self.n_trials}")
+        for name, least in (("n_workers", 2), ("n_trials", 1), ("seed", 0)):
+            count = as_count(getattr(self, name), name)
+            if count < least:
+                raise ValueError(f"{name} must be at least {least}, got {count}")
+            object.__setattr__(self, name, count)
         for name in ("employment_rate", "informed_given_employed"):
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:

@@ -373,6 +373,19 @@ class TestSimulateCommand:
         z = float(text.split("z = ")[1])
         assert abs(z) < 4.0
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--workers", "1", "n_workers"),
+        ("--workers", "-5", "n_workers"),
+        ("--trials", "0", "n_trials"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_out_of_range_settings_exit_cleanly(self, capsys, flag, value, field):
+        code, text = run_cli("simulate", "--family", "regular", flag, value)
+        assert code == EXIT_BAD_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 

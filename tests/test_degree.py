@@ -13,6 +13,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as scipy_zeta
 from scipy.stats import poisson as scipy_poisson
 
@@ -275,6 +277,53 @@ class TestCachedZipfKernel:
         assert other.referral_expectation(0.05) == Zipf(3.0).referral_expectation(0.05)
         assert other.referral_expectation(0.05) != law.referral_expectation(0.05)
         assert other.mean() == Zipf(3.0).mean()
+
+
+def full_block_referral(alpha, p_info: float) -> float:
+    """The Zipf kernel with every 4,096-term block summed in full: the reference for the prefix rule."""
+    x, alpha = 1.0 - p_info, float(alpha)
+    if x == 1.0 or x == 0.0:
+        return float(x == 0.0)
+    total, k0 = 0.0, 1
+    while True:
+        k = np.arange(k0, min(k0 + 4096, 10**6 + 1), dtype=np.float64)
+        total += float(np.sum(np.power(x, k) / np.power(k, alpha)))
+        k0 = int(k[-1]) + 1
+        if x**k0 / ((1.0 - x) * k0**alpha) < 1e-12 * total or k0 > 10**6:
+            return 1.0 - total / zeta(alpha)
+
+
+class TestPolylogPrefixRule:
+    """Summing a block over a prefix that provably absorbs the rest changes no bit."""
+
+    # Across these alphas the grid makes the first block use every prefix
+    # of 128 to 4,096 terms, includes prefixes that fail the absorption
+    # check (alpha 5 and 7 at P = 0.05), runs later blocks (alpha <= 3 at
+    # P <= 1e-3), and reaches the 10^6-term cap's partial block (alpha <=
+    # 2.3 at P = 1e-6).
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3, 5, 7])
+    def test_equals_full_block_sums(self, alpha):
+        law = Zipf(alpha)
+        for p_info in [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 3e-3, 1e-3, 1e-4, 1e-6]:
+            assert law.referral_expectation(p_info) == full_block_referral(alpha, p_info)
+
+    @pytest.mark.parametrize("m", [128, 256, 512, 1024, 2048])
+    def test_numpy_sum_is_pairwise_at_powers_of_two(self, m):
+        # The bit-identity rests on this layout of numpy's float64 sum: the
+        # first m terms of 2m form one subtree, the next m the other.
+        rng = np.random.default_rng(m)
+        for _ in range(50):
+            a = rng.lognormal(0.0, 4.0, 2 * m)
+            assert np.sum(a[: 2 * m]) == np.sum(a[:m]) + np.sum(a[m : 2 * m])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(2.0, 8.0, exclude_min=True),
+        log_p=st.floats(-6.0, 0.0),
+    )
+    def test_equals_full_block_sums_anywhere(self, alpha, log_p):
+        p_info = 10.0**log_p
+        assert Zipf(alpha).referral_expectation(p_info) == full_block_referral(alpha, p_info)
 
 
 class TestZipfAlphaForMean:

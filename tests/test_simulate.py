@@ -173,6 +173,12 @@ class TestReferralEstimate:
         with pytest.raises(ValueError):
             SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
                       employment_rate=0.9, informed_given_employed=1.5)
+        with pytest.raises(ValueError, match="n_workers must be an integer >= 0"):
+            SimConfig(dist=Poisson(5.0), n_workers=2.5, n_trials=10, seed=0,
+                      employment_rate=0.9, informed_given_employed=0.02)
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=-1,
+                      employment_rate=0.9, informed_given_employed=0.02)
         with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
             SimConfig.at_context(Poisson(5.0), **{**CONTEXT, "d_f": 2.5})
         with pytest.raises(ValueError, match="referral frequency"):

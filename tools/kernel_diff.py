@@ -1,0 +1,48 @@
+"""Compare the referral kernels of two checkouts, value by value.
+
+Loads src/refmatch/degree.py from this checkout and from CHECKOUT and
+evaluates referral_expectation for Poisson, regular and Zipf laws on a
+fixed grid of information probabilities P from 5e-324 to 1.  Prints,
+per law, how many values differ and the largest relative difference.
+Usage: python tools/kernel_diff.py CHECKOUT
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = (
+    [("Poisson", lam) for lam in (0.5, 22.47, 50.0)]
+    + [("Degenerate", k) for k in (0, 1, 16, 50)]
+    + [("Zipf", alpha) for alpha in (2.0000001, 2.001, 2.028, 2.3, 3, 5.0, 7.0)]
+)
+# 150 values: the subnormal floor, 1 - P rounding to 1, then P in [1e-16, 1].
+GRID = sorted({5e-324, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-17,
+               *np.logspace(-16.0, 0.0, 143).tolist()})
+
+
+def load_degree(root: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, root / "src" / "refmatch" / "degree.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def rel_diff(a: float, b: float) -> float:
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    ours = load_degree(Path(__file__).resolve().parents[1], "degree_here")
+    theirs = load_degree(Path(sys.argv[1]), "degree_there")
+    print(f"{len(GRID)} values of P per law")
+    for family, param in FAMILIES:
+        a, b = getattr(ours, family)(param), getattr(theirs, family)(param)
+        diffs = [rel_diff(a.referral_expectation(p), b.referral_expectation(p)) for p in GRID]
+        label = f"{family}({param})"
+        print(f"{label:<22} differ {sum(d > 0 for d in diffs):>4}   max rel diff {max(diffs):.3e}")
