@@ -54,11 +54,12 @@ class ConfigError(ValueError):
 # Scenario configuration files (JSON).  Documented keys:
 #   name     optional scenario label (default: file stem)
 #   params   optional partial override of ModelParams fields
-#   calibrate  optional bool: recover gamma/beta/c/phi from "targets"
+#   calibrate  optional JSON bool: recover gamma/beta/c/phi from "targets"
 #   targets  optional partial override of CalibrationTargets fields
-#   groups   required list of {"family", "size", and "mean"|"alpha"|"k"}
+#   groups   required list of {"family", optional "size" (default 1e6), and
+#            "mean"|"alpha"|"k"}, each of these a JSON number
 #            family: "poisson"/"er", "regular"/"degenerate", "zipf"/"scale-free"
-#   solver   optional partial override of SolverConfig fields; with
+#   solver   optional {"initial_u", "multistart"} (SolverConfig); with
 #            "multistart": n, solve prints every distinct equilibrium of
 #            the default start and n random restarts
 
@@ -81,30 +82,32 @@ def _build_dataclass(cls, data: dict, where: str):
 def _build_group(entry: dict, index: int) -> GroupSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"group {index}: expected an object, got {type(entry).__name__}")
-    data = dict(entry)
+    data = {"size": 1e6, **entry}
     family = str(data.pop("family", "")).lower().replace("_", "-")
-    size = data.pop("size", 1e6)
     try:
+        size = _number(data, "size")
         dist = _build_dist(family, data)
     except ValueError as exc:
         raise ConfigError(f"group {index}: {exc}") from exc
     if data:
         raise ConfigError(f"group {index}: unknown keys {sorted(data)}")
     try:
-        return GroupSpec(size=float(size), dist=dist)
-    except (TypeError, ValueError) as exc:
+        return GroupSpec(size=size, dist=dist)
+    except ValueError as exc:
         raise ConfigError(f"group {index}: {exc}") from exc
 
 
 def _number(data: dict, *keys: str) -> float:
-    """Pop the first of ``keys`` present in a group entry, as a float."""
+    """Pop the first of ``keys`` present in a group entry, a JSON number, as a float."""
     for key in keys:
         if key in data:
             value = data.pop(key)
             try:
-                return float(value)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a number, got {value!r}") from None
+                if isinstance(value, (int, float)) and not isinstance(value, bool):
+                    return float(value)
+            except OverflowError:  # an integer too large for a float
+                pass
+            raise ValueError(f"{key} must be a number, got {value!r}")
     raise ValueError(f"missing {' or '.join(keys)}")
 
 
@@ -150,7 +153,10 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
     param_overrides = data.get("params", {})
     if not isinstance(param_overrides, dict):
         raise ConfigError("'params' must be an object")
-    if data.get("calibrate", False):
+    calibrating = data.get("calibrate", False)
+    if not isinstance(calibrating, bool):
+        raise ConfigError(f"calibrate must be true or false, got {calibrating!r}")
+    if calibrating:
         targets = _build_dataclass(CalibrationTargets, data.get("targets", {}), "targets")
         given = {k: param_overrides[k] for k in ("y", "b", "r", "delta", "eta") if k in param_overrides}
         leftover = set(param_overrides) - {"y", "b", "r", "delta", "eta"}

@@ -17,6 +17,7 @@ Embedded reference values and tolerance checks are in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterable, Sequence
 
@@ -168,16 +169,13 @@ Economy = tuple[ModelParams, tuple[GroupSpec, ...]]
 class SweepScenario:
     """One CSV scenario: its grid, the economy at each grid value, its note.
 
-    ``economy_at(x, fixed)`` is the economy at grid value ``x``.  ``fixed``
-    is what the ``fixed`` builder returns (None without one); :func:`sweep`
-    builds it once per call and shares it among the scenarios that name
-    the same builder.  A grid value is the rows' ``axis_value``: one
-    number for every group, or a tuple with one number per group.
+    ``economy_at(x)`` is the economy at grid value ``x``.  A grid value is
+    the rows' ``axis_value``: one number for every group, or a tuple with
+    one number per group.
     """
 
     grid: tuple
-    economy_at: Callable[[Any, Any], Economy]
-    fixed: Callable[[], Any] | None = None
+    economy_at: Callable[[Any], Economy]
     note: str = ""
 
 
@@ -185,19 +183,20 @@ def _groups(*dists) -> tuple[GroupSpec, ...]:
     return tuple(GroupSpec(size=DEFAULT_GROUP_SIZE, dist=d) for d in dists)
 
 
-def _groups_at(dists_at) -> Callable[[Any, Any], Economy]:
+def _groups_at(dists_at) -> Callable[[Any], Economy]:
     """Economy whose degree laws ``dists_at(x)`` follow the grid value."""
-    return lambda x, _: (ModelParams(), _groups(*dists_at(x)))
+    return lambda x: (ModelParams(), _groups(*dists_at(x)))
 
 
-def _param_at(name: str) -> Callable[[Any, Any], Economy]:
-    """Economy whose parameter ``name`` is the grid value, on fixed groups."""
-    return lambda x, groups: (replace(ModelParams(), **{name: x}), groups)
-
-
+@functools.cache
 def _common_mean_groups() -> tuple[GroupSpec, ...]:
     """Poisson vs Zipf at the common mean degree, the d_f and phi economy."""
     return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(zipf_alpha_for_mean(COMMON_MEAN_DEGREE)))
+
+
+def _param_at(name: str) -> Callable[[Any], Economy]:
+    """Economy whose parameter ``name`` is the grid value, on the common-mean groups."""
+    return lambda x: (replace(ModelParams(), **{name: x}), _common_mean_groups())
 
 
 SCENARIOS: dict[str, SweepScenario] = {
@@ -217,27 +216,24 @@ SCENARIOS: dict[str, SweepScenario] = {
         note="er_vs_scale_free: group 1 is Poisson matched to the Zipf mean of group 2.",
     ),
     # Job-network connectivity and referral frequency, Poisson vs Zipf.
-    "df": SweepScenario(DF_GRID, _param_at("d_f"), _common_mean_groups),
+    "df": SweepScenario(DF_GRID, _param_at("d_f")),
     "phi": SweepScenario(
-        PHI_GRID, _param_at("phi"), _common_mean_groups,
+        PHI_GRID, _param_at("phi"),
         note="phi grid: published value set lists 0.1 twice and an isolated 0.408 "
         "(apparent typo); the deduplicated sorted set is used here, plus a "
         "fine grid on (0, 0.3] to locate the Gini peak.",
     ),
-    "phi_fine": SweepScenario(PHI_FINE_GRID, _param_at("phi"), _common_mean_groups),
+    "phi_fine": SweepScenario(PHI_FINE_GRID, _param_at("phi")),
 }
 
 
 def sweep(*names: str) -> SweepResult:
     """Solve, verify and emit the rows of the named scenarios, in order."""
     result = SweepResult(rows=[], notes=[])
-    built: dict = {None: None}  # fixed economies of this call, by builder
     for name in names:
         scenario = SCENARIOS[name]
-        if scenario.fixed not in built:
-            built[scenario.fixed] = scenario.fixed()
         for x in scenario.grid:
-            params, groups = scenario.economy_at(x, built[scenario.fixed])
+            params, groups = scenario.economy_at(x)
             eq = solve_equilibrium(params, groups)
             axis = x if isinstance(x, tuple) else (x,) * len(groups)
             result.rows.extend(equilibrium_rows(name, axis, eq))

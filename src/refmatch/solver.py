@@ -21,17 +21,21 @@ a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
 which tames the overshoot the u -> v -> u loop can produce at high
 referral frequencies.
+
+The steady state does not depend on how the solver reaches it, so the
+stop tolerance, iteration cap, starting damping and restart seed are
+module constants; :class:`SolverConfig` holds only the starting point
+and the restart count.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .degree import as_count
 from .model import (
     Equilibrium,
     GroupSpec,
@@ -51,32 +55,32 @@ __all__ = ["SolverConfig", "ConvergenceError", "flow_residual", "solve_equilibri
 # Inner-solve bounds: keeps (u/v)**(eta-1) and the closure away from the
 # u_i = 0 and u_i = 1 singularities.
 _U_EPS = 1e-9
+# Outer-iteration constants, read at call time: the stop rule on max |R_i|,
+# the iteration cap, the starting damping (halved down to _MIN_DAMPING) and
+# the seed of solve_all's restart points.
+_RESIDUAL_TOL = 1e-12
+_MAX_OUTER_ITERS = 10_000
+_DAMPING = 0.5
 _MIN_DAMPING = 1.0 / 1024.0
+_RESTART_SEED = 0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    residual_tol: float = 1e-12
-    max_outer_iters: int = 10_000
-    damping: float = 0.5
+    """Where the outer iteration starts, and how many restarts solve_all adds.
+
+    ``initial_u`` is every group's starting unemployment rate;
+    ``multistart`` is the number of random restarts :func:`solve_all`
+    runs after the default start.
+    """
+
     initial_u: float = 0.05
     multistart: int = 0
-    multistart_seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_outer_iters", "multistart", "multistart_seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not 0.0 < self.residual_tol < math.inf:
-            raise ValueError(f"residual_tol must be positive and finite, got {self.residual_tol}")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not 0.0 < self.initial_u < 1.0:
             raise ValueError(f"initial unemployment must lie in (0, 1), got {self.initial_u}")
-        if self.max_outer_iters < 1:
-            raise ValueError(f"max outer iterations must be >= 1, got {self.max_outer_iters}")
-        if self.multistart < 0:
-            raise ValueError(f"multistart count must be >= 0, got {self.multistart}")
+        object.__setattr__(self, "multistart", as_count(self.multistart, "multistart"))
 
 
 class ConvergenceError(RuntimeError):
@@ -201,19 +205,19 @@ def _iterate(
 ) -> tuple[np.ndarray, float, float, int, _Point]:
     """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, last point)."""
     u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
-    damping = config.damping
+    damping = _DAMPING
     prev_residual = np.inf
     worse_streak = 0
     _, p_m, reach = _aggregates(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
 
-    for it in range(1, config.max_outer_iters + 1):
+    for it in range(1, _MAX_OUTER_ITERS + 1):
         target = np.array([_solve_group_u(params, g, p_m, reach) for g in groups])
         u_vec = (1.0 - damping) * u_vec + damping * target
         u_vec = np.clip(u_vec, _U_EPS, 1.0 - _U_EPS)
 
         point = _evaluate(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
         residual = float(np.max(np.abs(point.R)))
-        if residual < config.residual_tol:
+        if residual < _RESIDUAL_TOL:
             return u_vec, point.v, residual, it, point
         p_m, reach = point.p_m, point.reach
 
@@ -229,9 +233,8 @@ def _iterate(
         prev_residual = residual
 
     raise ConvergenceError(
-        f"no convergence after {config.max_outer_iters} outer iterations "
-        f"(residual {residual:.3e})",
-        u_vec, point.v, residual, config.max_outer_iters,
+        f"no convergence after {_MAX_OUTER_ITERS} outer iterations (residual {residual:.3e})",
+        u_vec, point.v, residual, _MAX_OUTER_ITERS,
     )
 
 
@@ -273,7 +276,7 @@ def solve_equilibrium(
     """Find the steady state reached from the configured initial point.
 
     Raises :class:`ConvergenceError` when the outer iteration does not
-    bring every group's flow residual below ``config.residual_tol``.
+    bring every group's flow residual below ``_RESIDUAL_TOL``.
     """
     if len(groups) == 0:
         raise ValueError("need at least one worker group")
@@ -296,7 +299,7 @@ def solve_all(
     """
     config = config or SolverConfig()
     found = [solve_equilibrium(params, groups, config)]
-    rng = np.random.default_rng(config.multistart_seed)
+    rng = np.random.default_rng(_RESTART_SEED)
     for _ in range(config.multistart):
         restart = replace(config, initial_u=float(rng.uniform(0.002, 0.6)))
         try:

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import io
 import pkgutil
 import re
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import refmatch
 from refmatch import ModelParams, solve_equilibrium
 from refmatch.calibration import baseline_groups
+from refmatch.cli import load_scenario, main
 from refmatch.solver import SolverConfig, _iterate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,6 +36,17 @@ def test_readme_quick_start_runs(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3  # two groups, then v and Gini
 
 
+def test_readme_config_example_solves(tmp_path):
+    # The README's scenario file loads and solves, so it names no removed key.
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"### Scenario configuration.*?```json\n(.*?)```", text, re.DOTALL).group(1)
+    path = tmp_path / "scenario.json"
+    path.write_text(block, encoding="utf-8")
+    scenario, _ = load_scenario(path)
+    assert scenario.name == "er-vs-scalefree"
+    assert main(["solve", "--config", str(path)], out=io.StringIO()) == 0
+
+
 def test_exports_match_documented_api():
     assert sorted(refmatch.__all__) == sorted(DOCUMENTED_API)
     assert len(refmatch.__all__) == len(DOCUMENTED_API)
@@ -51,7 +64,14 @@ def traced_sites():
     return [(name, *site) for name, sites in spans.SITES.items() for site in sites]
 
 
-@pytest.mark.parametrize("span, module, attr, owner", traced_sites())
+# The names the reproduce workload times its solves through (perfbench/workloads.py).
+WORKLOAD_SITES = [
+    ("reproduce.solve", module, "solve_equilibrium", "module")
+    for module in ("calibration", "experiments", "cli")
+]
+
+
+@pytest.mark.parametrize("span, module, attr, owner", traced_sites() + WORKLOAD_SITES)
 def test_traced_site_resolves(span, module, attr, owner):
     target = importlib.import_module(f"refmatch.{module}")
     if owner != "module":

@@ -60,7 +60,9 @@ class TestSolveCommand:
         assert lines[0].startswith("scenario,axis_value,group,")
         assert len(lines) == 3
 
-    def test_mixed_families_and_solver_section(self, tmp_path):
+    def test_mixed_families_and_solver_section(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_DAMPING", 0.4)
+        monkeypatch.setattr(solver, "_RESIDUAL_TOL", 1e-11)
         config = write_config(
             tmp_path,
             {
@@ -68,7 +70,7 @@ class TestSolveCommand:
                     {"family": "regular", "size": 1e6, "k": 16},
                     {"family": "scale-free", "size": 1e6, "mean": 22.47},
                 ],
-                "solver": {"damping": 0.4, "residual_tol": 1e-11},
+                "solver": {"initial_u": 0.1, "multistart": 1},
             },
         )
         code, text = run_cli("solve", "--config", config)
@@ -145,11 +147,9 @@ class TestSolveCommand:
             assert printed >= 1
             assert calls == {"gini": printed, "social_welfare": printed}
 
-    def test_non_convergence_exit_code(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {**BASELINE_CONFIG, "solver": {"max_outer_iters": 1}},
-        )
+    def test_non_convergence_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_OUTER_ITERS", 1)
+        config = write_config(tmp_path, BASELINE_CONFIG)
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_NO_CONVERGENCE
 
@@ -189,24 +189,48 @@ class TestBadConfigs:
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
 
-    def test_zero_outer_iterations(self, tmp_path):
-        # iteration and restart counts must be positive integers
-        for solver in ({"max_outer_iters": 0}, {"max_outer_iters": 50.5}, {"multistart": 1.5}):
-            config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": solver})
+    def test_solver_takes_only_start_and_restart_count(self, tmp_path, capsys):
+        # The iteration cap, tolerance, damping and restart seed are solver
+        # constants, and the restart count must be an integer >= 0.
+        for section in ({"max_outer_iters": 0}, {"max_outer_iters": 50.5}, {"multistart": 1.5},
+                        {"damping": 0.4}, {"residual_tol": 1e-11}, {"multistart_seed": 7}):
+            config = write_config(tmp_path, {**BASELINE_CONFIG, "solver": section})
             code, _ = run_cli("solve", "--config", config)
-            assert code == EXIT_BAD_CONFIG, solver
+            assert code == EXIT_BAD_CONFIG, section
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert next(iter(section)) in err[0]
+
+    def test_calibrate_must_be_a_bool(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            **BASELINE_CONFIG, "calibrate": "false", "targets": {"referral_share": 0.4},
+        })
+        code, text = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "calibrate" in err[0]
+        assert text == ""
 
     @pytest.mark.parametrize("group, message", [
         ({"family": "poisson", "size": 1e6}, "missing mean"),
         ({"family": "zipf", "size": 1e6}, "missing mean"),
         ({"family": "poisson", "size": 1e6, "mean": None}, "mean must be a number"),
+        ({"family": "poisson", "size": 1e6, "mean": "22.47"}, "mean must be a number"),
+        ({"family": "poisson", "size": 1e6, "mean": True}, "mean must be a number"),
+        ({"family": "poisson", "size": 1e6, "mean": 10**400}, "mean must be a number"),
+        ({"family": "zipf", "size": 1e6, "alpha": "2.3"}, "alpha must be a number"),
+        ({"family": "regular", "size": 1e6, "k": "16"}, "k must be a number"),
+        ({"family": "poisson", "size": True, "mean": 22.47}, "size must be a number"),
+        ({"family": "poisson", "size": "1e6", "mean": 22.47}, "size must be a number"),
     ])
-    def test_malformed_group_entry(self, tmp_path, group, message):
+    def test_malformed_group_entry(self, tmp_path, capsys, group, message):
         config = write_config(tmp_path, {"groups": [BASELINE_CONFIG["groups"][0], group]})
         with pytest.raises(ConfigError, match=f"group 2: {message}"):
             load_scenario(config)
         code, _ = run_cli("solve", "--config", config)
         assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: group 2: {message}")
 
     def test_non_integer_regular_degree(self, tmp_path):
         for key in ("mean", "k"):
@@ -248,13 +272,13 @@ class TestBadConfigs:
         assert code == EXIT_BAD_CONFIG
         assert field in capsys.readouterr().err
 
-    def test_row_gate_failure_exits_cleanly(self, tmp_path, capsys):
+    def test_row_gate_failure_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         # A tolerance looser than the 1e-10 row gate converges, and the
         # gate then refuses its rows before anything is printed or written.
+        monkeypatch.setattr(solver, "_RESIDUAL_TOL", 1e-9)
         config = write_config(tmp_path, {
             "groups": [{"family": "poisson", "mean": 2.744973717646443},
                        {"family": "zipf", "alpha": 2.3}],
-            "solver": {"residual_tol": 1e-9},
         })
         out_csv = tmp_path / "eq.csv"
         code, _ = run_cli("solve", "--config", config, "--out", str(out_csv))
@@ -264,12 +288,12 @@ class TestBadConfigs:
         assert "refusing to emit row" in err[0]
         assert not out_csv.exists()
 
-    def test_row_gate_failure_prints_no_state(self, tmp_path, capsys):
+    def test_row_gate_failure_prints_no_state(self, tmp_path, capsys, monkeypatch):
         # Without --out the same gate runs: a non-equilibrium is not printed.
+        monkeypatch.setattr(solver, "_RESIDUAL_TOL", 1e-2)
         config = write_config(tmp_path, {
             "groups": [{"family": "poisson", "mean": 2.744973717646443},
                        {"family": "zipf", "alpha": 2.3}],
-            "solver": {"residual_tol": 1e-2},
         })
         code, text = run_cli("solve", "--config", config)
         assert code == EXIT_NO_CONVERGENCE

@@ -63,8 +63,8 @@ class TestScenarioTable:
         assert list(dict.fromkeys(scenarios)) == list(SCENARIOS)
 
     def test_solves_and_alpha_fits_per_runner(self, monkeypatch, baseline_eq):
-        # each grid point is one solve; the fixed d_f/phi economy is
-        # built once per runner call, not once per grid point
+        # each grid point is one solve; the common-mean d_f/phi economy is
+        # built once, not once per grid point
         calls = {"solve": 0, "fit": 0}
         fit = experiments.zipf_alpha_for_mean
 
@@ -81,6 +81,7 @@ class TestScenarioTable:
         for run, solves, fits in ((run_table2, 3, 2), (run_structure_sweeps, 18, 0),
                                   (run_df_sweep, 9, 1), (run_phi_sweep, 22, 1)):
             calls.update(solve=0, fit=0)
+            experiments._common_mean_groups.cache_clear()
             run()
             assert (calls["solve"], calls["fit"]) == (solves, fits), run.__name__
 
