@@ -23,11 +23,11 @@ target to 1e-6; anything else raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .degree import Poisson, as_count
 from .model import GroupSpec, ModelParams, contact_reach
-from .solver import solve_equilibrium
+from .solver import ConvergenceError, solve_equilibrium
 
 __all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate"]
 
@@ -84,12 +84,14 @@ def calibrate(
 
     The keyword arguments are the externally given parameters; the
     returned :class:`ModelParams` carries them plus the recovered
-    (gamma, beta, c, phi).  Raises :class:`CalibrationError` when the
+    (gamma, beta, c, phi).  Raises ValueError when they break a
+    :class:`ModelParams` rule, and :class:`CalibrationError` when the
     targets are infeasible (referral share requiring P > 1 or phi > 1,
     beta outside [0, 1]) or when a fresh equilibrium solve does not
-    reproduce the targets to 1e-6.
+    converge or does not reproduce the targets to 1e-6.
     """
     t = targets or CalibrationTargets()
+    given = ModelParams(y=y, b=b, r=r, delta=delta, eta=eta)  # checked before any use
     if not b < t.wage_target < y:
         raise CalibrationError(
             f"wage target must lie strictly between b={b} and y={y}, got {t.wage_target}"
@@ -127,16 +129,16 @@ def calibrate(
     s = (y - b) / (r + delta + beta * p)
     c = (1.0 - beta) * (u * p / v) * s
 
-    params = ModelParams(
-        y=y, b=b, r=r, delta=delta, eta=eta,
-        gamma=gamma, beta=beta, c=c, phi=phi, d_f=t.d_f,
-    )
+    params = replace(given, gamma=gamma, beta=beta, c=c, phi=phi, d_f=t.d_f)
     _verify(params, t)
     return params
 
 
 def _verify(params: ModelParams, t: CalibrationTargets) -> None:
-    eq = solve_equilibrium(params, baseline_groups(t.baseline_mean_degree))
+    try:
+        eq = solve_equilibrium(params, baseline_groups(t.baseline_mean_degree))
+    except ConvergenceError as exc:
+        raise CalibrationError(f"verification solve did not converge: {exc}") from exc
     g = eq.groups[0]
     share = g.p_referral / g.p_total
     checks = {

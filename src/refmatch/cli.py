@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields as dataclass_fields
+from functools import partial
 from pathlib import Path
 
 from .calibration import CalibrationError, CalibrationTargets, baseline_groups, calibrate
@@ -25,6 +26,7 @@ from .experiments import (
     Scenario,
     SweepResult,
     SweepRow,
+    _common_mean_groups,
     equilibrium_rows,
     reference_checks,
     run_df_sweep,
@@ -51,82 +53,91 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Scenario configuration files (JSON).  Documented keys:
-#   name     optional scenario label (default: file stem)
-#   params   optional partial override of ModelParams fields
+# Scenario configuration files (JSON).  One rule: "params", "targets",
+# "solver" and each "groups" entry are JSON objects whose values are JSON
+# numbers (true and false are not numbers), save a group's "family", a
+# string.  Documented keys:
+#   name     optional scenario label (default: file stem), a string the CSV
+#            holds unquoted: no ',', '"', CR or LF
+#   params   optional partial override of ModelParams fields; when
+#            calibrating, of the given parameters y, b, r, delta and eta
 #   calibrate  optional JSON bool: recover gamma/beta/c/phi from "targets"
 #   targets  optional partial override of CalibrationTargets fields
 #   groups   required list of {"family", optional "size" (default 1e6), and
-#            "mean"|"alpha"|"k"}, each of these a JSON number
+#            "mean"|"alpha"|"k"}
 #            family: "poisson"/"er", "regular"/"degenerate", "zipf"/"scale-free"
 #   solver   optional {"initial_u", "multistart"} (SolverConfig); with
 #            "multistart": n, solve prints every distinct equilibrium of
 #            the default start and n random restarts
 
+# Each family's degree-law keys, in the order a group entry is searched for one.
+_LAW_KEYS = {"poisson": ("mean",), "regular": ("k", "mean"), "zipf": ("mean", "alpha")}
+_FAMILY_ALIASES = {
+    "er": "poisson", "erdos-renyi": "poisson", "degenerate": "regular", "scale-free": "zipf",
+}
 
-def _field_names(cls) -> set[str]:
-    return {f.name for f in dataclass_fields(cls)}
 
+def _numbers(section, allowed, prefix: str) -> dict:
+    """``section`` if it is an object of JSON numbers keyed within ``allowed``.
 
-def _build_dataclass(cls, data: dict, where: str):
-    allowed = _field_names(cls)
-    unknown = set(data) - allowed
+    A number is a float or an int a float can hold; bool is not a number.
+    The ValueError raised otherwise names the key as ``prefix + key``.
+    """
+    if not isinstance(section, dict):
+        raise ValueError(f"expected an object, got {type(section).__name__}")
+    unknown = [prefix + key for key in sorted(set(section) - set(allowed))]
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        raise ValueError(f"unknown keys {unknown} (allowed: {', '.join(allowed)})")
+    for key, value in section.items():
+        if not (type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)):
+            raise ValueError(f"{prefix}{key} must be a number, got {value!r}")
+    return section
 
 
-def _build_group(entry: dict, index: int) -> GroupSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"group {index}: expected an object, got {type(entry).__name__}")
-    data = {"size": 1e6, **entry}
-    family = str(data.pop("family", "")).lower().replace("_", "-")
+def _build(make, section, name: str, allowed=()):
+    """``make(**section)`` for config section ``name``, whose keys default to ``make``'s fields."""
+    allowed = allowed or [f.name for f in dataclass_fields(make)]
     try:
-        size = _number(data, "size")
-        dist = _build_dist(family, data)
+        return make(**_numbers(section, allowed, f"{name}."))
+    except CalibrationError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _build_group(entry, index: int) -> GroupSpec:
+    try:
+        if not isinstance(entry, dict):
+            raise ValueError(f"expected an object, got {type(entry).__name__}")
+        data = dict(entry)
+        family = data.pop("family", None)
+        if not isinstance(family, str):
+            raise ValueError(f"family must be a string, got {family!r}")
+        family = family.lower().replace("_", "-")
+        family = _FAMILY_ALIASES.get(family, family)
+        if family not in _LAW_KEYS:
+            raise ValueError(
+                f"unknown family {family!r} "
+                "(expected poisson/er, regular/degenerate, or zipf/scale-free)"
+            )
+        law = next((key for key in _LAW_KEYS[family] if key in data), None)
+        if law is None:
+            raise ValueError(f"missing {' or '.join(_LAW_KEYS[family])}")
+        data = _numbers(data, ("size", law), "")
+        return GroupSpec(size=float(data.get("size", 1e6)), dist=_law(family, law, float(data[law])))
     except ValueError as exc:
         raise ConfigError(f"group {index}: {exc}") from exc
-    if data:
-        raise ConfigError(f"group {index}: unknown keys {sorted(data)}")
-    try:
-        return GroupSpec(size=size, dist=dist)
-    except ValueError as exc:
-        raise ConfigError(f"group {index}: {exc}") from exc
 
 
-def _number(data: dict, *keys: str) -> float:
-    """Pop the first of ``keys`` present in a group entry, a JSON number, as a float."""
-    for key in keys:
-        if key in data:
-            value = data.pop(key)
-            try:
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    return float(value)
-            except OverflowError:  # an integer too large for a float
-                pass
-            raise ValueError(f"{key} must be a number, got {value!r}")
-    raise ValueError(f"missing {' or '.join(keys)}")
-
-
-def _build_dist(family: str, data: dict) -> DegreeDistribution:
-    if family in ("poisson", "er", "erdos-renyi"):
-        return Poisson(_number(data, "mean"))
-    if family in ("regular", "degenerate"):
-        k = _number(data, "k", "mean")
-        if not k.is_integer():
-            raise ValueError(f"regular networks need an integer degree, got {k:g}")
-        return Degenerate(int(k))
-    if family in ("zipf", "scale-free"):
-        if "alpha" in data:
-            return Zipf(_number(data, "alpha"))
-        return Zipf(zipf_alpha_for_mean(_number(data, "mean")))
-    raise ValueError(
-        f"unknown family {family!r} "
-        "(expected poisson/er, regular/degenerate, or zipf/scale-free)"
-    )
+def _law(family: str, key: str, x: float) -> DegreeDistribution:
+    """The degree law of ``family`` whose ``key`` ("mean", "alpha" or "k") is ``x``."""
+    if family == "poisson":
+        return Poisson(x)
+    if family == "regular":
+        if not x.is_integer():
+            raise ValueError(f"regular networks need an integer degree, got {x:g}")
+        return Degenerate(int(x))
+    return Zipf(x if key == "alpha" else zipf_alpha_for_mean(x))
 
 
 def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
@@ -135,8 +146,8 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8 JSON, or nested too deep
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -150,33 +161,22 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
         raise ConfigError("config must define a nonempty 'groups' list")
     groups = tuple(_build_group(g, i + 1) for i, g in enumerate(raw_groups))
 
-    param_overrides = data.get("params", {})
-    if not isinstance(param_overrides, dict):
-        raise ConfigError("'params' must be an object")
     calibrating = data.get("calibrate", False)
     if not isinstance(calibrating, bool):
         raise ConfigError(f"calibrate must be true or false, got {calibrating!r}")
     if calibrating:
-        targets = _build_dataclass(CalibrationTargets, data.get("targets", {}), "targets")
-        given = {k: param_overrides[k] for k in ("y", "b", "r", "delta", "eta") if k in param_overrides}
-        leftover = set(param_overrides) - {"y", "b", "r", "delta", "eta"}
-        if leftover:
-            raise ConfigError(
-                f"params {sorted(leftover)} cannot be overridden when calibrating"
-            )
-        try:
-            params = calibrate(targets, **given)
-        except CalibrationError:
-            raise
-        except ValueError as exc:  # a given parameter or the target degree law
-            raise ConfigError(f"invalid calibration input: {exc}") from exc
+        targets = _build(CalibrationTargets, data.get("targets", {}), "targets")
+        given = ("y", "b", "r", "delta", "eta")  # calibrate recovers the rest
+        params = _build(partial(calibrate, targets), data.get("params", {}), "params", given)
+    elif "targets" in data:
+        raise ConfigError("'targets' only applies when 'calibrate' is true")
     else:
-        if "targets" in data:
-            raise ConfigError("'targets' only applies when 'calibrate' is true")
-        params = _build_dataclass(ModelParams, param_overrides, "params")
+        params = _build(ModelParams, data.get("params", {}), "params")
 
-    solver = _build_dataclass(SolverConfig, data.get("solver", {}), "solver")
-    name = str(data.get("name", path.stem))
+    solver = _build(SolverConfig, data.get("solver", {}), "solver")
+    name = data.get("name", path.stem)
+    if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
+        raise ConfigError(f"name must be a string without ',', '\"', CR or LF, got {name!r}")
     return Scenario(name=name, params=params, groups=groups), solver
 
 
@@ -249,11 +249,8 @@ def _cmd_simulate(args, out) -> int:
     params = calibrate()
     baseline = solve_equilibrium(params, baseline_groups())
     g = baseline.groups[0]
-    families = {
-        "poisson": Poisson(22.47),
-        "regular": Degenerate(22),
-        "zipf": Zipf(zipf_alpha_for_mean(22.47)),
-    }
+    poisson, zipf = (group.dist for group in _common_mean_groups())
+    families = {"poisson": poisson, "regular": Degenerate(int(poisson.mean())), "zipf": zipf}
     chosen = [args.family] if args.family != "all" else list(families)
     for fam in chosen:
         dist = families[fam]

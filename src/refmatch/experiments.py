@@ -21,6 +21,7 @@ import functools
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterable, Sequence
 
+from .calibration import CalibrationTargets
 from .degree import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
 from .metrics import gini, social_welfare
 from .model import Equilibrium, GroupSpec, ModelParams
@@ -59,7 +60,7 @@ DEFAULT_GROUP_SIZE = 1e6
 TABLE2_MEANS = (15.0, 30.0)
 STRUCTURE_MEAN_GRID = (0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 ALPHA_GRID = (2.028, 2.05, 2.1, 2.3, 2.5, 3.0, 5.0)
-COMMON_MEAN_DEGREE = 22.47
+COMMON_MEAN_DEGREE = CalibrationTargets.baseline_mean_degree
 DF_GRID = (0, 1, 2, 3, 5, 10, 16, 20, 40)
 # The published referral-frequency value set, deduplicated and sorted; it
 # contains an apparent typo (0.408, with 0.1 listed twice), noted in the

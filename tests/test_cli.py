@@ -1,5 +1,6 @@
 """Command-line interface: commands, config handling, and exit codes."""
 
+import dataclasses
 import io
 import json
 import math
@@ -9,8 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from refmatch import cli, solver
+from refmatch import CalibrationTargets, ModelParams, SolverConfig, cli, solver
+from refmatch.calibration import CalibrationError
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE_CALIBRATION,
@@ -165,6 +169,16 @@ class TestBadConfigs:
         code, _ = run_cli("solve", "--config", str(path))
         assert code == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("raw", [b'{"name": "\xff"}', b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unparsable_file(self, tmp_path, capsys, raw):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(raw)
+        code, _ = run_cli("solve", "--config", str(path))
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot parse config")
+
     def test_missing_groups(self, tmp_path):
         config = write_config(tmp_path, {"params": {"phi": 0.05}})
         code, _ = run_cli("solve", "--config", config)
@@ -272,6 +286,33 @@ class TestBadConfigs:
         assert code == EXIT_BAD_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"solver": 5}, "invalid solver"),
+        ({"calibrate": True, "targets": 5}, "invalid targets"),
+        ({"calibrate": True, "params": {"y": "2"}}, "params.y"),
+        ({"params": {"d_f": 10**400}}, "params.d_f"),
+        ({"params": {"phi": True}}, "params.phi"),
+        ({"solver": {"multistart": True}}, "solver.multistart"),
+        ({"params": {"phi": "0.05"}}, "params.phi"),
+        ({"params": {"d_f": True}}, "params.d_f"),
+        ({"calibrate": True, "targets": {"d_f": True}}, "targets.d_f"),
+        ({"groups": [{"family": 5, "mean": 22.47}]}, "group 1: family"),
+        ({"name": "a,b\nc"}, "name"),
+        ({"name": 'say "hi"'}, "name"),
+        ({"name": "a\rb"}, "name"),
+        ({"name": 5}, "name"),
+    ])
+    def test_out_of_rule_value_names_its_key(self, tmp_path, capsys, payload, key):
+        # Sections are objects of JSON numbers (bool is not one); a family
+        # and the name are strings, and the CSV must hold the name unquoted.
+        config = write_config(tmp_path, {**BASELINE_CONFIG, **payload})
+        out_csv = tmp_path / "eq.csv"
+        code, text = run_cli("solve", "--config", config, "--out", str(out_csv))
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert text == "" and not out_csv.exists()
+
     def test_row_gate_failure_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         # A tolerance looser than the 1e-10 row gate converges, and the
         # gate then refuses its rows before anything is printed or written.
@@ -308,6 +349,56 @@ class TestBadConfigs:
         )
         with pytest.raises(ValueError, match="group 2"):
             load_scenario(config)
+
+
+# Any JSON value, and numbers that reach the range checks behind the reader.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=3,
+)
+NUMBERS = st.floats() | st.floats(-0.5, 1.5) | st.integers(-2, 40)
+
+
+def section(keys):
+    """An object over ``keys`` and a stray key, or any JSON value."""
+    return st.dictionaries(st.sampled_from((*keys, "bogus")), NUMBERS | JSON, max_size=4) | JSON
+
+
+def field_names(cls):
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+GROUP = st.fixed_dictionaries(
+    {"family": st.sampled_from(("poisson", "er", "regular", "zipf", "scale-free")) | JSON},
+    optional={key: NUMBERS | JSON for key in ("size", "mean", "alpha", "k", "bogus")},
+)
+# Values for each top-level key of a config.
+SECTIONS = {
+    "name": st.text(max_size=3) | JSON,
+    "params": section(field_names(ModelParams)),
+    "calibrate": JSON,
+    "targets": section(field_names(CalibrationTargets)),
+    "groups": st.lists(GROUP, min_size=1, max_size=2) | JSON,
+    "solver": section(field_names(SolverConfig)),
+}
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize("key", SECTIONS)
+    @settings(derandomize=True, max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_load_scenario_raises_only_config_errors(self, tmp_path, key, data):
+        # One key takes any value, the rest stay valid, with and without
+        # calibrating.  A config outside the model is a ConfigError (exit 4)
+        # or, when calibrating, a CalibrationError (exit 3); nothing else.
+        payload = {**BASELINE_CONFIG, "calibrate": data.draw(st.booleans()),
+                   key: data.draw(SECTIONS[key])}
+        try:
+            load_scenario(write_config(tmp_path, payload))
+        except (ConfigError, CalibrationError):
+            pass
 
 
 class TestCalibrateCommand:
