@@ -14,7 +14,11 @@ Zipf law uses its probability generating function, 1 - Li_a(1 - P) /
 zeta(a), so a polylogarithm and the Riemann zeta function are
 implemented here as well; both are plain float64 routines with no
 external special-function dependency.  Each Zipf law computes zeta(a)
-and the first block of k^a of the polylog series once and keeps them.
+once and keeps every 4,096-term block of k^a that its polylog series has
+used, for as long as the law lives: the first block with its k, later
+blocks as the series first reaches them, at most 244 of them (7.6 MiB)
+at the 10^6-term cap.  Every kept block is np.power(k, a) of the same k,
+so results do not depend on which values of P the law saw first.
 Each 4,096-term block of the series is summed over the shortest
 power-of-two prefix whose remainder provably cannot change numpy's
 pairwise sum of the block, so the result is bit-identical to the
@@ -33,6 +37,7 @@ count (a regular degree, a job-network degree).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,14 +72,14 @@ _UNIT_ROUNDOFF = 2.0**-53
 
 
 def as_count(value, name: str) -> int:
-    """``value`` as an int; ValueError unless it is a finite integer >= 0."""
+    """``value`` as an int; ValueError unless it is an integer >= 0 that a float can hold."""
     try:
         count = int(value)
-        valid = count == value and count >= 0
+        valid = count == value and count >= 0 and math.isfinite(count)
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
-        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= 0 that a float can hold, got {value!r}")
     return count
 
 
@@ -116,19 +121,29 @@ def polylog(alpha: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
-    return _polylog_blocks(alpha, x, k, np.power(k, alpha))
+    return _polylog_blocks(alpha, x, k, np.power(k, alpha), [])
 
 
-def _polylog_blocks(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> float:
-    """Li_alpha(x) for 0 < x < 1, summed block by block from the first block's k and k^alpha."""
+def _polylog_blocks(
+    alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray, later: list[np.ndarray]
+) -> float:
+    """Li_alpha(x) for 0 < x < 1, summed block by block.
+
+    ``k`` and ``k_alpha`` are the first block's k and k^alpha.
+    ``later[i]`` is k^alpha over block i + 1; a block the list does not
+    hold yet is computed and appended, so a kept list grows to the
+    longest series summed with it (at most 244 blocks at the term cap).
+    """
     total = 0.0
-    while True:
+    for i in itertools.count():
         total += _block_sum(alpha, x, k, k_alpha)
         k0 = int(k[-1]) + 1
         if _series_tail(alpha, x, k0) < _POLYLOG_RTOL * total or k0 > _POLYLOG_MAX_TERMS:
             return total
         k = np.arange(k0, min(k0 + _POLYLOG_BLOCK, _POLYLOG_MAX_TERMS + 1), dtype=np.float64)
-        k_alpha = np.power(k, alpha)
+        if i == len(later):
+            later.append(np.power(k, alpha))
+        k_alpha = later[i]
 
 
 def _series_tail(alpha: float, x: float, big_k: int) -> float:
@@ -139,12 +154,13 @@ def _series_tail(alpha: float, x: float, big_k: int) -> float:
 def _block_sum(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> float:
     """np.sum(x^k / k^alpha) over one block, bit for bit, from its shortest sufficient prefix.
 
-    numpy's float64 ``np.sum`` is a pairwise sum: it halves a 4,096-term
-    block down to 128-term leaves, so every prefix of m = 128, 256, ...,
-    2,048 terms is a left subtree.  A full block is summed over the
-    shortest such prefix whose remainder bound 2 T(k0 + m), with T the
-    geometric tail bound, falls below 2^-53 of the block's first term,
-    and that prefix sum ``head`` is kept only if ``head + 2 T == head``.
+    numpy's float64 add reduction (``np.sum``, ``np.add.reduce``) is a
+    pairwise sum: it halves a 4,096-term block down to 128-term leaves,
+    so every prefix of m = 128, 256, ..., 2,048 terms is a left subtree.
+    A full block is summed over the shortest such prefix whose remainder
+    bound 2 T(k0 + m), with T the geometric tail bound, falls below
+    2^-53 of the block's first term, and that prefix sum ``head`` is
+    kept only if ``head + 2 T == head``.
     Every dropped right subtree is then a computed sum of positive terms
     below 2 T, so, rounding being monotone, it is absorbed at its level
     of the tree, and ``head`` is the full-block sum bit for bit.  Partial
@@ -157,10 +173,10 @@ def _block_sum(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> fl
         floor = _UNIT_ROUNDOFF * x**k0 / float(k_alpha[0])
         while m > _PAIRWISE_LEAF and 2.0 * _series_tail(alpha, x, k0 + m // 2) < floor:
             m //= 2
-        head = float(np.sum(np.power(x, k[:m]) / k_alpha[:m]))
+        head = float(np.add.reduce(np.power(x, k[:m]) / k_alpha[:m]))
         if m == _POLYLOG_BLOCK or head + 2.0 * _series_tail(alpha, x, k0 + m) == head:
             return head
-    return float(np.sum(np.power(x, k) / k_alpha))
+    return float(np.add.reduce(np.power(x, k) / k_alpha))
 
 
 class DegreeDistribution:
@@ -272,6 +288,11 @@ class Zipf(DegreeDistribution):
         k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
         return k, np.power(k, float(self.alpha))
 
+    @cached_property
+    def _later_blocks(self) -> list[np.ndarray]:
+        # k^alpha over blocks 2, 3, ...; _polylog_blocks appends to it.
+        return []
+
     def mean(self) -> float:
         return zeta(self.alpha - 1.0) / self._zeta
 
@@ -280,7 +301,8 @@ class Zipf(DegreeDistribution):
         x = 1.0 - p_info
         if x == 1.0 or x == 0.0:
             return float(x == 0.0)
-        return 1.0 - _polylog_blocks(float(self.alpha), x, *self._first_block) / self._zeta
+        series = _polylog_blocks(float(self.alpha), x, *self._first_block, self._later_blocks)
+        return 1.0 - series / self._zeta
 
     def pmf(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)

@@ -190,9 +190,18 @@ def _groups_at(dists_at) -> Callable[[Any], Economy]:
 
 
 @functools.cache
+def _common_mean_alpha() -> float:
+    """Zipf scale parameter at the common mean degree, fitted once per process."""
+    return zipf_alpha_for_mean(COMMON_MEAN_DEGREE)
+
+
 def _common_mean_groups() -> tuple[GroupSpec, ...]:
-    """Poisson vs Zipf at the common mean degree, the d_f and phi economy."""
-    return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(zipf_alpha_for_mean(COMMON_MEAN_DEGREE)))
+    """Poisson vs Zipf at the common mean degree, the d_f and phi economy.
+
+    The laws are new on each call, so the k^alpha blocks a Zipf law keeps
+    are freed with the economy that used them.
+    """
+    return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(_common_mean_alpha()))
 
 
 def _param_at(name: str) -> Callable[[Any], Economy]:

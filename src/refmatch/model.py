@@ -49,9 +49,10 @@ class ModelParams:
 
     y: output per filled job; b: home production while unemployed;
     r: discount rate; delta: job destruction probability; eta: matching
-    function exponent on unemployment; gamma: market matching efficiency;
-    beta: worker bargaining power; c: per-period vacancy posting cost;
-    phi: referral frequency; d_f: number of jobs adjacent to a job.
+    function exponent on unemployment, in (0, 1]; gamma: market
+    matching efficiency; beta: worker bargaining power; c: per-period
+    vacancy posting cost; phi: referral frequency; d_f: number of jobs
+    adjacent to a job.
     """
 
     y: float = 1.0
@@ -68,7 +69,11 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
+            try:
+                finite = f.type != "float" or math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.y > self.b > 0.0:
             raise ValueError(f"need y > b > 0, got y={self.y}, b={self.b}")
@@ -76,8 +81,9 @@ class ModelParams:
             raise ValueError(f"discount rate must be positive, got {self.r}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"destruction probability must lie in [0, 1], got {self.delta}")
-        if not self.eta > 0.0:
-            raise ValueError(f"matching exponent must be positive, got {self.eta}")
+        # (u/v)^(eta-1): the vacancy elasticity 1 - eta must not be negative.
+        if not 0.0 < self.eta <= 1.0:
+            raise ValueError(f"matching exponent eta must lie in (0, 1], got {self.eta}")
         if self.gamma < 0.0:
             raise ValueError(f"matching efficiency must be nonnegative, got {self.gamma}")
         if not 0.0 <= self.beta <= 1.0:
@@ -210,12 +216,17 @@ def vacancy_closure(
         if not 0.0 < u_i < 1.0:
             raise ValueError(f"unemployment rates must lie in (0, 1), got {u_i}")
         share = g.size / total
-        acc += (
-            u_i
-            * (1.0 - u_i)
-            * share
-            / (u_i * (params.r + params.delta) + params.beta * params.delta * (1.0 - u_i))
-        )
+        try:
+            acc += (
+                u_i
+                * (1.0 - u_i)
+                * share
+                / (u_i * (params.r + params.delta) + params.beta * params.delta * (1.0 - u_i))
+            )
+        except ZeroDivisionError:  # positive, but r + delta is so small that it underflowed
+            raise ValueError(
+                f"singular vacancy closure: r + delta = {params.r + params.delta}"
+            ) from None
     return float((params.y - params.b) * (1.0 - params.beta) * params.delta / params.c * acc)
 
 

@@ -267,6 +267,21 @@ class TestBadConfigs:
         assert code == EXIT_BAD_CONFIG
         assert "d_f must be an integer >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {"params": {"eta": 2e16}}),
+        ("solve", {"params": {"eta": 12}}),
+        ("calibrate", {"calibrate": True, "params": {"eta": 6.75e16}}),
+    ])
+    def test_matching_exponent_above_one(self, tmp_path, capsys, command, payload):
+        # (u/v)^(eta-1) overflowed at the huge values (exit 1, a traceback),
+        # and eta = 12 ran the whole iteration cap before exiting 2.
+        config = write_config(tmp_path, {**BASELINE_CONFIG, **payload})
+        code, text = run_cli(command, "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "eta" in err[0]
+        assert text == ""
+
     @pytest.mark.parametrize("payload, field", [
         ({"params": {"c": math.inf}}, "c must be finite"),
         ({"params": {"r": math.inf}}, "r must be finite"),

@@ -326,6 +326,36 @@ class TestPolylogPrefixRule:
         assert Zipf(alpha).referral_expectation(p_info) == full_block_referral(alpha, p_info)
 
 
+class TestLaterBlockCache:
+    """A Zipf law keeps k^alpha of every later block it has summed; no value depends on it."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_order_independent(self, alpha):
+        # Small P fills many blocks that larger P then reads, and the reverse.
+        grid = np.geomspace(1e-6, 0.5, 16)
+        np.random.default_rng(7).shuffle(grid)
+        law = Zipf(alpha)
+        for p_info in map(float, grid):
+            got = law.referral_expectation(p_info)
+            assert got == full_block_referral(alpha, p_info)
+            assert got == Zipf(alpha).referral_expectation(p_info)
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_blocks_are_k_to_the_alpha_and_bounded(self, alpha):
+        law = Zipf(alpha)
+        law.referral_expectation(1e-8)  # at or near the 10^6-term cap
+        blocks = law._later_blocks
+        assert 0 < len(blocks) <= 244
+        for i, block in enumerate(blocks):
+            k0 = 1 + (i + 1) * 4096
+            k = np.arange(k0, min(k0 + 4096, 10**6 + 1), dtype=np.float64)
+            assert np.array_equal(block, np.power(k, float(alpha)))
+        law.referral_expectation(1e-10)
+        assert len(law._later_blocks) <= 244
+        if alpha < 2.1:  # the cap: 243 full blocks and one of 576 terms
+            assert len(blocks) == 244 and len(blocks[-1]) == 576
+
+
 class TestZipfAlphaForMean:
     @pytest.mark.parametrize("target", [1.05, 1.5, 2.0, 5.0, 12.86, 22.47, 30.0])
     def test_round_trip(self, target):

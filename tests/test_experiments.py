@@ -1,8 +1,12 @@
 """Sweep runners, the CSV contract, and the embedded reference checks."""
 
+import gc
+import io
+import sys
+
 import pytest
 
-from refmatch import experiments
+from refmatch import Zipf, cli, experiments
 from refmatch.experiments import (
     CSV_HEADER,
     SCENARIOS,
@@ -63,8 +67,8 @@ class TestScenarioTable:
         assert list(dict.fromkeys(scenarios)) == list(SCENARIOS)
 
     def test_solves_and_alpha_fits_per_runner(self, monkeypatch, baseline_eq):
-        # each grid point is one solve; the common-mean d_f/phi economy is
-        # built once, not once per grid point
+        # each grid point is one solve; the common-mean d_f/phi economy's
+        # Zipf scale parameter is fitted once, not once per grid point
         calls = {"solve": 0, "fit": 0}
         fit = experiments.zipf_alpha_for_mean
 
@@ -81,9 +85,36 @@ class TestScenarioTable:
         for run, solves, fits in ((run_table2, 3, 2), (run_structure_sweeps, 18, 0),
                                   (run_df_sweep, 9, 1), (run_phi_sweep, 22, 1)):
             calls.update(solve=0, fit=0)
-            experiments._common_mean_groups.cache_clear()
+            experiments._common_mean_alpha.cache_clear()
             run()
             assert (calls["solve"], calls["fit"]) == (solves, fits), run.__name__
+
+
+class TestZipfLawLifetime:
+    """A Zipf law keeps the k^alpha blocks it has used, so none may outlive its economy."""
+
+    def test_common_mean_groups_are_new_on_each_call(self):
+        first, second = experiments._common_mean_groups(), experiments._common_mean_groups()
+        assert isinstance(first[1].dist, Zipf)
+        assert first[1].dist is not second[1].dist and first[1].dist == second[1].dist
+
+    def test_no_law_with_blocks_reachable_after_reproduce_all(self, tmp_path):
+        assert cli.main(["reproduce-all", "--outdir", str(tmp_path)], out=io.StringIO()) == 0
+        # Everything the refmatch modules reach without passing through
+        # another module or its globals (a function's __globals__).
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "refmatch"]
+        others = [m for m in sys.modules.values() if m not in modules]
+        seen = {id(m) for m in others} | {id(getattr(m, "__dict__", None)) for m in others}
+        stack, kept = list(modules), []
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Zipf) and obj.__dict__.get("_later_blocks"):
+                kept.append(obj)
+            stack.extend(gc.get_referents(obj))
+        assert kept == []
 
 
 class TestTable2:

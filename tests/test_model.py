@@ -1,12 +1,17 @@
 """Structural equations: closed-form spot values and grid properties."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from refmatch import Degenerate, GroupSpec, ModelParams, Poisson
+from refmatch import Degenerate, GroupSpec, ModelParams, Poisson, calibrate
+from refmatch import calibration
 from refmatch.model import (
+    contact_reach,
     info_probability,
     market_arrival,
     surplus,
@@ -232,6 +237,40 @@ class TestParamsValidation:
             with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
                 ModelParams(d_f=d_f)
 
+    def test_matching_exponent_at_most_one(self, monkeypatch):
+        # 1 - eta is the vacancy elasticity of the Cobb-Douglas matching
+        # function; above 1, (u/v)^(eta-1) overflowed or never converged.
+        assert ModelParams(eta=1.0).eta == 1.0
+        for eta in (1.0000001, 12.0, 2e16):
+            with pytest.raises(ValueError, match="eta must lie in"):
+                ModelParams(eta=eta)
+
+        def no_solve(*args):
+            raise AssertionError("calibrate solved before checking eta")
+
+        monkeypatch.setattr(calibration, "solve_equilibrium", no_solve)
+        with pytest.raises(ValueError, match="eta must lie in"):
+            calibrate(eta=1.0000001)
+
+    def test_rejects_ints_a_float_cannot_hold(self):
+        # Each raised OverflowError, in the finiteness check or in the first
+        # equation that mixed the int with a float.
+        with pytest.raises(ValueError, match="y must be finite"):
+            ModelParams(y=10**400)
+        with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
+            ModelParams(d_f=10**400)
+        with pytest.raises(ValueError, match="k must be an integer >= 0"):
+            Degenerate(10**400)
+        assert ModelParams(d_f=10**308).d_f == 10**308
+
+    def test_vacancy_closure_with_underflowing_rates(self):
+        # r + delta = 5e-324 makes every group's denominator 0.0 (it was a
+        # ZeroDivisionError).
+        params = ModelParams(r=5e-324, delta=0.0)
+        groups = [GroupSpec(size=1.0, dist=Poisson(5.0))]
+        with pytest.raises(ValueError, match="singular vacancy closure"):
+            vacancy_closure(params, groups, [0.05])
+
     @pytest.mark.parametrize("name", ["y", "b", "r", "delta", "eta", "gamma", "beta", "c", "phi"])
     def test_rejects_non_finite_parameters(self, name):
         for value in (math.inf, -math.inf, math.nan):
@@ -243,3 +282,49 @@ class TestParamsValidation:
             GroupSpec(size=math.inf, dist=Poisson(5.0))
         with pytest.raises(ValueError):
             GroupSpec(size=0.0, dist=Poisson(5.0))
+
+
+def _wide(top: float = sys.float_info.max):
+    """Floats over [0, top]: its ends, tiny and huge values, and any float between."""
+    edges = [x for x in (5e-324, 1e-300, 1e-12, 1.0, 2e16, 1e300) if x < top]
+    return st.one_of(st.sampled_from([0.0, *edges, top]), st.floats(0.0, top))
+
+
+# Each field over the widest range of its sign (probabilities up to 1);
+# the boundaries themselves come from the checks in ModelParams.
+_PARAM_FIELDS = {
+    **{name: _wide() for name in ("y", "b", "r", "eta", "gamma", "c")},
+    **{name: _wide(1.0) for name in ("delta", "beta", "phi")},
+    "d_f": st.one_of(st.sampled_from((0, 1, 16, 2**53 + 1, 10**308, 10**400)),
+                     st.integers(0, 10**400)),
+}
+
+
+class TestParamsFuzz:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(fields=st.fixed_dictionaries(_PARAM_FIELDS), name=st.sampled_from(list(_PARAM_FIELDS)),
+           other=st.one_of(st.none(), st.floats(), st.integers()))
+    def test_equations_raise_only_value_error(self, fields, name, other):
+        # ``other``, when drawn, puts any number (negative, non-finite, an
+        # int too large for a float) into one field.  Every accepted vector
+        # goes through each equation at one feasible state (u/v = 1.1, as in
+        # the calibration targets); a vector the equations cannot take must
+        # be refused, and only as ValueError.
+        if other is not None:
+            fields = {**fields, name: other}
+        try:
+            params = ModelParams(**fields)
+        except ValueError:
+            return
+        u, v, u_i = 0.044, 0.04, 0.05
+        groups = (GroupSpec(size=1e6, dist=Poisson(22.47)), GroupSpec(size=2e6, dist=Degenerate(16)))
+        try:
+            p_i = market_arrival(params, u, v)
+            contact_reach(params.phi, params.d_f, u, v)
+            info_probability(params, u_i, u, v)
+            s_i = surplus(params, p_i)
+            w_i = wage(params, s_i)
+            value_functions(params, w_i, p_i)
+            vacancy_closure(params, groups, (u_i, 0.04))
+        except ValueError:
+            pass

@@ -2,8 +2,11 @@
 
 Loads src/refmatch/degree.py from this checkout and from CHECKOUT and
 evaluates referral_expectation for Poisson, regular and Zipf laws on a
-fixed grid of information probabilities P from 5e-324 to 1.  Prints,
-per law, how many values differ and the largest relative difference.
+fixed grid of information probabilities P from 5e-324 to 1, ascending
+and then descending on the same law, so that what a law keeps from
+small P (a Zipf law's k^a blocks) is read again at large P.  Prints,
+per law, how many values differ and the largest relative difference,
+and exits 1 if any value differs.
 Usage: python tools/kernel_diff.py CHECKOUT
 """
 
@@ -40,9 +43,13 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     ours = load_degree(Path(__file__).resolve().parents[1], "degree_here")
     theirs = load_degree(Path(sys.argv[1]), "degree_there")
-    print(f"{len(GRID)} values of P per law")
+    print(f"{len(GRID)} values of P per law, ascending then descending")
+    differing = 0
     for family, param in FAMILIES:
         a, b = getattr(ours, family)(param), getattr(theirs, family)(param)
-        diffs = [rel_diff(a.referral_expectation(p), b.referral_expectation(p)) for p in GRID]
+        diffs = [rel_diff(a.referral_expectation(p), b.referral_expectation(p))
+                 for p in GRID + GRID[::-1]]
+        differing += sum(d > 0 for d in diffs)
         label = f"{family}({param})"
         print(f"{label:<22} differ {sum(d > 0 for d in diffs):>4}   max rel diff {max(diffs):.3e}")
+    sys.exit(1 if differing else 0)
