@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .degree import Poisson, as_count
+from .degree import Poisson, as_count, is_finite
 from .model import GroupSpec, ModelParams, contact_reach
 from .solver import ConvergenceError, solve_equilibrium
 
@@ -52,14 +52,21 @@ class CalibrationTargets:
     def __post_init__(self):
         if not 0.0 < self.u_target < 1.0:
             raise ValueError(f"unemployment target must lie in (0, 1), got {self.u_target}")
-        if not self.market_tightness_inverse > 0.0:
-            raise ValueError(f"u/v target must be positive, got {self.market_tightness_inverse}")
-        if not self.wage_target > 0.0:
-            raise ValueError(f"wage target must be positive, got {self.wage_target}")
+        # is_finite: an int too large for a float passes the comparison alone.
+        if not (self.market_tightness_inverse > 0.0 and is_finite(self.market_tightness_inverse)):
+            raise ValueError(
+                f"u/v target market_tightness_inverse must be positive and finite, "
+                f"got {self.market_tightness_inverse}"
+            )
+        if not (self.wage_target > 0.0 and is_finite(self.wage_target)):
+            raise ValueError(f"wage_target must be positive and finite, got {self.wage_target}")
         if not 0.0 <= self.referral_share <= 1.0:
             raise ValueError(f"referral share must lie in [0, 1], got {self.referral_share}")
-        if not self.baseline_mean_degree > 0.0:
-            raise ValueError(f"mean degree must be positive, got {self.baseline_mean_degree}")
+        if not (self.baseline_mean_degree > 0.0 and is_finite(self.baseline_mean_degree)):
+            raise ValueError(
+                f"baseline_mean_degree must be positive and finite (it is the Poisson mean "
+                f"of the baseline groups), got {self.baseline_mean_degree}"
+            )
         object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
 
 

@@ -18,7 +18,12 @@ once and keeps every 4,096-term block of k^a that its polylog series has
 used, for as long as the law lives: the first block with its k, later
 blocks as the series first reaches them, at most 244 of them (7.6 MiB)
 at the 10^6-term cap.  Every kept block is np.power(k, a) of the same k,
-so results do not depend on which values of P the law saw first.
+so results do not depend on which values of P the law saw first.  Each
+law also keeps the values it has returned, keyed by x = 1 - P, up to
+4,096 of them (then it empties that store and starts again): a solver
+bracket whose ends differ by ulps in u often asks for a P whose 1 - P
+the law has already summed.  A value is a function of (a, x) alone, so
+a kept one is the float the series would give again.
 Each 4,096-term block of the series is summed over the shortest
 power-of-two prefix whose remainder provably cannot change numpy's
 pairwise sum of the block, so the result is bit-identical to the
@@ -32,7 +37,9 @@ P = 1e-8 for a = 2.028, and 414 at P = 1e-10 for a = 2.001.  ROADMAP
 item 3 (an exact series kernel) removes that range.
 
 :func:`as_count` is the package's one check of a non-negative integer
-count (a regular degree, a job-network degree).
+count (a regular degree, a job-network degree), and :func:`is_finite`
+its one test that a number is finite (an int too large for a float is
+not).
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ __all__ = [
     "Degenerate",
     "Zipf",
     "as_count",
+    "is_finite",
     "zeta",
     "polylog",
     "zipf_alpha_for_mean",
@@ -69,6 +77,8 @@ _POLYLOG_BLOCK = 4096
 # share of a block's first term its dropped remainder must stay below.
 _PAIRWISE_LEAF = 128
 _UNIT_ROUNDOFF = 2.0**-53
+# Values of 1 - Li_a(x) / zeta(a) a Zipf law keeps before it empties its store.
+_MEMO_ENTRIES = 4096
 
 
 def as_count(value, name: str) -> int:
@@ -83,6 +93,14 @@ def as_count(value, name: str) -> int:
     return count
 
 
+def is_finite(value) -> bool:
+    """math.isfinite(value), but False for an int too large for a float instead of OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def zeta(s: float) -> float:
     """Riemann zeta for real s > 1.
 
@@ -93,6 +111,10 @@ def zeta(s: float) -> float:
     s = float(s)
     if not s > 1.0:
         raise ValueError(f"zeta requires s > 1, got {s}")
+    if s > 64.0:
+        # Every term after the first is below 2^-64, so zeta(s) rounds to 1;
+        # the tail below would be inf * 0 = nan once s^3 overflows.
+        return 1.0
     n = np.arange(1, _ZETA_SERIES_TERMS, dtype=np.float64)
     head = float(np.sum(n ** (-s)))
     big_n = float(_ZETA_SERIES_TERMS)
@@ -121,7 +143,13 @@ def polylog(alpha: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
-    return _polylog_blocks(alpha, x, k, np.power(k, alpha), [])
+    return _polylog_blocks(alpha, x, k, _powers(k, alpha), [])
+
+
+def _powers(k: np.ndarray, alpha: float) -> np.ndarray:
+    """np.power(k, alpha); a power past the float range is inf, and its term x^k / inf is 0."""
+    with np.errstate(over="ignore"):
+        return np.power(k, alpha)
 
 
 def _polylog_blocks(
@@ -142,13 +170,20 @@ def _polylog_blocks(
             return total
         k = np.arange(k0, min(k0 + _POLYLOG_BLOCK, _POLYLOG_MAX_TERMS + 1), dtype=np.float64)
         if i == len(later):
-            later.append(np.power(k, alpha))
+            later.append(_powers(k, alpha))
         k_alpha = later[i]
 
 
 def _series_tail(alpha: float, x: float, big_k: int) -> float:
-    """Geometric bound x^K / ((1-x) K^alpha) on sum_{k>=K} x^k / k^alpha."""
-    return x**big_k / ((1.0 - x) * big_k**alpha)
+    """Geometric bound x^K / ((1-x) K^alpha) on sum_{k>=K} x^k / k^alpha.
+
+    0.0 where K^alpha passes the float range: the bound is then below
+    1e-292 x^K, which no stop or prefix test of a series can tell from 0.
+    """
+    try:
+        return x**big_k / ((1.0 - x) * big_k**alpha)
+    except OverflowError:
+        return 0.0
 
 
 def _block_sum(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> float:
@@ -220,7 +255,7 @@ class Poisson(DegreeDistribution):
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.lam < math.inf:
+        if not (self.lam > 0.0 and is_finite(self.lam)):
             raise ValueError(f"Poisson mean degree must be positive and finite, got {self.lam}")
 
     def mean(self) -> float:
@@ -276,7 +311,7 @@ class Zipf(DegreeDistribution):
     alpha: float
 
     def __post_init__(self):
-        if not 2.0 < self.alpha < math.inf:
+        if not (self.alpha > 2.0 and is_finite(self.alpha)):
             raise ValueError(f"Zipf scale parameter must be finite and exceed 2, got {self.alpha}")
 
     @cached_property
@@ -286,12 +321,17 @@ class Zipf(DegreeDistribution):
     @cached_property
     def _first_block(self) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
-        return k, np.power(k, float(self.alpha))
+        return k, _powers(k, float(self.alpha))
 
     @cached_property
     def _later_blocks(self) -> list[np.ndarray]:
         # k^alpha over blocks 2, 3, ...; _polylog_blocks appends to it.
         return []
+
+    @cached_property
+    def _reach_memo(self) -> dict[float, float]:
+        # x = 1 - P -> 1 - Li_a(x) / zeta(a); _reach empties it when full.
+        return {}
 
     def mean(self) -> float:
         return zeta(self.alpha - 1.0) / self._zeta
@@ -301,12 +341,18 @@ class Zipf(DegreeDistribution):
         x = 1.0 - p_info
         if x == 1.0 or x == 0.0:
             return float(x == 0.0)
-        series = _polylog_blocks(float(self.alpha), x, *self._first_block, self._later_blocks)
-        return 1.0 - series / self._zeta
+        memo = self._reach_memo
+        reach = memo.get(x)
+        if reach is None:
+            if len(memo) >= _MEMO_ENTRIES:
+                memo.clear()
+            series = _polylog_blocks(float(self.alpha), x, *self._first_block, self._later_blocks)
+            reach = memo[x] = 1.0 - series / self._zeta
+        return reach
 
     def pmf(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.where(k >= 1, 1.0 / (self._zeta * np.power(k, self.alpha)), 0.0)
         return out
 

@@ -21,11 +21,10 @@ pins the vacancy rate through ``vacancy_closure``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
-from .degree import DegreeDistribution, as_count
+from .degree import DegreeDistribution, as_count, is_finite
 
 __all__ = [
     "ModelParams",
@@ -69,11 +68,7 @@ class ModelParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            try:
-                finite = f.type != "float" or math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
+            if f.type == "float" and not is_finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if not self.y > self.b > 0.0:
             raise ValueError(f"need y > b > 0, got y={self.y}, b={self.b}")
@@ -103,7 +98,7 @@ class GroupSpec:
     dist: DegreeDistribution
 
     def __post_init__(self):
-        if not 0.0 < self.size < math.inf:
+        if not (self.size > 0.0 and is_finite(self.size)):
             raise ValueError(f"group size must be positive and finite, got {self.size}")
 
 
@@ -215,6 +210,7 @@ def vacancy_closure(
     for g, u_i in zip(groups, u_vec):
         if not 0.0 < u_i < 1.0:
             raise ValueError(f"unemployment rates must lie in (0, 1), got {u_i}")
+        u_i = float(u_i)  # a numpy scalar would divide by 0 to nan with a warning, not raise
         share = g.size / total
         try:
             acc += (

@@ -183,11 +183,13 @@ def _solve_group_u(
     if delta == 0.0:
         return _U_EPS  # no destruction, no unemployment
 
+    referral = group.dist.referral_expectation
+
     def g(u_i: float) -> float:
-        p_r = group.dist.referral_expectation(phi_bracket * (1.0 - u_i))
+        p_r = referral(phi_bracket * (1.0 - u_i))
         return u_i * (p_m + p_r) - delta * (1.0 - u_i)
 
-    p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
+    p_r_max = referral(min(1.0, phi_bracket))
     lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
     hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
     if p_r_max == 0.0:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refmatch import (
     CalibrationError,
@@ -118,6 +120,41 @@ class TestInfeasibility:
             CalibrationTargets(referral_share=1.5)
         with pytest.raises(ValueError):
             CalibrationTargets(baseline_mean_degree=0.0)
+        # An int too large for a float passed the comparisons (OverflowError in calibrate).
+        for name in ("market_tightness_inverse", "wage_target", "baseline_mean_degree"):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                calibrate(CalibrationTargets(**{name: 10**400}))
         for d_f in (-1, 2.5, float("inf")):
             with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
                 CalibrationTargets(d_f=d_f)
+
+
+# Each target field: its published value and edges, or any float or int
+# (negative, non-finite, too large for a float).
+_ANY = st.one_of(st.floats(), st.integers(-10, 10**400))
+_TARGET_FIELDS = {
+    "u_target": st.one_of(st.sampled_from([0.044, 5e-324, 0.5, 1.0 - 2**-53]), _ANY),
+    "market_tightness_inverse": st.one_of(st.sampled_from([1.1, 5e-324, 1e300, 10**400]), _ANY),
+    "wage_target": st.one_of(st.sampled_from([0.6, 0.4000001, 0.9999999, 10**400]), _ANY),
+    "referral_share": st.one_of(st.sampled_from([0.5, 0.0, 1.0]), _ANY),
+    "baseline_mean_degree": st.one_of(st.sampled_from([22.47, 5e-324, 1e300, 10**400]), _ANY),
+    "d_f": st.one_of(st.sampled_from([16, 0, 1, 10**308, 10**400]), _ANY),
+}
+
+
+# Up to three fields drawn, the others at their published values.
+_TARGETS = st.lists(st.sampled_from(list(_TARGET_FIELDS)), max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: _TARGET_FIELDS[name] for name in names})
+)
+
+
+class TestTargetsFuzz:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(fields=_TARGETS)
+    def test_only_value_errors(self, fields):
+        # Targets are refused at construction or calibrate, as ValueError
+        # (CalibrationError is one), or calibrate returns parameters.
+        try:
+            calibrate(CalibrationTargets(**fields))
+        except ValueError:
+            pass

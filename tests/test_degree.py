@@ -9,6 +9,8 @@ mpmath.
 
 import dataclasses
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -50,7 +52,8 @@ class TestZeta:
         assert zeta(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-12)
 
     @pytest.mark.parametrize(
-        "s", [1.0005, 1.028, 1.3, 1.5, 2.0, 2.028, 2.3, 3.0, 4.0, 5.0, 10.0, 20.0, 40.0]
+        "s", [1.0005, 1.028, 1.3, 1.5, 2.0, 2.028, 2.3, 3.0, 4.0, 5.0, 10.0, 20.0, 40.0,
+              64.0, 65.0, 1e103, 1e300]  # nan at 1e103 and up while s^3 overflowed
     )
     def test_against_scipy(self, s):
         assert zeta(s) == pytest.approx(float(scipy_zeta(s)), rel=1e-10)
@@ -109,6 +112,11 @@ class TestConstruction:
             Poisson(math.inf)
         with pytest.raises(ValueError, match="finite"):
             Zipf(math.inf)
+        # An int too large for a float passed the comparisons (OverflowError in the kernel).
+        with pytest.raises(ValueError, match="Poisson mean degree must be positive and finite"):
+            Poisson(10**400)
+        with pytest.raises(ValueError, match="Zipf scale parameter must be finite"):
+            Zipf(10**400)
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan"), 2.5, -1, "3", None])
     def test_count_rule(self, value):
@@ -354,6 +362,80 @@ class TestLaterBlockCache:
         assert len(law._later_blocks) <= 244
         if alpha < 2.1:  # the cap: 243 full blocks and one of 576 terms
             assert len(blocks) == 244 and len(blocks[-1]) == 576
+
+
+class TestReachMemo:
+    """A Zipf law keeps the values it returned, keyed by x = 1 - P; no value depends on it."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_repeats_equal_the_series(self, alpha):
+        grid = np.geomspace(1e-6, 0.5, 16)
+        np.random.default_rng(11).shuffle(grid)
+        expected = {p_info: full_block_referral(alpha, p_info) for p_info in map(float, grid)}
+        assert all(Zipf(alpha).referral_expectation(p) == v for p, v in expected.items())
+        law = Zipf(alpha)
+        for _ in range(3):  # the first pass fills the memo, the others read it
+            for p_info, value in expected.items():
+                assert law.referral_expectation(p_info) == value
+        assert sorted(law._reach_memo) == sorted(1.0 - grid)
+
+    def test_same_x_shares_one_entry(self):
+        law = Zipf(2.3)
+        p_a = 1e-3
+        p_b = float(np.nextafter(p_a, 1.0))
+        assert p_a != p_b and 1.0 - p_a == 1.0 - p_b
+        value = law.referral_expectation(p_a)
+        assert law.referral_expectation(p_b) == value == full_block_referral(2.3, p_b)
+        assert law._reach_memo == {1.0 - p_a: value}
+
+    def test_ends_of_the_range_are_not_kept(self):
+        law = Zipf(2.3)
+        assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
+        assert law._reach_memo == {}
+
+    def test_bounded(self):
+        law = Zipf(3)
+        grid = np.linspace(0.3, 0.5, 4100)
+        for i, p_info in enumerate(map(float, grid)):
+            law.referral_expectation(p_info)
+            assert len(law._reach_memo) == i % 4096 + 1  # emptied when full
+        assert law.referral_expectation(float(grid[-1])) == Zipf(3).referral_expectation(
+            float(grid[-1])
+        )
+
+
+# Degree parameters a law may be given: near and at its lower bound, huge
+# floats and ints, ints too large for a float, and anything else.
+_HUGE = (1e300, sys.float_info.max, 2**1023, 10**308, 10**400)
+_LAW_PARAMS = {
+    Poisson: st.one_of(st.sampled_from([5e-324, 1e-300, 1.0, 22.47, *_HUGE]), st.floats(),
+                       st.integers(-10, 10**400)),
+    Degenerate: st.one_of(st.sampled_from([0, 1, 16, 2.5, *_HUGE]), st.floats(),
+                          st.integers(-10, 10**400)),
+    Zipf: st.one_of(st.sampled_from([2.0, float(np.nextafter(2.0, 3.0)), 2.001, 2.028, 64.0,
+                                     85.0, 100.0, *_HUGE]),
+                    st.floats(), st.floats(2.0, 2.1), st.integers(-10, 10**400)),
+}
+
+
+class TestLawFuzz:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(data=st.data(), law=st.sampled_from(list(_LAW_PARAMS)))
+    def test_accepted_laws_give_probabilities(self, data, law):
+        # A law either refuses its parameter with ValueError or returns a
+        # probability at every P and every degree, with no warning.
+        param = data.draw(_LAW_PARAMS[law])
+        try:
+            dist = law(param)
+        except ValueError:
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p_info in (0.0, 5e-324, 1e-3, 0.5, 1.0):
+                value = dist.referral_expectation(p_info)
+                assert math.isfinite(value) and 0.0 <= value <= 1.0, (dist, p_info, value)
+            pmf = dist.pmf(np.arange(4097))  # Zipf's k^alpha overflows from alpha ~ 85
+            assert np.all((pmf >= 0.0) & (pmf <= 1.0)), dist
 
 
 class TestZipfAlphaForMean:

@@ -261,15 +261,22 @@ class TestParamsValidation:
             ModelParams(d_f=10**400)
         with pytest.raises(ValueError, match="k must be an integer >= 0"):
             Degenerate(10**400)
+        with pytest.raises(ValueError, match="group size must be positive and finite"):
+            GroupSpec(size=10**400, dist=Poisson(1.0))  # was accepted
         assert ModelParams(d_f=10**308).d_f == 10**308
 
+    @pytest.mark.filterwarnings("error")
     def test_vacancy_closure_with_underflowing_rates(self):
         # r + delta = 5e-324 makes every group's denominator 0.0 (it was a
-        # ZeroDivisionError).
+        # ZeroDivisionError).  Numpy rates divided by it to nan with a
+        # RuntimeWarning instead of raising.
         params = ModelParams(r=5e-324, delta=0.0)
         groups = [GroupSpec(size=1.0, dist=Poisson(5.0))]
         with pytest.raises(ValueError, match="singular vacancy closure"):
             vacancy_closure(params, groups, [0.05])
+        for u_vec in ([0.3, 0.4], (0.3, 0.4), np.array([0.3, 0.4]), [np.float64(0.3), 0.4]):
+            with pytest.raises(ValueError, match="singular vacancy closure"):
+                vacancy_closure(params, groups * 2, u_vec)
 
     @pytest.mark.parametrize("name", ["y", "b", "r", "delta", "eta", "gamma", "beta", "c", "phi"])
     def test_rejects_non_finite_parameters(self, name):

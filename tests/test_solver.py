@@ -176,6 +176,14 @@ class TestSolverControls:
         assert err.value.residual > 0.0
         assert err.value.u_vec.shape == (1,)
 
+    @pytest.mark.filterwarnings("error")
+    def test_singular_vacancy_closure(self):
+        # The solver's numpy rates turned the closure's 0 denominator into
+        # two RuntimeWarnings and v = nan, reported as a market-arrival error.
+        params = ModelParams(r=5e-324, delta=0.0)
+        with pytest.raises(ValueError, match="singular vacancy closure"):
+            solve_equilibrium(params, (GroupSpec(1.0, Poisson(1.0)),) * 2)
+
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
             solve_equilibrium(PUBLISHED, [])
