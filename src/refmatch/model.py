@@ -206,23 +206,16 @@ def vacancy_closure(
     if len(groups) != len(u_vec):
         raise ValueError(f"{len(groups)} groups but {len(u_vec)} unemployment rates")
     total = sum(g.size for g in groups)
+    r_delta, beta_delta = params.r + params.delta, params.beta * params.delta
     acc = 0.0
     for g, u_i in zip(groups, u_vec):
         if not 0.0 < u_i < 1.0:
             raise ValueError(f"unemployment rates must lie in (0, 1), got {u_i}")
         u_i = float(u_i)  # a numpy scalar would divide by 0 to nan with a warning, not raise
-        share = g.size / total
         try:
-            acc += (
-                u_i
-                * (1.0 - u_i)
-                * share
-                / (u_i * (params.r + params.delta) + params.beta * params.delta * (1.0 - u_i))
-            )
+            acc += u_i * (1.0 - u_i) * (g.size / total) / (u_i * r_delta + beta_delta * (1.0 - u_i))
         except ZeroDivisionError:  # positive, but r + delta is so small that it underflowed
-            raise ValueError(
-                f"singular vacancy closure: r + delta = {params.r + params.delta}"
-            ) from None
+            raise ValueError(f"singular vacancy closure: r + delta = {r_delta}") from None
     return float((params.y - params.b) * (1.0 - params.beta) * params.delta / params.c * acc)
 
 

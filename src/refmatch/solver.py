@@ -4,9 +4,11 @@ The equilibrium is a pair (u_1..u_I, v) satisfying, simultaneously,
 group-level flow balance u_i p_i = delta (1 - u_i) and the free-entry
 vacancy closure.  The solver runs a damped outer fixed-point iteration
 whose every step
-  1. re-solves each group's scalar flow-balance equation with the market
-     rate p_m and the contact reach frozen (a Jacobi sweep, so group
-     order cannot matter) and damps the update;
+  1. solves the scalar flow-balance equation once per distinct degree law
+     with the market rate p_m and the contact reach frozen (a Jacobi
+     sweep, so group order cannot matter); the equation does not involve
+     a group's size, so every group on the law takes that root, and each
+     group's update is damped;
   2. closes v at the new unemployment vector;
   3. evaluates the economy once at (u_i, v) (``_evaluate``): aggregate u,
      p_m, the contact reach, each group's P_i and referral rate, and the
@@ -16,6 +18,11 @@ next sweep freezes; the last one holds the equilibrium's rates, so
 assembling it evaluates nothing again.  A group's per-contact
 information probability has one formula, contact reach times (1 - u_i)
 (``info_probability``), which a sweep forms from its frozen reach.
+The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
+and free entry holds to 1e4 times that.  An iterate that repeats bit for
+bit before then would repeat forever, so the solver raises at once; this
+ends the no-market corner, where every u_i sits at the 1 - 1e-9 clip, in
+tens of steps.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
@@ -31,7 +38,7 @@ and the restart count.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,36 +141,6 @@ def flow_residual(
     return _evaluate(params, groups, np.asarray(u_vec, dtype=np.float64), v).R
 
 
-def _illinois(g: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float) -> float:
-    """Root of g on [lo, hi] given a sign change; Illinois-damped regula falsi.
-
-    Stops at a zero of g, at hi - lo < 4e-18 + 1e-16 hi, or once no double
-    lies strictly inside [lo, hi]; 200 evaluations are a safety cap.
-    """
-    side = 0
-    for _ in range(200):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        # Guard against stagnation at an endpoint.
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        fx = g(x)
-        if fx == 0.0 or hi - lo < 1e-17:
-            return x
-        if (fx > 0.0) == (f_hi > 0.0):
-            hi, f_hi = x, fx
-            if side == 1:
-                f_lo *= 0.5
-            side = 1
-        else:
-            lo, f_lo = x, fx
-            if side == -1:
-                f_hi *= 0.5
-            side = -1
-        if hi - lo < 4e-18 + 1e-16 * hi or not lo < 0.5 * (lo + hi) < hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _solve_group_u(
     params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float
 ) -> float:
@@ -184,43 +161,95 @@ def _solve_group_u(
         return _U_EPS  # no destruction, no unemployment
 
     referral = group.dist.referral_expectation
-
-    def g(u_i: float) -> float:
-        p_r = referral(phi_bracket * (1.0 - u_i))
-        return u_i * (p_m + p_r) - delta * (1.0 - u_i)
-
     p_r_max = referral(min(1.0, phi_bracket))
     lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
     hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
     if p_r_max == 0.0:
         return hi  # market-only group: the flow equation is linear
-    f_lo, f_hi = g(lo), g(hi)
+    f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
+    f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
     if f_lo >= 0.0:
         return lo
     if f_hi <= 0.0:
         return hi
-    return _illinois(g, lo, hi, f_lo, f_hi)
+    # Illinois-damped regula falsi on the sign change: stops at a zero, at
+    # hi - lo < 4e-18 + 1e-16 hi, or once no double lies strictly inside
+    # [lo, hi]; 200 evaluations are a safety cap.
+    side = 0
+    for _ in range(200):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        # Guard against stagnation at an endpoint.
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = x * (p_m + referral(phi_bracket * (1.0 - x))) - delta * (1.0 - x)
+        if fx == 0.0 or hi - lo < 1e-17:
+            return x
+        if (fx > 0.0) == (f_hi > 0.0):
+            hi, f_hi = x, fx
+            if side == 1:
+                f_lo *= 0.5
+            side = 1
+        else:
+            lo, f_lo = x, fx
+            if side == -1:
+                f_hi *= 0.5
+            side = -1
+        if hi - lo < 4e-18 + 1e-16 * hi or not lo < 0.5 * (lo + hi) < hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[GroupSpec], list[int]]:
+    """The first group on each distinct degree law, and each group's index into them.
+
+    Groups on equal laws solve the same scalar equation in a sweep, since
+    it does not involve the group's size.  A law whose type cannot be
+    hashed is keyed by identity.
+    """
+    slots: dict = {}
+    where = [slots.setdefault(g.dist if type(g.dist).__hash__ else id(g.dist), len(slots))
+             for g in groups]
+    return [groups[where.index(j)] for j in range(len(slots))], where
 
 
 def _iterate(
     params: ModelParams, groups: Sequence[GroupSpec], config: SolverConfig
-) -> tuple[np.ndarray, float, float, int, _Point]:
-    """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, last point)."""
+) -> tuple[np.ndarray, float, float, int, Equilibrium]:
+    """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, equilibrium)."""
     u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
+    firsts, where = _law_slots(groups)
     damping = _DAMPING
     prev_residual = np.inf
     worse_streak = 0
     _, p_m, reach = _aggregates(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
 
     for it in range(1, _MAX_OUTER_ITERS + 1):
-        target = np.array([_solve_group_u(params, g, p_m, reach) for g in groups])
-        u_vec = (1.0 - damping) * u_vec + damping * target
-        u_vec = np.clip(u_vec, _U_EPS, 1.0 - _U_EPS)
+        roots = [_solve_group_u(params, g, p_m, reach) for g in firsts]
+        target = np.array([roots[j] for j in where])
+        previous = u_vec
+        u_vec = np.clip((1.0 - damping) * u_vec + damping * target, _U_EPS, 1.0 - _U_EPS)
 
         point = _evaluate(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
         residual = float(np.max(np.abs(point.R)))
         if residual < _RESIDUAL_TOL:
-            return u_vec, point.v, residual, it, point
+            eq = _assemble(params, groups, point, residual, it)
+            # Free entry weighs each flow residual by about 1/v, so where v is
+            # tiny flow balance alone leaves r V far from 0: go on until it is
+            # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
+            if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
+                return u_vec, point.v, residual, it, eq
+        if np.array_equal(u_vec, previous):
+            # The same iterate gives the same point, residual and damping,
+            # so every later step repeats this one.
+            gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
+                   else f"r V = {eq.V * params.r:.3e}")
+            corner = bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
+            raise ConvergenceError(
+                f"outer iterate repeats at step {it} ({gap})"
+                + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
+                   " whose employment lies below what a double near 1 resolves" if corner else ""),
+                u_vec, point.v, residual, it,
+            )
         p_m, reach = point.p_m, point.reach
 
         # The u -> v -> u loop can overshoot at high phi; back off the
@@ -278,13 +307,12 @@ def solve_equilibrium(
     """Find the steady state reached from the configured initial point.
 
     Raises :class:`ConvergenceError` when the outer iteration does not
-    bring every group's flow residual below ``_RESIDUAL_TOL``.
+    bring every group's flow residual below ``_RESIDUAL_TOL`` and r V
+    within 1e4 times it.
     """
     if len(groups) == 0:
         raise ValueError("need at least one worker group")
-    config = config or SolverConfig()
-    *_, residual, iters, point = _iterate(params, groups, config)
-    return _assemble(params, groups, point, residual, iters)
+    return _iterate(params, groups, config or SolverConfig())[4]
 
 
 def solve_all(

@@ -1,9 +1,11 @@
 """Equilibrium solver: reductions, invariants, and error paths."""
 
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refmatch import solver
 from refmatch import (
@@ -351,3 +353,145 @@ class TestOneEvaluationPerStep:
                 if f.name not in ("params", "groups", "iterations"):
                     assert type(getattr(obj, f.name)) is float, f.name
         assert "np.float64(" not in repr(eq)
+
+
+@dataclass
+class ListedPoisson(DegreeDistribution):
+    """A Poisson law as a plain dataclass: equal by value, but unhashable."""
+
+    lam: float
+
+    def referral_expectation(self, p_info: float) -> float:
+        return Poisson(self.lam).referral_expectation(p_info)
+
+
+def count_group_solves(monkeypatch) -> list:
+    """Record the degree law of every _solve_group_u call."""
+    laws = []
+    solve_group_u = solver._solve_group_u
+
+    def counting(params, group, p_m, reach):
+        laws.append(group.dist)
+        return solve_group_u(params, group, p_m, reach)
+
+    monkeypatch.setattr(solver, "_solve_group_u", counting)
+    return laws
+
+
+class TestDistinctLaws:
+    # Twelve groups on eight distinct laws: Poisson(22.47) three times,
+    # Degenerate(16) and Poisson(8.5) twice each.
+    LAWS = (Poisson(22.47), Degenerate(16), Poisson(22.47), Poisson(5.0), Degenerate(30),
+            Poisson(8.5), Degenerate(16), Poisson(40.0), Poisson(22.47), Degenerate(3),
+            Poisson(8.5), Poisson(12.0))
+    SIZES = (1e6, 3.5e5, 2e6, 7.5e5, 1.2e6, 4e5, 9e5, 2.5e5, 6e5, 1.5e6, 8e5, 5e5)
+
+    def groups(self, laws=LAWS):
+        return [GroupSpec(s, d) for s, d in zip(self.SIZES, laws)]
+
+    def test_many_groups_unchanged(self):
+        # Values computed when every group solved its own scalar equation.
+        eq = solve_equilibrium(PUBLISHED, self.groups())
+        assert eq.iterations == 38
+        assert group_u(eq).tolist() == [
+            0.04438095742771314, 0.05018455101071233, 0.04438095742771314, 0.06982581934315635,
+            0.039500599637763936, 0.06167063597528391, 0.05018455101071233, 0.03557921990030942,
+            0.04438095742771314, 0.07574263902162733, 0.06167063597528391, 0.055614665866866,
+        ]
+        assert eq.v == 0.04147021802448763
+
+    def test_one_group_solve_per_distinct_law(self, monkeypatch):
+        laws = count_group_solves(monkeypatch)
+        eq = solve_equilibrium(PUBLISHED, self.groups())
+        assert len(laws) == 8 * eq.iterations
+        assert laws[:8] == list(dict.fromkeys(self.LAWS))
+
+    def test_unhashable_law_is_keyed_by_identity(self, monkeypatch):
+        listed = ListedPoisson(22.47)
+        with pytest.raises(TypeError):
+            hash(listed)
+        laws = count_group_solves(monkeypatch)
+        # Groups 0 and 2 share one object; the equal copy in group 1 is solved apart.
+        eq = solve_equilibrium(PUBLISHED, self.groups(
+            (listed, ListedPoisson(22.47), listed, Poisson(5.0))))
+        assert len(laws) == 3 * eq.iterations
+        same = solve_equilibrium(PUBLISHED, self.groups(
+            (Poisson(22.47), Poisson(22.47), Poisson(22.47), Poisson(5.0))))
+        assert group_u(eq).tolist() == group_u(same).tolist()
+        assert eq.v == same.v
+
+
+class TestRepeatedIterate:
+    # At phi = 0 and eta = 0.05 the steady state's employment is far below
+    # the spacing of doubles near 1, so every u_i ends at the clip.
+    CORNER = ModelParams(eta=0.05, gamma=0.01, phi=0.0)
+
+    @pytest.mark.parametrize("laws", [(Poisson(22.47),),
+                                      (Poisson(22.47), Zipf(2.3), Degenerate(7))])
+    def test_corner_raises_at_once(self, laws):
+        groups = [GroupSpec(size, d) for size, d in zip((1.0, 2.0, 0.5), laws)]
+        with pytest.raises(ConvergenceError, match="no-market corner") as err:
+            solve_equilibrium(self.CORNER, groups)
+        assert err.value.iterations < 100
+        assert err.value.residual >= solver._RESIDUAL_TOL
+        assert np.all(1.0 - err.value.u_vec < 2e-9)
+        assert err.value.v > 0.0
+
+
+class TestFreeEntryStop:
+    # Near the no-market corner v is tiny and free entry weighs each flow
+    # residual by about 1/v: flow balance below 1e-12 alone stopped these
+    # solves with r V = -1.3e-7 (at 135 steps) and -3.0e-3 (at 120).
+    def test_iterates_on_until_free_entry_holds(self):
+        params = ModelParams(b=0.5, r=0.125, delta=0.5, eta=0.25, gamma=0.0625, beta=0.0,
+                             c=1.0, phi=0.0, d_f=0)
+        eq = solve_equilibrium(params, (GroupSpec(1.0, Poisson(1.0)),) * 2)
+        assert eq.iterations == 155
+        assert eq.residual < 1e-12
+        assert abs(eq.V * params.r) < 1e-8
+
+    def test_raises_where_doubles_cannot_reach_free_entry(self):
+        params = ModelParams(b=0.02, r=0.014, delta=0.53, eta=0.18, gamma=2.31, beta=0.93,
+                             c=21.6, phi=0.0, d_f=0)
+        with pytest.raises(ConvergenceError, match=r"repeats at step 219 \(r V = -2.289e-07\)$"):
+            solve_equilibrium(params, [GroupSpec(1.0, Poisson(1.0))])
+
+
+_LAWS = st.one_of(st.floats(0.5, 50.0).map(Poisson), st.integers(0, 50).map(Degenerate))
+
+
+@st.composite
+def _economies(draw):
+    """ROADMAP item 10's parameter box; 2-6 Poisson/regular groups, one law repeated."""
+    unit = st.floats(0.0, 1.0)
+    params = ModelParams(
+        delta=draw(st.floats(0.001, 0.9)), eta=draw(st.floats(0.01, 1.0)),
+        gamma=draw(st.floats(0.01, 3.0)), beta=draw(st.floats(0.0, 0.99)),
+        c=draw(st.floats(0.1, 40.0)), b=draw(st.floats(0.01, 0.95)),
+        r=draw(st.floats(0.001, 0.2)),
+        phi=draw(st.one_of(st.just(0.0), unit, st.just(1.0))),
+        d_f=draw(st.sampled_from((0, 1, 4, 16, 50))),
+    )
+    laws = draw(st.lists(_LAWS, min_size=1, max_size=5))
+    laws.append(replace(draw(st.sampled_from(laws))))  # equal, not the same object
+    order = draw(st.permutations(range(len(laws))))
+    sizes = draw(st.lists(st.floats(1.0, 1e7), min_size=len(laws), max_size=len(laws)))
+    return params, [GroupSpec(size, laws[i]) for size, i in zip(sizes, order)]
+
+
+class TestSolverFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(economy=_economies())
+    def test_converges_to_a_steady_state_or_raises(self, economy):
+        params, groups = economy
+        try:
+            eq = solve_equilibrium(params, groups)
+        except (ConvergenceError, ValueError):
+            return
+        u = group_u(eq)
+        assert np.max(np.abs(flow_residual(params, groups, u, eq.v))) < 1e-12
+        assert abs(eq.V * params.r) < 1e-8
+        for i, gi in enumerate(groups):
+            for j, gj in enumerate(groups):
+                if gi.dist == gj.dist:
+                    assert u[i] == u[j]

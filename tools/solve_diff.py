@@ -1,0 +1,105 @@
+"""Compare the equilibria of two checkouts, economy by economy.
+
+Solves a fixed seeded set of economies with the refmatch of this
+checkout and with that of CHECKOUT, each in a subprocess that imports
+the package from its checkout's src/:
+  - 40 economies of 1-64 Poisson and regular groups at the published
+    parameters with phi in [1e-3, 1] and d_f in [0, 40], each group's
+    law drawn from a pool of four, so that laws repeat;
+  - Poisson-vs-Zipf pairs at the published parameters, one with the
+    Zipf law twice;
+  - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01).
+Prints, per economy, which of u, v, iterations, P and p_r differ
+(compared with ==), or, when either side raises, the two error types
+and the steps they report.  Exits 1 if any value or error type differs.
+Usage: python tools/solve_diff.py CHECKOUT
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+FIELDS = ("u", "v", "iterations", "P", "p_r")
+
+
+def economies(rm):
+    """(name, params, groups) of every economy, the same on both sides."""
+    import numpy as np
+
+    rng = np.random.default_rng(20260)
+    out = []
+    for i, n in enumerate([1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] * 3 + [2, 5, 9, 64]):
+        pool = [rm.Poisson(float(rng.uniform(0.5, 50.0))) if rng.random() < 0.5
+                else rm.Degenerate(int(rng.integers(0, 51))) for _ in range(4)]
+        groups = [rm.GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), pool[int(rng.integers(4))])
+                  for _ in range(n)]
+        params = rm.ModelParams(phi=float(10.0 ** rng.uniform(-3.0, 0.0)),
+                                d_f=int(rng.integers(0, 41)))
+        out.append((f"grid{i:02d} ({n} groups)", params, groups))
+    for alpha in (2.028, 2.3, 3.0):
+        zipf = rm.Zipf(alpha)
+        out.append((f"Poisson vs Zipf({alpha})", rm.ModelParams(),
+                    [rm.GroupSpec(1e6, rm.Poisson(zipf.mean())), rm.GroupSpec(1e6, zipf)]))
+    out.append(("Poisson vs 2 x Zipf(2.3)", rm.ModelParams(),
+                [rm.GroupSpec(1e6, rm.Poisson(22.47)), rm.GroupSpec(5e5, rm.Zipf(2.3)),
+                 rm.GroupSpec(2e6, rm.Zipf(2.3))]))
+    out.append(("phi = 0 corner", rm.ModelParams(eta=0.05, gamma=0.01, phi=0.0),
+                [rm.GroupSpec(1.0, rm.Poisson(22.47))]))
+    return out
+
+
+def emit() -> None:
+    """Child side: solve every economy and print one JSON line each."""
+    import refmatch as rm
+
+    for name, params, groups in economies(rm):
+        try:
+            eq = rm.solve_equilibrium(params, groups)
+        except Exception as exc:  # the error type is what is compared
+            row = {"error": type(exc).__name__, "steps": getattr(exc, "iterations", None)}
+        else:
+            row = {"u": [g.u for g in eq.groups], "v": eq.v, "iterations": eq.iterations,
+                   "P": [g.P for g in eq.groups], "p_r": [g.p_referral for g in eq.groups]}
+        print(json.dumps({"name": name, **row}), flush=True)
+
+
+def solve_in(root: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, __file__, "--emit"], env=env, check=True,
+                          capture_output=True, text=True)
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
+def compare(a: dict, b: dict) -> tuple[bool, str]:
+    """(differs, description) for one economy; a is this checkout's."""
+    if "error" in a or "error" in b:
+        kinds = (a.get("error", "no error"), b.get("error", "no error"))
+        steps = f"steps {a.get('steps', a.get('iterations'))} vs {b.get('steps', b.get('iterations'))}"
+        if kinds[0] != kinds[1]:
+            return True, f"error type differs: {kinds[0]} vs {kinds[1]} ({steps})"
+        return False, f"both raise {kinds[0]} ({steps})"
+    differing = [f for f in FIELDS if a[f] != b[f]]
+    if differing:
+        return True, "differ: " + ", ".join(differing)
+    return False, f"same ({a['iterations']} iterations)"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--emit"]:
+        emit()
+        sys.exit(0)
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    ours = solve_in(Path(__file__).resolve().parents[1])
+    theirs = solve_in(Path(sys.argv[1]).resolve())
+    if [r["name"] for r in ours] != [r["name"] for r in theirs]:
+        sys.exit("the two checkouts solved different lists of economies")
+    differing = 0
+    for a, b in zip(ours, theirs):
+        differs, text = compare(a, b)
+        differing += differs
+        print(f"{a['name']:<28} {text}")
+    print(f"{differing} of {len(ours)} economies differ")
+    sys.exit(1 if differing else 0)
