@@ -244,7 +244,13 @@ class DegreeDistribution:
         return self._reach(p_info)
 
     def _reach(self, p_info: float) -> float:
-        """E[1 - (1 - P)^d] for P in (0, 1]."""
+        """E[1 - (1 - P)^d] for a float P in (0, 1], unchecked.
+
+        A law implements this rather than ``referral_expectation``: the
+        solver's inner loops call it directly on P they have shown to lie
+        in [0, 1) (see :mod:`refmatch.solver`).  The laws here also return
+        +0.0 at P = 0.0, which an underflowing P can reach.
+        """
         raise NotImplementedError
 
 

@@ -17,17 +17,29 @@ Until the residuals vanish, each evaluation's p_m and reach are what the
 next sweep freezes; the last one holds the equilibrium's rates, so
 assembling it evaluates nothing again.  A group's per-contact
 information probability has one formula, contact reach times (1 - u_i)
-(``info_probability``), which a sweep forms from its frozen reach.
+(``info_probability``), which the solver forms from the reach it holds.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  An iterate that repeats bit for
-bit before then would repeat forever, so the solver raises at once; this
-ends the no-market corner, where every u_i sits at the 1 - 1e-9 clip, in
-tens of steps.
+bit before then would repeat forever, so the solver raises at once.  So
+does one whose u_i all sit within 2e-9 of 1 once the damping is at its
+floor: there, in the no-market corner, it only crawls by ulps until it
+repeats thousands of steps later.  Both end the corner in tens of steps.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
 which tames the overshoot the u -> v -> u loop can produce at high
 referral frequencies.
+
+Inputs are checked where they enter.  The public entries check every
+value: ``flow_residual`` here, ``info_probability`` and
+``vacancy_closure`` in the model, and each degree law's
+``referral_expectation``.  Each outer step takes v, p_m and the contact
+reach from the checked model functions, and each scalar solve its
+largest referral rate from the checked kernel.  Past that, every value is
+in range by construction: u_i is clipped to [1e-9, 1 - 1e-9] and the
+reach lies in [0, 1], so each P = reach (1 - u) lies in [0, 1).  The
+inner loops therefore call the law's unchecked kernel ``_reach`` on
+plain floats, which gives the floats the checked path gives.
 
 The steady state does not depend on how the solver reaches it, so the
 stop tolerance, iteration cap, starting damping and restart seed are
@@ -118,18 +130,31 @@ class _Point(NamedTuple):
     R: np.ndarray
 
 
-def _aggregates(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float):
-    """Aggregate u, market rate p_m and contact reach at (u_vec, v)."""
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    u = float(u_vec @ sizes) / float(sizes.sum())
+def _aggregates(params: ModelParams, sizes: np.ndarray, total: float, u_vec: np.ndarray, v: float):
+    """Aggregate u, market rate p_m and contact reach at (u_vec, v).
+
+    ``sizes`` holds the group sizes and ``total`` their sum.
+    """
+    u = float(u_vec @ sizes) / total
     return u, market_arrival(params, u, v), contact_reach(params.phi, params.d_f, u, v)
 
 
-def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarray, v: float) -> _Point:
-    """The one evaluation of the economy at (u_vec, v) an outer step makes."""
-    u, p_m, reach = _aggregates(params, groups, u_vec, v)
-    P = [info_probability(params, u_i, u, v) for u_i in u_vec.tolist()]
-    p_r = [g.dist.referral_expectation(P_i) for g, P_i in zip(groups, P)]
+def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: np.ndarray, total: float,
+              u_vec: np.ndarray, v: float, checked: bool = False) -> _Point:
+    """The one evaluation of the economy at (u_vec, v) an outer step makes.
+
+    ``sizes`` and ``total`` are as for :func:`_aggregates`.  Each P_i is
+    info_probability's reach (1 - u_i), formed from the reach at hand;
+    ``checked`` (for u_vec from outside the iteration) has
+    info_probability form it, which raises on a u_i outside [0, 1].  The
+    reach passed contact_reach's checks, so every P_i lies in [0, 1], and
+    p_r_i is the law's unchecked kernel, or +0.0 at P_i = 0, exactly what
+    referral_expectation returns.
+    """
+    u, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
+    P = ([info_probability(params, u_i, u, v) for u_i in u_vec.tolist()] if checked
+         else (reach * (1.0 - u_vec)).tolist())
+    p_r = [g.dist._reach(P_i) if P_i else 0.0 for g, P_i in zip(groups, P)]
     R = u_vec * (p_m + np.array(p_r)) - params.delta * (1.0 - u_vec)
     return _Point(u_vec, v, u, p_m, reach, P, p_r, R)
 
@@ -137,8 +162,13 @@ def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], u_vec: np.ndarra
 def flow_residual(
     params: ModelParams, groups: Sequence[GroupSpec], u_vec: Sequence[float], v: float
 ) -> np.ndarray:
-    """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i)."""
-    return _evaluate(params, groups, np.asarray(u_vec, dtype=np.float64), v).R
+    """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i).
+
+    Raises ``ValueError`` for a u_i outside [0, 1] or a v that is not positive.
+    """
+    sizes = np.array([g.size for g in groups], dtype=np.float64)
+    return _evaluate(params, groups, sizes, float(sizes.sum()),
+                     np.asarray(u_vec, dtype=np.float64), v, checked=True).R
 
 
 def _solve_group_u(
@@ -160,8 +190,12 @@ def _solve_group_u(
     if delta == 0.0:
         return _U_EPS  # no destruction, no unemployment
 
-    referral = group.dist.referral_expectation
-    p_r_max = referral(min(1.0, phi_bracket))
+    # The checked kernel call also returns 0 at reach 0, the market-only
+    # case.  Past it every P = phi_bracket (1 - x) with phi_bracket in
+    # (0, 1] and x in [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the loop
+    # calls the unchecked kernel, which returns +0.0 should P underflow.
+    p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
+    referral = group.dist._reach
     lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
     hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
     if p_r_max == 0.0:
@@ -217,11 +251,14 @@ def _iterate(
 ) -> tuple[np.ndarray, float, float, int, Equilibrium]:
     """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, equilibrium)."""
     u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
+    sizes = np.array([g.size for g in groups], dtype=np.float64)
+    total = float(sizes.sum())
     firsts, where = _law_slots(groups)
     damping = _DAMPING
     prev_residual = np.inf
     worse_streak = 0
-    _, p_m, reach = _aggregates(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
+    v = vacancy_closure(params, groups, u_vec.tolist())
+    _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
 
     for it in range(1, _MAX_OUTER_ITERS + 1):
         roots = [_solve_group_u(params, g, p_m, reach) for g in firsts]
@@ -229,7 +266,8 @@ def _iterate(
         previous = u_vec
         u_vec = np.clip((1.0 - damping) * u_vec + damping * target, _U_EPS, 1.0 - _U_EPS)
 
-        point = _evaluate(params, groups, u_vec, vacancy_closure(params, groups, u_vec))
+        v = vacancy_closure(params, groups, u_vec.tolist())
+        point = _evaluate(params, groups, sizes, total, u_vec, v)
         residual = float(np.max(np.abs(point.R)))
         if residual < _RESIDUAL_TOL:
             eq = _assemble(params, groups, point, residual, it)
@@ -238,14 +276,18 @@ def _iterate(
             # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
                 return u_vec, point.v, residual, it, eq
-        if np.array_equal(u_vec, previous):
-            # The same iterate gives the same point, residual and damping,
-            # so every later step repeats this one.
+        # The same iterate gives the same point, residual and damping, so
+        # every later step repeats this one.  With every u_i at the clip and
+        # the damping at its floor, the iterate only crawls by ulps for
+        # thousands of steps until it repeats: raise there too.
+        repeats = np.array_equal(u_vec, previous)
+        at_floor = damping == _MIN_DAMPING and residual >= _RESIDUAL_TOL
+        corner = (repeats or at_floor) and bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
+        if repeats or (at_floor and corner):
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
-            corner = bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
             raise ConvergenceError(
-                f"outer iterate repeats at step {it} ({gap})"
+                f"outer iterate {'repeats' if repeats else 'crawls'} at step {it} ({gap})"
                 + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
                    " whose employment lies below what a double near 1 resolves" if corner else ""),
                 u_vec, point.v, residual, it,

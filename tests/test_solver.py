@@ -1,5 +1,6 @@
 """Equilibrium solver: reductions, invariants, and error paths."""
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from refmatch import (
     solve_equilibrium,
 )
 from refmatch.degree import DegreeDistribution
-from refmatch.model import vacancy_closure
+from refmatch.model import info_probability, vacancy_closure
 from refmatch.solver import _solve_group_u, flow_residual
 from test_model import draw_params
 
@@ -109,6 +110,69 @@ class TestFlowResidual:
         groups = [GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, Poisson(22.47))]
         res = flow_residual(calibrated_params, groups, group_u(baseline_eq), baseline_eq.v)
         assert np.max(np.abs(res)) < 1e-12
+
+    MIXED = (GroupSpec(1e6, Poisson(22.47)), GroupSpec(5e5, Degenerate(16)),
+             GroupSpec(2e5, Degenerate(0)), GroupSpec(3e5, Zipf(2.3)))
+
+    def test_arrays_unchanged(self, baseline_eq, calibrated_params):
+        # Values computed when the outer step sent every P_i and referral
+        # rate through info_probability and referral_expectation.
+        groups = [GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, Poisson(22.47))]
+        assert flow_residual(calibrated_params, groups, [0.044, 0.044], 0.04).tolist() == [
+            2.0816681711721685e-17, 2.0816681711721685e-17]
+        assert flow_residual(calibrated_params, groups, group_u(baseline_eq),
+                             baseline_eq.v).tolist() == [8.329170686494081e-13] * 2
+        assert flow_residual(PUBLISHED, groups[:1], [1.0], 0.04).tolist() == [0.16323107870738393]
+        assert [flow_residual(ModelParams(delta=0.0), groups[:1], [u], 0.04)[0]
+                for u in (1e-5, 1e-7, 1e-9)] == [
+            4.495288022975313e-05, 1.528196090332138e-06, 5.444599975530444e-08]
+        assert flow_residual(PUBLISHED, self.MIXED, [0.05, 0.0, 0.9, 0.3], 0.04).tolist() == [
+            0.00023442790305450156, -0.036, 0.24180972283528385, 0.06758354930896071]
+
+    @pytest.mark.parametrize("u_vec", [[1.5, 0.2, 0.1, 0.1], [0.05, -0.1, 0.3, 0.1],
+                                       [0.05, 0.05, 1.0 + 1e-12, 0.05]])
+    def test_rejects_group_rate_outside_unit_interval(self, u_vec):
+        # The aggregate u of each of these lies inside [0, 1].
+        with pytest.raises(ValueError, match="group unemployment rate"):
+            flow_residual(PUBLISHED, self.MIXED, u_vec, 0.04)
+
+    @pytest.mark.parametrize("v", [-0.01, -0.0, float("nan")])
+    def test_rejects_vacancy_rate_not_positive(self, v):
+        with pytest.raises(ValueError, match="v > 0"):
+            flow_residual(PUBLISHED, self.MIXED, [0.05] * 4, v)
+
+
+def _poisson_regular_laws(n: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [Poisson(float(rng.uniform(0.5, 50.0))) if rng.random() < 0.5
+            else Degenerate(int(rng.integers(0, 51))) for _ in range(n)]
+
+
+class TestUncheckedKernels:
+    # The outer step forms each P_i from the reach it holds and calls the
+    # law's unchecked kernel; it must give the floats the checked model
+    # functions give, and never a -0.0 referral rate.
+    @pytest.mark.parametrize("params, laws", [
+        (ModelParams(phi=0.0), (Poisson(22.47), Degenerate(16))),
+        (ModelParams(d_f=0), (Poisson(22.47), Degenerate(16))),
+        (PUBLISHED, (Degenerate(0), Poisson(22.47), Degenerate(0))),
+        (PUBLISHED, (Zipf(2.028), Poisson(22.47))),
+        (PUBLISHED, _poisson_regular_laws(64, 5)),
+    ], ids=["phi=0", "d_f=0", "Degenerate(0)", "Zipf(2.028)", "64 groups"])
+    def test_evaluate_equals_checked_path(self, params, laws):
+        rng = np.random.default_rng(11)
+        n = len(laws)
+        groups = [GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), d) for d in laws]
+        sizes = np.array([g.size for g in groups])
+        for u_vec in (np.full(n, solver._U_EPS), np.full(n, 1.0 - solver._U_EPS),
+                      rng.uniform(solver._U_EPS, 1.0 - solver._U_EPS, n)):
+            v = vacancy_closure(params, groups, u_vec.tolist())
+            point = solver._evaluate(params, groups, sizes, float(sizes.sum()), u_vec, v)
+            assert point.P == [info_probability(params, u_i, point.u, v) for u_i in u_vec.tolist()]
+            assert point.p_r == [g.dist.referral_expectation(P_i)
+                                 for g, P_i in zip(groups, point.P)]
+            assert all(math.copysign(1.0, p_r) == 1.0 for p_r in point.p_r)
+            assert all(type(x) is float for x in point.P + point.p_r)
 
 
 class TestEquilibriumInvariants:
@@ -222,7 +286,7 @@ class TestSolverControls:
 
 
 class CountingDist(DegreeDistribution):
-    """Delegates to a degree law and counts referral-kernel calls."""
+    """Delegates to a degree law and counts referral-kernel calls, checked or not."""
 
     def __init__(self, dist: DegreeDistribution):
         self.dist, self.calls = dist, 0
@@ -230,6 +294,10 @@ class CountingDist(DegreeDistribution):
     def referral_expectation(self, p_info: float) -> float:
         self.calls += 1
         return self.dist.referral_expectation(p_info)
+
+    def _reach(self, p_info: float) -> float:
+        self.calls += 1
+        return self.dist._reach(p_info)
 
 
 class TestGroupSolveStopRule:
@@ -361,8 +429,8 @@ class ListedPoisson(DegreeDistribution):
 
     lam: float
 
-    def referral_expectation(self, p_info: float) -> float:
-        return Poisson(self.lam).referral_expectation(p_info)
+    def _reach(self, p_info: float) -> float:
+        return Poisson(self.lam)._reach(p_info)
 
 
 def count_group_solves(monkeypatch) -> list:
@@ -436,6 +504,21 @@ class TestRepeatedIterate:
         assert err.value.residual >= solver._RESIDUAL_TOL
         assert np.all(1.0 - err.value.u_vec < 2e-9)
         assert err.value.v > 0.0
+
+    def test_crawl_at_least_damping_raises(self):
+        # From step 35 every u_i is within 2e-9 of 1 and from step 55 the
+        # damping is at its floor.  From there the iterate only crawls by
+        # ulps, the residual creeping up; it first repeats at step 9,093.
+        params = ModelParams(b=0.0595130817476952, r=0.11943165448064004,
+                             delta=0.3287231885500706, eta=1 / 3, gamma=0.01,
+                             beta=0.9276375421277745, c=38.83597263090465, phi=1.0, d_f=4)
+        groups = [GroupSpec(1.0, Poisson(lam))
+                  for lam in (0.5, 0.5, 38.83597263090465, 41.21123044467842)]
+        with pytest.raises(ConvergenceError, match="crawls at step 55 .*no-market corner") as err:
+            solve_equilibrium(params, groups)
+        assert err.value.iterations < 100
+        assert err.value.residual >= solver._RESIDUAL_TOL
+        assert np.all(1.0 - err.value.u_vec < 2e-9)
 
 
 class TestFreeEntryStop:

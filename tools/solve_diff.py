@@ -8,10 +8,15 @@ the package from its checkout's src/:
     law drawn from a pool of four, so that laws repeat;
   - Poisson-vs-Zipf pairs at the published parameters, one with the
     Zipf law twice;
-  - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01).
-Prints, per economy, which of u, v, iterations, P and p_r differ
-(compared with ==), or, when either side raises, the two error types
-and the steps they report.  Exits 1 if any value or error type differs.
+  - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01), and a
+    corner economy at phi = 1 whose iterate crawls at the clip;
+  - edge economies with referrals off: d_f = 0, phi = 0 with an interior
+    steady state, and a group on Degenerate(0).
+Prints, per economy, which of u, v, iterations, P and p_r differ, or,
+when either side raises, the two error types and the steps they report.
+Floats are compared bit for bit (float.hex), so -0.0 against 0.0 or a
+NaN against a number counts as a difference.  Exits 1 if any value or
+error type differs.
 Usage: python tools/solve_diff.py CHECKOUT
 """
 
@@ -47,7 +52,21 @@ def economies(rm):
                  rm.GroupSpec(2e6, rm.Zipf(2.3))]))
     out.append(("phi = 0 corner", rm.ModelParams(eta=0.05, gamma=0.01, phi=0.0),
                 [rm.GroupSpec(1.0, rm.Poisson(22.47))]))
+    crawl = rm.ModelParams(b=0.0595130817476952, r=0.11943165448064004, delta=0.3287231885500706,
+                           eta=1 / 3, gamma=0.01, beta=0.9276375421277745, c=38.83597263090465,
+                           phi=1.0, d_f=4)
+    out.append(("phi = 1 crawling corner", crawl,
+                [rm.GroupSpec(1.0, rm.Poisson(lam))
+                 for lam in (0.5, 0.5, 38.83597263090465, 41.21123044467842)]))
+    mixed = [rm.GroupSpec(1e6, rm.Poisson(22.47)), rm.GroupSpec(5e5, rm.Degenerate(16))]
+    out.append(("d_f = 0", rm.ModelParams(d_f=0), mixed))
+    out.append(("phi = 0 interior", rm.ModelParams(phi=0.0), mixed))
+    out.append(("with Degenerate(0)", rm.ModelParams(), mixed + [rm.GroupSpec(2e5, rm.Degenerate(0))]))
     return out
+
+
+def bits(x) -> str:
+    return float(x).hex()
 
 
 def emit() -> None:
@@ -60,8 +79,9 @@ def emit() -> None:
         except Exception as exc:  # the error type is what is compared
             row = {"error": type(exc).__name__, "steps": getattr(exc, "iterations", None)}
         else:
-            row = {"u": [g.u for g in eq.groups], "v": eq.v, "iterations": eq.iterations,
-                   "P": [g.P for g in eq.groups], "p_r": [g.p_referral for g in eq.groups]}
+            row = {"u": [bits(g.u) for g in eq.groups], "v": bits(eq.v),
+                   "iterations": eq.iterations, "P": [bits(g.P) for g in eq.groups],
+                   "p_r": [bits(g.p_referral) for g in eq.groups]}
         print(json.dumps({"name": name, **row}), flush=True)
 
 
