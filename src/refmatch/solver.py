@@ -20,10 +20,13 @@ information probability has one formula, contact reach times (1 - u_i)
 (``info_probability``), which the solver forms from the reach it holds.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  An iterate that repeats bit for
-bit before then would repeat forever, so the solver raises at once.  So
-does one whose u_i all sit within 2e-9 of 1 once the damping is at its
-floor: there, in the no-market corner, it only crawls by ulps until it
-repeats thousands of steps later.  Both end the corner in tens of steps.
+bit before then would repeat forever, and a step that starts from the
+outer state (iterate, damping and worse-streak) that started the step
+two before begins a period-2 cycle: either way the solver raises at
+once.  So does one whose u_i all sit within 2e-9 of 1 once the damping
+is at its floor: there, in the no-market corner, it only crawls by ulps
+until it repeats thousands of steps later.  Both end the corner in tens
+of steps.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
 adjacent doubles; damping halves when the residual rises twice in a row,
@@ -257,6 +260,7 @@ def _iterate(
     damping = _DAMPING
     prev_residual = np.inf
     worse_streak = 0
+    back = (None, None)  # the states that started the last two steps
     v = vacancy_closure(params, groups, u_vec.tolist())
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
 
@@ -277,17 +281,25 @@ def _iterate(
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
                 return u_vec, point.v, residual, it, eq
         # The same iterate gives the same point, residual and damping, so
-        # every later step repeats this one.  With every u_i at the clip and
-        # the damping at its floor, the iterate only crawls by ulps for
-        # thousands of steps until it repeats: raise there too.
+        # every later step repeats this one.  A step depends only on the
+        # state it starts from (the last residual only tells the first
+        # step apart), so one that starts from the state that started the
+        # step two before begins a period-2 cycle.  With every u_i at the
+        # clip and the damping at its floor, the iterate only crawls by
+        # ulps for thousands of steps until it repeats: raise there too.
         repeats = np.array_equal(u_vec, previous)
+        state = (previous, damping, worse_streak, prev_residual)
+        cycles = (back[0] is not None and back[0][1:] == state[1:]
+                  and np.array_equal(back[0][0], previous))
+        back = (back[1], state)
         at_floor = damping == _MIN_DAMPING and residual >= _RESIDUAL_TOL
-        corner = (repeats or at_floor) and bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
-        if repeats or (at_floor and corner):
+        corner = (repeats or cycles or at_floor) and bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
+        if repeats or cycles or (at_floor and corner):
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
+            how = "repeats" if repeats else "cycles with period 2" if cycles else "crawls"
             raise ConvergenceError(
-                f"outer iterate {'repeats' if repeats else 'crawls'} at step {it} ({gap})"
+                f"outer iterate {how} at step {it} ({gap})"
                 + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
                    " whose employment lies below what a double near 1 resolves" if corner else ""),
                 u_vec, point.v, residual, it,

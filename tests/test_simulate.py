@@ -1,16 +1,40 @@
 """Configuration-model networks and the Monte Carlo referral check."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from refmatch import Degenerate, Poisson, Zipf
+from refmatch import Degenerate, Poisson, Zipf, simulate
 from refmatch.simulate import SimConfig, build_configuration_network, estimate_referral_rate
 
 # Baseline snapshot context shared by the estimator tests (unemployment,
 # aggregate unemployment, vacancy rate, referral frequency, job degree).
 CONTEXT = dict(u_i=0.044, u=0.044, v=0.04, phi=0.048, d_f=16)
+
+
+# Every matching of two stub lists with its probability under uniform
+# pairing: four single stubs pair in 3 ways, and [2, 1, 1] closes its
+# self-loop in 1 of 3.
+MATCHINGS = {
+    (1, 1, 1, 1): {((0, 1), (2, 3)): 1 / 3, ((0, 2), (1, 3)): 1 / 3, ((0, 3), (1, 2)): 1 / 3},
+    (2, 1, 1): {((0, 0), (1, 2)): 1 / 3, ((0, 1), (0, 2)): 2 / 3},
+}
+SEEDS = 30_000
+
+
+class OneBitKeys:
+    """A generator whose 64-bit keys carry one random high bit, so keys tie."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def integers(self, low, high, size, dtype):
+        return self._rng.integers(0, 2, size=size, dtype=dtype) << dtype(63)
+
+    def permutation(self, n):
+        return self._rng.permutation(n)
 
 
 def config_for(dist, n_workers=50_000, n_trials=50_000, seed=11):
@@ -69,10 +93,11 @@ class TestNetworkBuild:
         c = build_configuration_network(Zipf(2.3), 2000, seed_or_rng=124)
         assert not np.array_equal(a.neighbors, c.neighbors)
 
-    def test_pairing_is_a_uniform_permutation_of_the_stubs(self):
-        # A seed's pairing is stubs[rng.permutation(total)] drawn right
-        # after the degrees, and the per-node adjacency matches the one
-        # read off through the inverse permutation.
+    def test_pairing_sorts_random_keys_carrying_the_owner_ids(self):
+        # A seed's pairing is the owner list ordered by one uniform 64-bit
+        # key per stub, drawn right after the degrees, whose low 9 bits
+        # (enough for 300 ids) hold the owner; the per-node adjacency
+        # matches the one read off through the inverse permutation.
         dist, n, seed = Poisson(5.0), 300, 2
         net = build_configuration_network(dist, n, seed_or_rng=seed)
         rng = np.random.default_rng(seed)
@@ -80,7 +105,10 @@ class TestNetworkBuild:
         assert degrees.sum() % 2 == 0  # no parity resample draws in between
         assert np.array_equal(net.degrees, degrees)
         owners = np.repeat(np.arange(n), degrees)
-        perm = rng.permutation(owners.size)
+        keys = rng.integers(0, 2**64, size=owners.size, dtype=np.uint64)
+        keys = (keys >> np.uint64(9) << np.uint64(9)) | owners.astype(np.uint64)
+        perm = np.argsort(keys)
+        assert np.all(np.diff(keys[perm] >> np.uint64(9)) > 0)  # no ties to break
         shuffled = owners[perm]
         assert np.array_equal(net.stubs, shuffled)
         inv = np.empty_like(perm)
@@ -90,6 +118,24 @@ class TestNetworkBuild:
             net.neighbors[np.lexsort((net.neighbors, owners))],
             reference[np.lexsort((reference, owners))],
         )
+
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
+                             ids=["random-keys", "tied-keys"])
+    @pytest.mark.parametrize("degrees", list(MATCHINGS), ids=["1-1-1-1", "2-1-1"])
+    def test_pairing_is_a_uniform_matching(self, degrees, make_rng, monkeypatch):
+        # With tied keys every run of equal high bits must go in random
+        # order, and 2-key blocks make those runs cross block edges.
+        if make_rng is OneBitKeys:
+            monkeypatch.setattr(simulate, "_PAIR_BLOCK", 2)
+        orders = Counter(simulate._pair_stubs(make_rng(seed), np.array(degrees)).tobytes()
+                         for seed in range(SEEDS))
+        counts = Counter()
+        for order, count in orders.items():
+            pairs = np.sort(np.frombuffer(order, dtype=np.int64).reshape(-1, 2))
+            counts[tuple(sorted(map(tuple, pairs.tolist())))] += count
+        assert counts.keys() == MATCHINGS[degrees].keys()
+        for matching, p in MATCHINGS[degrees].items():
+            assert abs(counts[matching] - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -112,13 +158,16 @@ class TestReferralEstimate:
         assert est.std_error == 0.0
 
     def test_network_conditional_exactness_with_self_loops(self):
-        # A 40-node network has a few self-loops; at a high contact
-        # information rate they move the network's success rate by many
+        # A configuration network of degree-k nodes has (k - 1) / 2
+        # self-loops on average, whatever its size, so 4 nodes of degree
+        # 40 have about 20, which take about 10 of each node's 40 contacts
+        # away.  At a contact information rate of 3% that lowers the
+        # network's success rate from about 0.70 to 0.60, about 100
         # standard errors, so the estimate must track the exact
         # network-conditional mean, not the one over raw degrees.
         config = SimConfig(
-            dist=Poisson(4.0), n_workers=40, n_trials=200_000, seed=3,
-            employment_rate=0.9, informed_given_employed=0.5 * (1.0 - 0.7**16),
+            dist=Degenerate(40), n_workers=4, n_trials=200_000, seed=3,
+            employment_rate=0.9, informed_given_employed=0.03 / 0.9,
         )
         net = build_configuration_network(config.dist, config.n_workers, config.seed)
         self_entries = np.array(

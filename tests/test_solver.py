@@ -520,6 +520,24 @@ class TestRepeatedIterate:
         assert err.value.residual >= solver._RESIDUAL_TOL
         assert np.all(1.0 - err.value.u_vec < 2e-9)
 
+    def test_period_two_cycle_raises(self):
+        # Flow balance holds but free entry never does: from step 170 the
+        # iterate equals the one two steps back, r V alternating 3.873e-8 /
+        # -2.083e-8, and the solve used to run all 10,000 steps.
+        params = ModelParams(b=0.5459275321952658, r=0.14334393296201056,
+                             delta=0.7674855304027197, eta=0.26143130695909506,
+                             gamma=0.5224205259426208, beta=0.9166081335701889,
+                             c=32.80730905022276, phi=0.7644998489631071, d_f=16)
+        groups = [GroupSpec(4165911.5824667295, Poisson(46.22646571427592)),
+                  GroupSpec(30063.438307059034, Degenerate(25)),
+                  GroupSpec(52.470296306663435, Poisson(30.211156389029693)),
+                  GroupSpec(1231368.2025324712, Poisson(30.211156389029693))]
+        with pytest.raises(ConvergenceError,
+                           match=r"cycles with period 2 at step 172 \(r V = 3\.873e-08\)$") as err:
+            solve_equilibrium(params, groups)
+        assert err.value.iterations == 172
+        assert err.value.residual < solver._RESIDUAL_TOL
+
 
 class TestFreeEntryStop:
     # Near the no-market corner v is tiny and free entry weighs each flow

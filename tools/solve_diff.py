@@ -10,6 +10,8 @@ the package from its checkout's src/:
     Zipf law twice;
   - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01), and a
     corner economy at phi = 1 whose iterate crawls at the clip;
+  - an economy that meets flow balance but whose iterate then cycles
+    with period 2, never meeting free entry;
   - edge economies with referrals off: d_f = 0, phi = 0 with an interior
     steady state, and a group on Degenerate(0).
 Prints, per economy, which of u, v, iterations, P and p_r differ, or,
@@ -58,6 +60,15 @@ def economies(rm):
     out.append(("phi = 1 crawling corner", crawl,
                 [rm.GroupSpec(1.0, rm.Poisson(lam))
                  for lam in (0.5, 0.5, 38.83597263090465, 41.21123044467842)]))
+    cycle = rm.ModelParams(b=0.5459275321952658, r=0.14334393296201056, delta=0.7674855304027197,
+                           eta=0.26143130695909506, gamma=0.5224205259426208,
+                           beta=0.9166081335701889, c=32.80730905022276,
+                           phi=0.7644998489631071, d_f=16)
+    out.append(("period-2 outer cycle", cycle,
+                [rm.GroupSpec(4165911.5824667295, rm.Poisson(46.22646571427592)),
+                 rm.GroupSpec(30063.438307059034, rm.Degenerate(25)),
+                 rm.GroupSpec(52.470296306663435, rm.Poisson(30.211156389029693)),
+                 rm.GroupSpec(1231368.2025324712, rm.Poisson(30.211156389029693))]))
     mixed = [rm.GroupSpec(1e6, rm.Poisson(22.47)), rm.GroupSpec(5e5, rm.Degenerate(16))]
     out.append(("d_f = 0", rm.ModelParams(d_f=0), mixed))
     out.append(("phi = 0 interior", rm.ModelParams(phi=0.0), mixed))
