@@ -8,7 +8,7 @@ equilibrium when its ``solver.multistart`` asks for restarts), ``calibrate``,
 reference values).
 
 Exit codes: 0 success, 2 solver non-convergence, 3 infeasible
-calibration, 4 bad configuration.
+calibration, 4 bad configuration or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -364,6 +364,9 @@ def main(argv=None, out=None) -> int:
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except OSError as exc:  # a config that cannot be read is a ConfigError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 def entry_point() -> None:

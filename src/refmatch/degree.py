@@ -14,16 +14,11 @@ Zipf law uses its probability generating function, 1 - Li_a(1 - P) /
 zeta(a), so a polylogarithm and the Riemann zeta function are
 implemented here as well; both are plain float64 routines with no
 external special-function dependency.  Each Zipf law computes zeta(a)
-once and keeps every 4,096-term block of k^a that its polylog series has
-used, for as long as the law lives: the first block with its k, later
-blocks as the series first reaches them, at most 244 of them (7.6 MiB)
-at the 10^6-term cap.  Every kept block is np.power(k, a) of the same k,
-so results do not depend on which values of P the law saw first.  Each
-law also keeps the values it has returned, keyed by x = 1 - P, up to
-4,096 of them (then it empties that store and starts again): a solver
-bracket whose ends differ by ulps in u often asks for a P whose 1 - P
-the law has already summed.  A value is a function of (a, x) alone, so
-a kept one is the float the series would give again.
+once and keeps, in a dict keyed by block index, k^a of every 4,096-term
+block its polylog series has reached (at most 245, 7.6 MiB, at the
+10^6-term cap), and the last x = 1 - P it summed with its value: a
+scalar solve's last steps often ask again for a 1 - P that rounds to it.
+A value is a function of (a, x) alone, so nothing depends on call order.
 Each 4,096-term block of the series is summed over the shortest
 power-of-two prefix whose remainder provably cannot change numpy's
 pairwise sum of the block, so the result is bit-identical to the
@@ -77,8 +72,9 @@ _POLYLOG_BLOCK = 4096
 # share of a block's first term its dropped remainder must stay below.
 _PAIRWISE_LEAF = 128
 _UNIT_ROUNDOFF = 2.0**-53
-# Values of 1 - Li_a(x) / zeta(a) a Zipf law keeps before it empties its store.
-_MEMO_ENTRIES = 4096
+# k over the series' first block, shared by every law; read-only.
+_FIRST_K = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
+_FIRST_K.flags.writeable = False
 
 
 def as_count(value, name: str) -> int:
@@ -142,36 +138,27 @@ def polylog(alpha: float, x: float) -> float:
         return zeta(alpha)
     if x == 0.0:
         return 0.0
-    k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
-    return _polylog_blocks(alpha, x, k, _powers(k, alpha), [])
+    return _polylog_blocks(alpha, x, {})
 
 
-def _powers(k: np.ndarray, alpha: float) -> np.ndarray:
-    """np.power(k, alpha); a power past the float range is inf, and its term x^k / inf is 0."""
-    with np.errstate(over="ignore"):
-        return np.power(k, alpha)
-
-
-def _polylog_blocks(
-    alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray, later: list[np.ndarray]
-) -> float:
+def _polylog_blocks(alpha: float, x: float, blocks: dict[int, np.ndarray]) -> float:
     """Li_alpha(x) for 0 < x < 1, summed block by block.
 
-    ``k`` and ``k_alpha`` are the first block's k and k^alpha.
-    ``later[i]`` is k^alpha over block i + 1; a block the list does not
-    hold yet is computed and appended, so a kept list grows to the
-    longest series summed with it (at most 244 blocks at the term cap).
+    ``blocks[i]`` is k^alpha over block i, the terms from i 4,096 + 1 on;
+    a block the dict does not hold yet is computed and stored.  A power
+    past the float range is inf, and its term x^k / inf is 0.
     """
-    total = 0.0
+    total, k = 0.0, _FIRST_K
     for i in itertools.count():
+        k_alpha = blocks.get(i)
+        if k_alpha is None:
+            with np.errstate(over="ignore"):
+                k_alpha = blocks[i] = np.power(k, alpha)
         total += _block_sum(alpha, x, k, k_alpha)
         k0 = int(k[-1]) + 1
         if _series_tail(alpha, x, k0) < _POLYLOG_RTOL * total or k0 > _POLYLOG_MAX_TERMS:
             return total
         k = np.arange(k0, min(k0 + _POLYLOG_BLOCK, _POLYLOG_MAX_TERMS + 1), dtype=np.float64)
-        if i == len(later):
-            later.append(_powers(k, alpha))
-        k_alpha = later[i]
 
 
 def _series_tail(alpha: float, x: float, big_k: int) -> float:
@@ -325,19 +312,13 @@ class Zipf(DegreeDistribution):
         return zeta(self.alpha)
 
     @cached_property
-    def _first_block(self) -> tuple[np.ndarray, np.ndarray]:
-        k = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
-        return k, _powers(k, float(self.alpha))
-
-    @cached_property
-    def _later_blocks(self) -> list[np.ndarray]:
-        # k^alpha over blocks 2, 3, ...; _polylog_blocks appends to it.
-        return []
-
-    @cached_property
-    def _reach_memo(self) -> dict[float, float]:
-        # x = 1 - P -> 1 - Li_a(x) / zeta(a); _reach empties it when full.
+    def _blocks(self) -> dict[int, np.ndarray]:
+        # Block index -> k^alpha over that block; _polylog_blocks fills it.
         return {}
+
+    # The last x = 1 - P summed and its value, replaced as one tuple so that
+    # no thread reads one x with another's value.
+    _kept = (math.nan, math.nan)
 
     def mean(self) -> float:
         return zeta(self.alpha - 1.0) / self._zeta
@@ -347,13 +328,10 @@ class Zipf(DegreeDistribution):
         x = 1.0 - p_info
         if x == 1.0 or x == 0.0:
             return float(x == 0.0)
-        memo = self._reach_memo
-        reach = memo.get(x)
-        if reach is None:
-            if len(memo) >= _MEMO_ENTRIES:
-                memo.clear()
-            series = _polylog_blocks(float(self.alpha), x, *self._first_block, self._later_blocks)
-            reach = memo[x] = 1.0 - series / self._zeta
+        kept_x, reach = self._kept
+        if x != kept_x:
+            reach = 1.0 - _polylog_blocks(float(self.alpha), x, self._blocks) / self._zeta
+            self.__dict__["_kept"] = (x, reach)
         return reach
 
     def pmf(self, k) -> np.ndarray:

@@ -535,3 +535,23 @@ class TestReproduceAll:
         # the two known reference discrepancies stay visible
         assert "FAIL zipf mean alpha=2.028" in summary
         assert "FAIL structure u-gap argmax" in summary
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ("table2", "--out"),
+        ("sweep", "--axis", "mean-degree", "--out"),
+        ("solve", "--config", None, "--out"),
+        ("reproduce-all", "--outdir"),
+    ], ids=lambda command: command[0])
+    def test_exits_4_with_one_error_line(self, tmp_path, capsys, command):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        # A missing directory for a CSV, a path under a file for a directory.
+        under_file, in_missing_dir = blocker / "x", tmp_path / "missing" / "x.csv"
+        target = str(under_file if command[0] == "reproduce-all" else in_missing_dir)
+        argv = [write_config(tmp_path, BASELINE_CONFIG) if a is None else a for a in command]
+        code, _ = run_cli(*argv, target)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and target in err[0], err

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -334,8 +335,20 @@ class TestPolylogPrefixRule:
         assert Zipf(alpha).referral_expectation(p_info) == full_block_referral(alpha, p_info)
 
 
+def count_series_sums(monkeypatch) -> list[float]:
+    """Record the x of every series ``degree._polylog_blocks`` sums from now on."""
+    summed, series = [], degree._polylog_blocks
+
+    def counting(alpha, x, blocks):
+        summed.append(x)
+        return series(alpha, x, blocks)
+
+    monkeypatch.setattr(degree, "_polylog_blocks", counting)
+    return summed
+
+
 class TestLaterBlockCache:
-    """A Zipf law keeps k^alpha of every later block it has summed; no value depends on it."""
+    """A Zipf law keeps k^alpha of each block it has summed, by index; no value depends on it."""
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
     def test_order_independent(self, alpha):
@@ -352,20 +365,43 @@ class TestLaterBlockCache:
     def test_blocks_are_k_to_the_alpha_and_bounded(self, alpha):
         law = Zipf(alpha)
         law.referral_expectation(1e-8)  # at or near the 10^6-term cap
-        blocks = law._later_blocks
-        assert 0 < len(blocks) <= 244
-        for i, block in enumerate(blocks):
-            k0 = 1 + (i + 1) * 4096
+        blocks = law._blocks
+        assert 1 < len(blocks) <= 245 and sorted(blocks) == list(range(len(blocks)))
+        for i, block in blocks.items():
+            k0 = 1 + i * 4096
             k = np.arange(k0, min(k0 + 4096, 10**6 + 1), dtype=np.float64)
             assert np.array_equal(block, np.power(k, float(alpha)))
         law.referral_expectation(1e-10)
-        assert len(law._later_blocks) <= 244
-        if alpha < 2.1:  # the cap: 243 full blocks and one of 576 terms
-            assert len(blocks) == 244 and len(blocks[-1]) == 576
+        assert len(law._blocks) <= 245
+        if alpha < 2.1:  # the cap: 244 full blocks and one of 576 terms
+            assert len(blocks) == 245 and len(blocks[244]) == 576
+
+    def test_threads_sharing_a_law_get_the_single_thread_values(self):
+        # Four threads ask one fresh law for the same P in different
+        # orders, switching every microsecond, so they race to store
+        # the same blocks; a store that appended by position shifted
+        # blocks or raised on a block of the wrong length.
+        grid = [float(p) for p in np.geomspace(1e-6, 1e-3, 12)]
+        expected = [Zipf(2.028).referral_expectation(p) for p in grid]
+
+        def wrong_values(law, seed):
+            order = np.random.default_rng(seed).permutation(len(grid))
+            return sum(law.referral_expectation(grid[j]) != expected[j] for j in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(5):
+                    law = Zipf(2.028)
+                    futures = [pool.submit(wrong_values, law, seed) for seed in range(4)]
+                    assert [f.result() for f in futures] == [0, 0, 0, 0]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReachMemo:
-    """A Zipf law keeps the values it returned, keyed by x = 1 - P; no value depends on it."""
+    """A Zipf law keeps the last x = 1 - P it summed and its value; no value depends on it."""
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
     def test_repeats_equal_the_series(self, alpha):
@@ -374,31 +410,49 @@ class TestReachMemo:
         expected = {p_info: full_block_referral(alpha, p_info) for p_info in map(float, grid)}
         assert all(Zipf(alpha).referral_expectation(p) == v for p, v in expected.items())
         law = Zipf(alpha)
-        for _ in range(3):  # the first pass fills the memo, the others read it
+        for _ in range(3):  # each pass sums every value again
             for p_info, value in expected.items():
                 assert law.referral_expectation(p_info) == value
-        assert sorted(law._reach_memo) == sorted(1.0 - grid)
+                assert law._kept == (1.0 - p_info, value)
 
-    def test_same_x_shares_one_entry(self):
+    def test_same_x_shares_one_entry(self, monkeypatch):
         law = Zipf(2.3)
         p_a = 1e-3
         p_b = float(np.nextafter(p_a, 1.0))
         assert p_a != p_b and 1.0 - p_a == 1.0 - p_b
+        summed = count_series_sums(monkeypatch)
         value = law.referral_expectation(p_a)
         assert law.referral_expectation(p_b) == value == full_block_referral(2.3, p_b)
-        assert law._reach_memo == {1.0 - p_a: value}
+        assert law._kept == (1.0 - p_a, value)
+        assert summed == [1.0 - p_a]
 
-    def test_ends_of_the_range_are_not_kept(self):
+    def test_repeat_of_the_last_x_sums_no_series(self, monkeypatch):
+        law = Zipf(2.028)
+        summed = count_series_sums(monkeypatch)
+        values = [law.referral_expectation(1e-4) for _ in range(5)]
+        assert values == [full_block_referral(2.028, 1e-4)] * 5
+        assert summed == [1.0 - 1e-4]
+
+    def test_a_b_a_recomputes_a(self, monkeypatch):
+        law = Zipf(2.028)
+        summed = count_series_sums(monkeypatch)
+        got = [law.referral_expectation(p) for p in (1e-4, 0.02, 1e-4)]
+        assert got == [full_block_referral(2.028, p) for p in (1e-4, 0.02, 1e-4)]
+        assert summed == [1.0 - 1e-4, 1.0 - 0.02, 1.0 - 1e-4]
+
+    def test_ends_of_the_range_are_not_kept(self, monkeypatch):
         law = Zipf(2.3)
+        summed = count_series_sums(monkeypatch)
         assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
-        assert law._reach_memo == {}
+        assert summed == [] and "_kept" not in law.__dict__ and "_blocks" not in law.__dict__
 
     def test_bounded(self):
         law = Zipf(3)
         grid = np.linspace(0.3, 0.5, 4100)
-        for i, p_info in enumerate(map(float, grid)):
-            law.referral_expectation(p_info)
-            assert len(law._reach_memo) == i % 4096 + 1  # emptied when full
+        for p_info in map(float, grid):
+            value = law.referral_expectation(p_info)
+            assert law._kept == (1.0 - p_info, value)  # one pair, however many x
+        assert sorted(law.__dict__) == ["_blocks", "_kept", "_zeta", "alpha"]
         assert law.referral_expectation(float(grid[-1])) == Zipf(3).referral_expectation(
             float(grid[-1])
         )

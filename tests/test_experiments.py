@@ -100,21 +100,35 @@ class TestZipfLawLifetime:
 
     def test_no_law_with_blocks_reachable_after_reproduce_all(self, tmp_path):
         assert cli.main(["reproduce-all", "--outdir", str(tmp_path)], out=io.StringIO()) == 0
-        # Everything the refmatch modules reach without passing through
-        # another module or its globals (a function's __globals__).
-        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "refmatch"]
-        others = [m for m in sys.modules.values() if m not in modules]
-        seen = {id(m) for m in others} | {id(getattr(m, "__dict__", None)) for m in others}
-        stack, kept = list(modules), []
-        while stack:
-            obj = stack.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, Zipf) and obj.__dict__.get("_later_blocks"):
-                kept.append(obj)
-            stack.extend(gc.get_referents(obj))
-        assert kept == []
+        assert _reachable_laws_with_blocks() == []
+
+    def test_walk_finds_a_law_left_reachable(self, monkeypatch):
+        # Positive control: a law that has summed its series, kept a few
+        # levels down from a refmatch module, is found by the same walk.
+        groups = experiments._common_mean_groups()
+        law = groups[1].dist
+        law.referral_expectation(1e-3)
+        monkeypatch.setattr(experiments, "_kept_economy", {"groups": [groups]}, raising=False)
+        assert _reachable_laws_with_blocks() == [law]
+
+
+def _reachable_laws_with_blocks() -> list[Zipf]:
+    """Zipf laws holding k^alpha blocks that the refmatch modules reach
+    without passing through another module or its globals (a function's
+    __globals__)."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "refmatch"]
+    others = [m for m in sys.modules.values() if m not in modules]
+    seen = {id(m) for m in others} | {id(getattr(m, "__dict__", None)) for m in others}
+    stack, kept = list(modules), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Zipf) and obj.__dict__.get("_blocks"):
+            kept.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return kept
 
 
 class TestTable2:
