@@ -296,6 +296,15 @@ def _cmd_reproduce_all(args, out) -> int:
     return EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, leaving the file system as it was."""
+    try:
+        open(path, "xb").close()  # a new file: created, then removed
+        Path(path).unlink()
+    except FileExistsError:
+        open(path, "ab").close()  # an existing file: opened for writing, not truncated
+
+
 def _emit(result: SweepResult, path: str | None, out) -> None:
     if path:
         result.write_csv(path)
@@ -354,6 +363,8 @@ def main(argv=None, out=None) -> int:
         "reproduce-all": _cmd_reproduce_all,
     }
     try:
+        if getattr(args, "out", None):  # solve, table2 and sweep: fail before solving
+            _check_writable(args.out)
         return handlers[args.command](args, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,46 +62,33 @@ class Network:
     """Configuration-model multigraph stored as its randomly ordered stub list.
 
     ``stubs[2k]`` and ``stubs[2k + 1]`` are the nodes at the two ends of
-    edge k.  The flat adjacency is derived on first read:
-    ``neighbors[offsets[i]:offsets[i+1]]`` lists node i's entries, one per
-    stub: parallel edges repeat a partner, a self-loop contributes the
-    node itself twice.
+    edge k, so node i owns ``degrees[i]`` entries of ``stubs``; parallel
+    edges repeat a pair, and a self-loop is an edge whose two ends are
+    the same node.
     """
 
     n: int
     degrees: np.ndarray
     stubs: np.ndarray
 
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        offsets = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(self.degrees, out=offsets[1:])
-        return offsets
-
-    @cached_property
-    def neighbors(self) -> np.ndarray:
-        # Sorting the slots by owner groups them by node; slot ^ 1 is the
-        # partner at the other end of the same edge.
-        return self.stubs[np.argsort(self.stubs, kind="stable") ^ 1]
-
-    def neighbors_of(self, node: int) -> np.ndarray:
-        return self.neighbors[self.offsets[node]:self.offsets[node + 1]]
-
     @property
     def stub_count(self) -> int:
         return self.stubs.size
 
     def reachable_degrees(self) -> np.ndarray:
-        """Per-node count of adjacency entries that lead to another node."""
+        """Per-node count of stubs whose edge leads to another node.
+
+        A node's degree minus two per self-loop at it.
+        """
         ends, partners = self.stubs[0::2], self.stubs[1::2]
         loops = np.bincount(ends[ends == partners], minlength=self.n)
         return self.degrees - 2 * loops
 
 
 def build_configuration_network(
-    dist: DegreeDistribution, n: int, seed_or_rng: int | np.random.Generator
+    dist: DegreeDistribution, n: int, rng: np.random.Generator
 ) -> Network:
-    """Uniform stub-matching network with i.i.d. degrees from ``dist``.
+    """Uniform stub-matching network of ``n`` nodes with i.i.d. degrees from ``dist``.
 
     If the sampled stub total is odd the last node's degree is resampled
     (up to a bounded number of tries; a degree law with fixed parity,
@@ -110,18 +96,11 @@ def build_configuration_network(
     and parallel edges are kept: they vanish asymptotically and removing
     them would distort the degree sequence.
 
-    The stubs are paired by sorting random keys (see the module
-    docstring), drawn from the same generator right after the degrees.
-    A seed's degrees are those of the earlier shuffle-based pairing, but
-    its pairing, and so every seeded estimate, differs.
+    The degrees, then the random keys that pair the stubs (see the
+    module docstring), are drawn from ``rng``.
     """
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
     degrees = dist.sample(rng, n).astype(np.int64)
     if degrees.sum() % 2 == 1:
         for _ in range(_PARITY_RESAMPLE_LIMIT):
@@ -208,9 +187,9 @@ class SimConfig:
         v: float,
         phi: float,
         d_f: int,
-        n_workers: int = 100_000,
-        n_trials: int = 100_000,
-        seed: int = 0,
+        n_workers: int,
+        n_trials: int,
+        seed: int,
     ) -> "SimConfig":
         """Build a config from model-level quantities (u_i, u, v, phi, d_f)."""
         reach = contact_reach(phi, as_count(d_f, "job-network degree d_f"), u, v)

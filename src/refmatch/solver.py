@@ -378,8 +378,10 @@ def solve_all(
 
     Returns the distinct equilibria found (unemployment vectors further
     than 1e-6 apart in the max norm), default-initialized one first.
-    Congestion can in principle support multiple steady states; restarts
-    make any multiplicity visible instead of silently picking one.
+    Congestion can in principle support multiple steady states, though
+    restarts found no second one in 700 random economies (ROADMAP item
+    11); restarts make any multiplicity visible instead of silently
+    picking one.
     """
     config = config or SolverConfig()
     found = [solve_equilibrium(params, groups, config)]

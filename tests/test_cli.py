@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from refmatch import CalibrationTargets, ModelParams, SolverConfig, cli, solver
+from refmatch import CalibrationTargets, ModelParams, SolverConfig, cli, experiments, solver
 from refmatch.calibration import CalibrationError
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
@@ -63,6 +63,14 @@ class TestSolveCommand:
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0].startswith("scenario,axis_value,group,")
         assert len(lines) == 3
+
+    def test_zipf_mean_near_alpha_2(self, tmp_path):
+        # Mean 1e4 needs alpha = 2.00015, where adjacent doubles of alpha
+        # move the mean by more than the fit's 5e-9 stop rule.
+        config = write_config(tmp_path, {"groups": [{"family": "zipf", "mean": 1e4}]})
+        code, text = run_cli("solve", "--config", config)
+        assert code == EXIT_OK
+        assert "group 1:" in text
 
     def test_mixed_families_and_solver_section(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "_DAMPING", 0.4)
@@ -544,7 +552,13 @@ class TestUnwritableOutput:
         ("solve", "--config", None, "--out"),
         ("reproduce-all", "--outdir"),
     ], ids=lambda command: command[0])
-    def test_exits_4_with_one_error_line(self, tmp_path, capsys, command):
+    def test_exits_4_with_one_error_line(self, tmp_path, capsys, monkeypatch, command):
+        # The output path is checked before anything is solved.
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the output path was checked")
+
+        monkeypatch.setattr(experiments, "solve_equilibrium", refuse)
+        monkeypatch.setattr(cli, "solve_all", refuse)
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         # A missing directory for a CSV, a path under a file for a directory.
@@ -555,3 +569,15 @@ class TestUnwritableOutput:
         assert code == EXIT_BAD_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and target in err[0], err
+
+    def test_failed_solve_leaves_an_existing_out_unchanged(self, tmp_path, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise solver.ConvergenceError("no steady state", [0.5], 0.5, 1.0, 1)
+
+        monkeypatch.setattr(cli, "solve_all", diverge)
+        out_csv = tmp_path / "eq.csv"
+        out_csv.write_text("kept\n")
+        config = write_config(tmp_path, BASELINE_CONFIG)
+        code, _ = run_cli("solve", "--config", config, "--out", str(out_csv))
+        assert code == EXIT_NO_CONVERGENCE
+        assert out_csv.read_text() == "kept\n"

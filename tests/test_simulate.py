@@ -50,28 +50,34 @@ def info_probability_in_context() -> float:
 
 class TestNetworkBuild:
     def test_regular_degrees(self):
-        net = build_configuration_network(Degenerate(2), 3, seed_or_rng=5)
+        net = build_configuration_network(Degenerate(2), 3, np.random.default_rng(5))
         assert list(net.degrees) == [2, 2, 2]
         assert net.stub_count == 6
-        for node in range(3):
-            assert len(net.neighbors_of(node)) == 2
+        assert np.bincount(net.stubs, minlength=3).tolist() == [2, 2, 2]
 
     def test_empty_network(self):
-        net = build_configuration_network(Degenerate(0), 10, seed_or_rng=0)
+        net = build_configuration_network(Degenerate(0), 10, np.random.default_rng(0))
         assert net.stub_count == 0
-        assert net.neighbors.size == 0
+        assert net.stubs.size == 0
 
-    def test_adjacency_is_symmetric_multiset(self):
-        net = build_configuration_network(Poisson(5.0), 500, seed_or_rng=3)
-        # every directed entry (i -> j) must be matched by (j -> i)
-        src = np.repeat(np.arange(net.n), net.degrees)
-        fwd = sorted(zip(src.tolist(), net.neighbors.tolist()))
-        rev = sorted(zip(net.neighbors.tolist(), src.tolist()))
-        assert fwd == rev
+    @pytest.mark.parametrize("dist, n", [
+        (Poisson(5.0), 500), (Zipf(2.3), 500), (Degenerate(3), 3), (Degenerate(0), 10),
+    ], ids=["poisson", "zipf", "regular-parity-stub", "empty"])
+    def test_stub_list_invariants(self, dist, n):
+        net = build_configuration_network(dist, n, np.random.default_rng(3))
+        assert net.n == n and net.stub_count % 2 == 0
+        assert np.array_equal(np.bincount(net.stubs, minlength=n), net.degrees)
+        # Reference: walk the edges (stubs[2k], stubs[2k + 1]) one at a time.
+        reachable = [0] * n
+        for a, b in zip(net.stubs[0::2].tolist(), net.stubs[1::2].tolist()):
+            if a != b:
+                reachable[a] += 1
+                reachable[b] += 1
+        assert net.reachable_degrees().tolist() == reachable
 
     def test_poisson_mean_degree_clt(self):
         lam, n = 22.47, 100_000
-        net = build_configuration_network(Poisson(lam), n, seed_or_rng=17)
+        net = build_configuration_network(Poisson(lam), n, np.random.default_rng(17))
         bound = 3.0 * math.sqrt(lam / n)
         assert abs(net.degrees.mean() - lam) < bound
 
@@ -79,27 +85,26 @@ class TestNetworkBuild:
         # Poisson redraws the last degree; a fixed odd degree cannot be
         # fixed by resampling and gets one extra stub
         for seed in range(6):
-            net = build_configuration_network(Poisson(3.0), 11, seed_or_rng=seed)
+            net = build_configuration_network(Poisson(3.0), 11, np.random.default_rng(seed))
             assert net.stub_count % 2 == 0
-        net = build_configuration_network(Degenerate(3), 3, seed_or_rng=1)
+        net = build_configuration_network(Degenerate(3), 3, np.random.default_rng(1))
         assert net.stub_count == 10
         assert sorted(net.degrees.tolist()) == [3, 3, 4]
 
     def test_seed_reproducibility(self):
-        a = build_configuration_network(Zipf(2.3), 2000, seed_or_rng=123)
-        b = build_configuration_network(Zipf(2.3), 2000, seed_or_rng=123)
+        a = build_configuration_network(Zipf(2.3), 2000, np.random.default_rng(123))
+        b = build_configuration_network(Zipf(2.3), 2000, np.random.default_rng(123))
         assert np.array_equal(a.degrees, b.degrees)
-        assert np.array_equal(a.neighbors, b.neighbors)
-        c = build_configuration_network(Zipf(2.3), 2000, seed_or_rng=124)
-        assert not np.array_equal(a.neighbors, c.neighbors)
+        assert np.array_equal(a.stubs, b.stubs)
+        c = build_configuration_network(Zipf(2.3), 2000, np.random.default_rng(124))
+        assert not np.array_equal(a.stubs, c.stubs)
 
     def test_pairing_sorts_random_keys_carrying_the_owner_ids(self):
         # A seed's pairing is the owner list ordered by one uniform 64-bit
         # key per stub, drawn right after the degrees, whose low 9 bits
-        # (enough for 300 ids) hold the owner; the per-node adjacency
-        # matches the one read off through the inverse permutation.
+        # (enough for 300 ids) hold the owner.
         dist, n, seed = Poisson(5.0), 300, 2
-        net = build_configuration_network(dist, n, seed_or_rng=seed)
+        net = build_configuration_network(dist, n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         degrees = dist.sample(rng, n)
         assert degrees.sum() % 2 == 0  # no parity resample draws in between
@@ -109,15 +114,7 @@ class TestNetworkBuild:
         keys = (keys >> np.uint64(9) << np.uint64(9)) | owners.astype(np.uint64)
         perm = np.argsort(keys)
         assert np.all(np.diff(keys[perm] >> np.uint64(9)) > 0)  # no ties to break
-        shuffled = owners[perm]
-        assert np.array_equal(net.stubs, shuffled)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(perm.size)
-        reference = shuffled[inv ^ 1]
-        assert np.array_equal(
-            net.neighbors[np.lexsort((net.neighbors, owners))],
-            reference[np.lexsort((reference, owners))],
-        )
+        assert np.array_equal(net.stubs, owners[perm])
 
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
                              ids=["random-keys", "tied-keys"])
@@ -139,7 +136,7 @@ class TestNetworkBuild:
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            build_configuration_network(Poisson(3.0), 1, seed_or_rng=0)
+            build_configuration_network(Poisson(3.0), 1, np.random.default_rng(0))
 
 
 class TestReferralEstimate:
@@ -169,10 +166,13 @@ class TestReferralEstimate:
             dist=Degenerate(40), n_workers=4, n_trials=200_000, seed=3,
             employment_rate=0.9, informed_given_employed=0.03 / 0.9,
         )
-        net = build_configuration_network(config.dist, config.n_workers, config.seed)
-        self_entries = np.array(
-            [np.count_nonzero(net.neighbors_of(i) == i) for i in range(net.n)]
+        # The estimator's network: it seeds one generator with the config's seed.
+        net = build_configuration_network(
+            config.dist, config.n_workers, np.random.default_rng(config.seed)
         )
+        self_entries = np.zeros(net.n, dtype=np.int64)  # two per self-loop
+        for a, b in zip(net.stubs[0::2].tolist(), net.stubs[1::2].tolist()):
+            self_entries[a] += 2 * (a == b)
         assert self_entries.sum() > 0
         q = config.employment_rate * config.informed_given_employed
         exact = np.mean(1.0 - (1.0 - q) ** (net.degrees - self_entries))
@@ -228,10 +228,11 @@ class TestReferralEstimate:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=-1,
                       employment_rate=0.9, informed_given_employed=0.02)
+        sizes = dict(n_workers=100, n_trials=10, seed=0)
         with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
-            SimConfig.at_context(Poisson(5.0), **{**CONTEXT, "d_f": 2.5})
+            SimConfig.at_context(Poisson(5.0), **sizes, **{**CONTEXT, "d_f": 2.5})
         with pytest.raises(ValueError, match="referral frequency"):
-            SimConfig.at_context(Poisson(5.0), **{**CONTEXT, "phi": 1.5})
+            SimConfig.at_context(Poisson(5.0), **sizes, **{**CONTEXT, "phi": 1.5})
 
     def test_z_score(self):
         est = estimate_referral_rate(config_for(Poisson(22.47), n_workers=20_000, n_trials=20_000))

@@ -1,8 +1,10 @@
 """Count code lines per module of src/refmatch and in total.
 
 A code line holds at least one token outside comments and docstrings;
-blank lines do not count.  Usage: python tools/code_lines.py [CHECKOUT]
-(default: the checkout this file is in).
+blank lines do not count.  Usage: python tools/code_lines.py [CHECKOUT [BASE]]
+(default CHECKOUT: the checkout this file is in).  Given BASE as well, it
+prints each module's count in CHECKOUT and in BASE and the difference
+CHECKOUT - BASE; a module one side lacks counts 0 there.
 """
 
 import ast
@@ -28,12 +30,25 @@ def code_lines(source: str) -> int:
     return len(lines - docstrings)
 
 
+def module_lines(root: Path) -> dict[str, int]:
+    """Code lines of each module of ``root``/src/refmatch, with their "total"."""
+    counts = {path.name: code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted((root / "src" / "refmatch").glob("*.py"))}
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 if __name__ == "__main__":
-    root = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parents[1]
-    package = root / "src" / "refmatch"
-    total = 0
-    for path in sorted(package.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.name:<16} {n:>5}")
-    print(f"{'total':<16} {total:>5}")
+    if len(sys.argv) > 3:
+        sys.exit(__doc__)
+    roots = [Path(arg) for arg in sys.argv[1:]] or [Path(__file__).resolve().parents[1]]
+    tables = [module_lines(root) for root in roots]
+    names = sorted(set().union(*tables) - {"total"}) + ["total"]
+    if len(tables) == 2:
+        print(f"{'':<16} {'CHECKOUT':>8} {'BASE':>8} {'diff':>6}")
+    for name in names:
+        counts = [table.get(name, 0) for table in tables]
+        if len(counts) == 2:
+            print(f"{name:<16} {counts[0]:>8} {counts[1]:>8} {counts[0] - counts[1]:>+6}")
+        else:
+            print(f"{name:<16} {counts[0]:>5}")
