@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .degree import Poisson, as_count, is_finite
-from .model import GroupSpec, ModelParams, contact_reach
+from .model import DEFAULT_GROUP_SIZE, GroupSpec, ModelParams, contact_reach
 from .solver import ConvergenceError, solve_equilibrium
 
 __all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate"]
@@ -47,7 +47,7 @@ class CalibrationTargets:
     wage_target: float = 0.6
     referral_share: float = 0.5  # p_referral / p_total
     baseline_mean_degree: float = 22.47
-    d_f: int = 16
+    d_f: int = ModelParams.d_f
 
     def __post_init__(self):
         if not 0.0 < self.u_target < 1.0:
@@ -73,19 +73,19 @@ class CalibrationTargets:
 def baseline_groups(
     mean_degree: float = CalibrationTargets.baseline_mean_degree,
 ) -> tuple[GroupSpec, GroupSpec]:
-    """The baseline economy: two groups of 10^6 workers on Poisson(mean_degree) networks."""
-    group = GroupSpec(size=1e6, dist=Poisson(mean_degree))
+    """The baseline economy: two default-size groups on Poisson(mean_degree) networks."""
+    group = GroupSpec(size=DEFAULT_GROUP_SIZE, dist=Poisson(mean_degree))
     return (group, group)
 
 
 def calibrate(
     targets: CalibrationTargets | None = None,
     *,
-    y: float = 1.0,
-    b: float = 0.4,
-    r: float = 0.012,
-    delta: float = 0.036,
-    eta: float = 0.72,
+    y: float = ModelParams.y,
+    b: float = ModelParams.b,
+    r: float = ModelParams.r,
+    delta: float = ModelParams.delta,
+    eta: float = ModelParams.eta,
 ) -> ModelParams:
     """Complete the parameter vector from the baseline targets.
 

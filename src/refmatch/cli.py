@@ -38,7 +38,7 @@ from .experiments import (
 )
 # Unused here since the rows carry both numbers; perfbench/spans.py traces these names.
 from .metrics import gini, social_welfare  # noqa: F401
-from .model import Equilibrium, GroupSpec, ModelParams
+from .model import DEFAULT_GROUP_SIZE, Equilibrium, GroupSpec, ModelParams
 from .simulate import SimConfig, estimate_referral_rate
 from .solver import ConvergenceError, SolverConfig, solve_all, solve_equilibrium
 
@@ -63,7 +63,8 @@ class ConfigError(ValueError):
 #            calibrating, of the given parameters y, b, r, delta and eta
 #   calibrate  optional JSON bool: recover gamma/beta/c/phi from "targets"
 #   targets  optional partial override of CalibrationTargets fields
-#   groups   required list of {"family", optional "size" (default 1e6), and
+#   groups   required list of {"family", optional "size" (default
+#            model.DEFAULT_GROUP_SIZE), and
 #            "mean"|"alpha"|"k"}
 #            family: "poisson"/"er", "regular"/"degenerate", "zipf"/"scale-free"
 #   solver   optional {"initial_u", "multistart"} (SolverConfig); with
@@ -124,7 +125,8 @@ def _build_group(entry, index: int) -> GroupSpec:
         if law is None:
             raise ValueError(f"missing {' or '.join(_LAW_KEYS[family])}")
         data = _numbers(data, ("size", law), "")
-        return GroupSpec(size=float(data.get("size", 1e6)), dist=_law(family, law, float(data[law])))
+        size = float(data.get("size", DEFAULT_GROUP_SIZE))
+        return GroupSpec(size=size, dist=_law(family, law, float(data[law])))
     except ValueError as exc:
         raise ConfigError(f"group {index}: {exc}") from exc
 
@@ -140,8 +142,8 @@ def _law(family: str, key: str, x: float) -> DegreeDistribution:
     return Zipf(x if key == "alpha" else zipf_alpha_for_mean(x))
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
-    path = Path(path)
+def _read_config(path: Path) -> dict:
+    """The JSON object in the file at ``path``."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -150,7 +152,12 @@ def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    return data
 
+
+def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
+    path = Path(path)
+    data = _read_config(path)
     known = {"name", "params", "calibrate", "targets", "groups", "solver"}
     unknown = set(data) - known
     if unknown:
@@ -217,8 +224,9 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_calibrate(args, out) -> int:
     if args.config:
-        scenario, _ = load_scenario(args.config)
-        params = scenario.params
+        if _read_config(Path(args.config)).get("calibrate") is not True:
+            raise ConfigError(f'{args.config} lacks "calibrate": true: nothing to recover')
+        params = load_scenario(args.config)[0].params
     else:
         params = calibrate()
     for name in ("gamma", "beta", "c", "phi"):

@@ -11,8 +11,9 @@ invariants (flow balance and free entry), so a written CSV is always a
 set of verified steady states.  The four ``run_*`` runners are the
 published tables and sweeps, each a fixed list of scenarios.
 
-Embedded reference values and tolerance checks are in
-:func:`reference_checks` / :func:`summary_report`.
+:func:`reference_checks` holds the rows to the embedded ``REFERENCE_*``
+tables and to the paper's claims, each kind of check written once, and
+:func:`summary_report` renders the outcomes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Callable, Iterable, Sequence
 from .calibration import CalibrationTargets
 from .degree import Degenerate, Poisson, Zipf, zipf_alpha_for_mean
 from .metrics import gini, social_welfare
-from .model import Equilibrium, GroupSpec, ModelParams
+from .model import DEFAULT_GROUP_SIZE, Equilibrium, GroupSpec, ModelParams
 from .solver import ConvergenceError, solve_equilibrium
 
 __all__ = [
@@ -49,8 +50,6 @@ __all__ = [
     "reference_checks",
     "summary_report",
 ]
-
-DEFAULT_GROUP_SIZE = 1e6
 
 # Group mean degrees of the two-group comparison table, the mean-degree
 # grid for the Erdos-Renyi vs regular comparison (integers so the regular
@@ -285,20 +284,12 @@ class CheckOutcome:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
 
 
-def _close(name: str, got: float, want: float, tol: float) -> CheckOutcome:
-    return CheckOutcome(
-        name=name,
-        passed=abs(got - want) <= tol,
-        detail=f"got {got:.6g}, reference {want:g} (tolerance {tol:g})",
-    )
-
-
-def _rel_close(name: str, got: float, want: float, rel: float) -> CheckOutcome:
-    return CheckOutcome(
-        name=name,
-        passed=abs(got - want) <= rel * abs(want),
-        detail=f"got {got:.6g}, reference {want:g} (relative tolerance {rel:g})",
-    )
+def _close(name: str, got: float, want: float, tol: float, relative: bool = False) -> CheckOutcome:
+    """Pass when ``got`` is within ``tol`` of ``want`` (of ``tol * |want|`` if ``relative``)."""
+    bound = tol * abs(want) if relative else tol
+    kind = "relative tolerance" if relative else "tolerance"
+    return CheckOutcome(name, abs(got - want) <= bound,
+                        f"got {got:.6g}, reference {want:g} ({kind} {tol:g})")
 
 
 def _holds(name: str, ok: bool, detail: str) -> CheckOutcome:
@@ -312,6 +303,7 @@ REFERENCE_BASELINE = {"u": (0.044, 0.001), "v": (0.040, 0.001),
                       "w": (0.600, 0.002), "referral_share": (0.50, 0.01)}
 # Reference two-group comparison values: per scenario, group unemployment
 # rates (as fractions), wages, Gini, and social welfare where published.
+# The Gini tolerance is relative, the others absolute.
 REFERENCE_TABLE2 = {
     "er": {"u": ((0.0510, 0.0005), (0.0394, 0.0005)),
            "w": ((0.581, 0.002), (0.615, 0.002)),
@@ -327,47 +319,35 @@ REFERENCE_ALPHA_MEANS = {2.028: (22.47, 0.05), 2.05: (12.86, 0.01), 2.1: (6.78, 
                          5.0: (1.04, 0.01)}
 
 
-def check_calibration(params: ModelParams) -> list[CheckOutcome]:
-    return [
-        _close(f"calibration {name}", getattr(params, name), want, tol)
-        for name, (want, tol) in REFERENCE_CALIBRATION.items()
-    ]
+def _close_to(prefix: str, got: Callable[[Any], float], refs: dict) -> list[CheckOutcome]:
+    """One :func:`_close` per ``key: (want, tol)`` of ``refs``, on ``got(key)``."""
+    return [_close(f"{prefix}{key}", got(key), want, tol) for key, (want, tol) in refs.items()]
 
 
-def check_baseline(eq: Equilibrium) -> list[CheckOutcome]:
-    g = eq.groups[0]
-    values = {"u": eq.u, "v": eq.v, "w": g.w, "referral_share": g.p_referral / g.p_total}
-    return [
-        _close(f"baseline {name}", values[name], want, tol)
-        for name, (want, tol) in REFERENCE_BASELINE.items()
-    ]
+def _nondecreasing(name: str, series: Sequence[tuple[float, float]], label: str,
+                   fmt: str) -> CheckOutcome:
+    """Pass when no ``series`` value falls more than 1e-12 below the one before it."""
+    ys = [y for _, y in series]
+    return _holds(name, all(b >= a - 1e-12 for a, b in zip(ys, ys[1:])),
+                  f"{label} from {ys[0]:{fmt}} to {ys[-1]:{fmt}}")
+
+
+def _argmax(pairs: Iterable[tuple[float, float]]) -> float:
+    return max(pairs, key=lambda kv: kv[1])[0]
 
 
 def check_table2(result: SweepResult) -> list[CheckOutcome]:
     out = []
     for scenario, refs in REFERENCE_TABLE2.items():
         rows = result.rows_for(scenario)
-        for (want, tol), row in zip(refs.get("u", ()), rows):
-            out.append(_close(f"table2 {scenario} u{row.group}", row.u, want, tol))
-        for (want, tol), row in zip(refs.get("w", ()), rows):
-            out.append(_close(f"table2 {scenario} w{row.group}", row.w, want, tol))
-        if "gini" in refs:
-            out.append(_rel_close(f"table2 {scenario} gini", rows[0].gini, *refs["gini"]))
-        if "sw" in refs:
-            out.append(_close(f"table2 {scenario} sw", rows[0].sw, *refs["sw"]))
+        for field, ref in refs.items():
+            if field in ("u", "w"):  # one reference per group row
+                out += [_close(f"table2 {scenario} {field}{row.group}", getattr(row, field), *r)
+                        for r, row in zip(ref, rows)]
+            else:  # economy-wide, held by every row
+                out.append(_close(f"table2 {scenario} {field}", getattr(rows[0], field), *ref,
+                                  relative=field == "gini"))
     return out
-
-
-def check_alpha_means() -> list[CheckOutcome]:
-    return [
-        _close(f"zipf mean alpha={a}", Zipf(a).mean(), want, tol)
-        for a, (want, tol) in REFERENCE_ALPHA_MEANS.items()
-    ]
-
-
-def _argmax(pairs: Iterable[tuple[float, float]]) -> float:
-    pairs = list(pairs)
-    return max(pairs, key=lambda kv: kv[1])[0]
 
 
 def check_structure(result: SweepResult) -> list[CheckOutcome]:
@@ -375,22 +355,16 @@ def check_structure(result: SweepResult) -> list[CheckOutcome]:
     reg = result.series("er_vs_regular", "u", group=2)
     gaps = [(m, ue - ur) for (m, ue), (_, ur) in zip(er, reg)]
     gap_at_0 = dict(gaps)[0.0]
-    grid = [m for m, _ in gaps]
-    step = grid[1] - grid[0]
-    peak = _argmax(gaps)
-    gini_peak = _argmax(result.series("er_vs_regular", "gini"))
+    step = gaps[1][0] - gaps[0][0]
+    out = [_holds("structure gap zero at degree 0", abs(gap_at_0) < 1e-12,
+                  f"u_er - u_regular = {gap_at_0:.3e} at mean degree 0")]
+    for label, series in (("u-gap", gaps), ("gini", result.series("er_vs_regular", "gini"))):
+        peak = _argmax(series)
+        out.append(_holds(f"structure {label} argmax within one grid step of 25",
+                          abs(peak - 25.0) <= step + 1e-9,
+                          f"argmax at mean degree {peak:g} (grid step {step:g})"))
     sf_u = dict(result.series("er_vs_scale_free", "u", group=2))
     er_u = dict(result.series("er_vs_scale_free", "u", group=1))
-    out = [
-        _holds("structure gap zero at degree 0", abs(gap_at_0) < 1e-12,
-               f"u_er - u_regular = {gap_at_0:.3e} at mean degree 0"),
-        _holds("structure u-gap argmax within one grid step of 25",
-               abs(peak - 25.0) <= step + 1e-9,
-               f"argmax at mean degree {peak:g} (grid step {step:g})"),
-        _holds("structure gini argmax within one grid step of 25",
-               abs(gini_peak - 25.0) <= step + 1e-9,
-               f"argmax at mean degree {gini_peak:g} (grid step {step:g})"),
-    ]
     for a in (2.028, 2.05, 2.1):
         if a in sf_u:
             out.append(_holds(f"scale-free disadvantage at alpha={a}", sf_u[a] > er_u[a],
@@ -400,30 +374,22 @@ def check_structure(result: SweepResult) -> list[CheckOutcome]:
 
 def check_df(result: SweepResult) -> list[CheckOutcome]:
     ginis = result.series("df", "gini")
-    sws = result.series("df", "sw")
     g0 = ginis[0][1]
     return [
         _holds("df sweep equality at d_f = 0", ginis[0][0] == 0.0 and abs(g0) < 1e-12,
                f"gini = {g0:.3e} at d_f = 0"),
-        _holds("df sweep gini nondecreasing",
-               all(b[1] >= a[1] - 1e-12 for a, b in zip(ginis, ginis[1:])),
-               f"gini from {ginis[0][1]:.3e} to {ginis[-1][1]:.3e}"),
-        _holds("df sweep welfare nondecreasing",
-               all(b[1] >= a[1] - 1e-12 for a, b in zip(sws, sws[1:])),
-               f"sw from {sws[0][1]:.5f} to {sws[-1][1]:.5f}"),
+        _nondecreasing("df sweep gini nondecreasing", ginis, "gini", ".3e"),
+        _nondecreasing("df sweep welfare nondecreasing", result.series("df", "sw"), "sw", ".5f"),
     ]
 
 
 def check_phi(result: SweepResult) -> list[CheckOutcome]:
-    ginis = result.series("phi", "gini")
-    sws = result.series("phi", "sw")
+    g0 = result.series("phi", "gini")[0][1]
     fine_peak = _argmax(result.series("phi_fine", "gini"))
     return [
-        _holds("phi sweep no inequality at phi = 0", abs(ginis[0][1]) < 1e-12,
-               f"gini = {ginis[0][1]:.3e} at phi = 0"),
-        _holds("phi sweep welfare nondecreasing",
-               all(b[1] >= a[1] - 1e-12 for a, b in zip(sws, sws[1:])),
-               f"sw from {sws[0][1]:.5f} to {sws[-1][1]:.5f}"),
+        _holds("phi sweep no inequality at phi = 0", abs(g0) < 1e-12,
+               f"gini = {g0:.3e} at phi = 0"),
+        _nondecreasing("phi sweep welfare nondecreasing", result.series("phi", "sw"), "sw", ".5f"),
         _holds("phi sweep gini peak inside [0.05, 0.2]", 0.05 <= fine_peak <= 0.2,
                f"fine-grid argmax at phi = {fine_peak:g}"),
     ]
@@ -437,15 +403,19 @@ def reference_checks(
     df: SweepResult,
     phi: SweepResult,
 ) -> list[CheckOutcome]:
-    checks: list[CheckOutcome] = []
-    checks += check_calibration(calibrated)
-    checks += check_baseline(baseline)
-    checks += check_table2(table2)
-    checks += check_alpha_means()
-    checks += check_structure(structure)
-    checks += check_df(df)
-    checks += check_phi(phi)
-    return checks
+    """Every reference check, in summary order."""
+    g = baseline.groups[0]
+    moments = {"u": baseline.u, "v": baseline.v, "w": g.w,
+               "referral_share": g.p_referral / g.p_total}
+    return [
+        *_close_to("calibration ", functools.partial(getattr, calibrated), REFERENCE_CALIBRATION),
+        *_close_to("baseline ", moments.get, REFERENCE_BASELINE),
+        *check_table2(table2),
+        *_close_to("zipf mean alpha=", lambda a: Zipf(a).mean(), REFERENCE_ALPHA_MEANS),
+        *check_structure(structure),
+        *check_df(df),
+        *check_phi(phi),
+    ]
 
 
 def summary_report(checks: Sequence[CheckOutcome], notes: Sequence[str] = ()) -> str:

@@ -90,6 +90,10 @@ class ModelParams:
         object.__setattr__(self, "d_f", as_count(self.d_f, "job-network degree d_f"))
 
 
+# Workers per group when a scenario does not give a size.
+DEFAULT_GROUP_SIZE = 1e6
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """One worker group: its size and the degree law of its social network."""

@@ -274,7 +274,7 @@ def _iterate(
         point = _evaluate(params, groups, sizes, total, u_vec, v)
         residual = float(np.max(np.abs(point.R)))
         if residual < _RESIDUAL_TOL:
-            eq = _assemble(params, groups, point, residual, it)
+            eq = _assemble(params, groups, total, point, residual, it)
             # Free entry weighs each flow residual by about 1/v, so where v is
             # tiny flow balance alone leaves r V far from 0: go on until it is
             # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
@@ -326,11 +326,12 @@ def _iterate(
 def _assemble(
     params: ModelParams,
     groups: Sequence[GroupSpec],
+    total: float,
     point: _Point,
     residual: float,
     iterations: int,
 ) -> Equilibrium:
-    total = float(np.sum([g.size for g in groups]))
+    """The equilibrium at ``point``; ``total`` is the sum of the group sizes."""
     states = []
     entry_flow = 0.0
     for g, u_i, P, p_r in zip(groups, point.u_vec.tolist(), point.P, point.p_r):

@@ -448,6 +448,22 @@ class TestCalibrateCommand:
         code, _ = run_cli("calibrate", "--config", config)
         assert code == EXIT_INFEASIBLE_CALIBRATION
 
+    def test_config_without_directive_is_refused(self, tmp_path, capsys):
+        # Such a config carries no targets: printing its params would pass
+        # them off as recovered.
+        config = write_config(tmp_path, {
+            "groups": [{"family": "poisson", "mean": 5}], "params": {"gamma": 0.9},
+        })
+        code, text = run_cli("calibrate", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and '"calibrate": true' in err[0]
+        assert text == ""
+
+    def test_config_with_directive_recovers_the_defaults(self, tmp_path):
+        config = write_config(tmp_path, {**BASELINE_CONFIG, "calibrate": True})
+        assert run_cli("calibrate", "--config", config) == run_cli("calibrate")
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

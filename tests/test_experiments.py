@@ -2,6 +2,7 @@
 
 import gc
 import io
+import math
 import sys
 
 import pytest
@@ -9,7 +10,11 @@ import pytest
 from refmatch import Zipf, cli, experiments
 from refmatch.experiments import (
     CSV_HEADER,
+    DF_GRID,
     SCENARIOS,
+    STRUCTURE_MEAN_GRID,
+    SweepResult,
+    SweepRow,
     check_df,
     check_phi,
     check_structure,
@@ -245,6 +250,54 @@ class TestRowEmission:
     def test_one_axis_value_per_group(self, baseline_eq):
         with pytest.raises(ValueError):
             equilibrium_rows("x", (1.0,), baseline_eq)
+
+
+def _row(scenario: str, x: float, group: int, **values) -> SweepRow:
+    """A hand-made CSV row: ``values`` over a fixed, unremarkable economy."""
+    base = dict(u=0.05, w=0.6, p_market=0.3, p_referral=0.3, P_i=0.01, S=10.0,
+                gini=0.0, sw=0.6, v=0.04)
+    return SweepRow(scenario=scenario, axis_value=float(x), group=group, **{**base, **values})
+
+
+class TestCheckKinds:
+    """Each kind of reference check at its edges, on hand-built rows (no solves)."""
+
+    @pytest.mark.parametrize("dip, passed", [(5e-13, True), (1e-11, False)])
+    def test_nondecreasing_allows_a_1e_12_dip(self, dip, passed):
+        ginis = (0.0, 0.01, 0.01 - dip, 0.02)
+        rows = [_row("df", x, g, gini=gi) for x, gi in zip(DF_GRID, ginis) for g in (1, 2)]
+        outcomes = {c.name: c for c in check_df(SweepResult(rows, []))}
+        gini_check = outcomes["df sweep gini nondecreasing"]
+        assert gini_check.passed is passed
+        assert gini_check.detail == "gini from 0.000e+00 to 2.000e-02"
+        assert outcomes["df sweep welfare nondecreasing"].passed
+
+    def test_relative_tolerance_holds_at_its_bound(self):
+        # Half the published 2.31e-4 is off by exactly 0.5 * 2.31e-4 (both
+        # steps are exact in binary), the bound of that relative check.
+        want = 2.31e-4
+        for got, passed in ((want / 2, True), (math.nextafter(want / 2, 0.0), False)):
+            rows = [_row(scenario, m, g, gini=got)
+                    for scenario in ("er", "regular", "scale_free")
+                    for g, m in ((1, 15.0), (2, 30.0))]
+            outcomes = {c.name: c for c in check_table2(SweepResult(rows, []))}
+            check = outcomes["table2 scale_free gini"]
+            assert check.passed is passed
+            assert check.detail.endswith(", reference 0.000231 (relative tolerance 0.5)")
+
+    @pytest.mark.parametrize("peak, passed", [(20, True), (30, True), (15, False), (35, False)])
+    def test_argmax_within_one_grid_step_of_25(self, peak, passed):
+        rows = []
+        for m in STRUCTURE_MEAN_GRID:
+            gap = 1e-3 / (1 + abs(m - peak)) if m else 0.0
+            rows += [_row("er_vs_regular", m, 1, u=0.05 + gap, gini=gap),
+                     _row("er_vs_regular", m, 2, u=0.05, gini=gap)]
+        outcomes = {c.name: c for c in check_structure(SweepResult(rows, []))}
+        assert outcomes["structure gap zero at degree 0"].passed
+        for kind in ("u-gap", "gini"):
+            check = outcomes[f"structure {kind} argmax within one grid step of 25"]
+            assert check.passed is passed
+            assert check.detail == f"argmax at mean degree {peak} (grid step 5)"
 
 
 class TestSummaryReport:
