@@ -143,7 +143,7 @@ def _law(family: str, key: str, x: float) -> DegreeDistribution:
 
 
 def _read_config(path: Path) -> dict:
-    """The JSON object in the file at ``path``."""
+    """The JSON object in the file at ``path``; ConfigError if it has an unknown top-level key."""
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -152,34 +152,34 @@ def _read_config(path: Path) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
+    unknown = set(data) - {"name", "params", "calibrate", "targets", "groups", "solver"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
-    path = Path(path)
-    data = _read_config(path)
-    known = {"name", "params", "calibrate", "targets", "groups", "solver"}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
-    raw_groups = data.get("groups")
-    if not isinstance(raw_groups, list) or not raw_groups:
-        raise ConfigError("config must define a nonempty 'groups' list")
-    groups = tuple(_build_group(g, i + 1) for i, g in enumerate(raw_groups))
-
+def _config_params(data: dict) -> ModelParams:
+    """The config's ``params``, or with ``"calibrate": true`` those recovered from its ``targets``."""
     calibrating = data.get("calibrate", False)
     if not isinstance(calibrating, bool):
         raise ConfigError(f"calibrate must be true or false, got {calibrating!r}")
     if calibrating:
         targets = _build(CalibrationTargets, data.get("targets", {}), "targets")
         given = ("y", "b", "r", "delta", "eta")  # calibrate recovers the rest
-        params = _build(partial(calibrate, targets), data.get("params", {}), "params", given)
-    elif "targets" in data:
+        return _build(partial(calibrate, targets), data.get("params", {}), "params", given)
+    if "targets" in data:
         raise ConfigError("'targets' only applies when 'calibrate' is true")
-    else:
-        params = _build(ModelParams, data.get("params", {}), "params")
+    return _build(ModelParams, data.get("params", {}), "params")
 
+
+def load_scenario(path: str | Path) -> tuple[Scenario, SolverConfig]:
+    path = Path(path)
+    data = _read_config(path)
+    raw_groups = data.get("groups")
+    if not isinstance(raw_groups, list) or not raw_groups:
+        raise ConfigError("config must define a nonempty 'groups' list")
+    groups = tuple(_build_group(g, i + 1) for i, g in enumerate(raw_groups))
+    params = _config_params(data)
     solver = _build(SolverConfig, data.get("solver", {}), "solver")
     name = data.get("name", path.stem)
     if not isinstance(name, str) or any(c in name for c in ',"\r\n'):
@@ -224,9 +224,12 @@ def _cmd_solve(args, out) -> int:
 
 def _cmd_calibrate(args, out) -> int:
     if args.config:
-        if _read_config(Path(args.config)).get("calibrate") is not True:
+        # Calibration reads only calibrate, targets and params: it always
+        # solves the two-Poisson baseline, whatever groups the config sets.
+        data = _read_config(Path(args.config))
+        if data.get("calibrate") is not True:
             raise ConfigError(f'{args.config} lacks "calibrate": true: nothing to recover')
-        params = load_scenario(args.config)[0].params
+        params = _config_params(data)
     else:
         params = calibrate()
     for name in ("gamma", "beta", "c", "phi"):

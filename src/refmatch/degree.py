@@ -14,16 +14,16 @@ Zipf law uses its probability generating function, 1 - Li_a(1 - P) /
 zeta(a), so a polylogarithm and the Riemann zeta function are
 implemented here as well; both are plain float64 routines with no
 external special-function dependency.  Each Zipf law computes zeta(a)
-once and keeps, in a dict keyed by block index, k^a of every 4,096-term
+once and keeps, in a dict keyed by block index, k^-a of every 4,096-term
 block its polylog series has reached (at most 245, 7.6 MiB, at the
 10^6-term cap), and the last x = 1 - P it summed with its value: a
 scalar solve's last steps often ask again for a 1 - P that rounds to it.
 A value is a function of (a, x) alone, so nothing depends on call order.
-Each 4,096-term block of the series is summed over the shortest
-power-of-two prefix whose remainder provably cannot change numpy's
-pairwise sum of the block, so the result is bit-identical to the
-full-block sum.  Only that bit-identity depends on numpy's summation
-layout, which the tests pin; the value is accurate either way.
+Each term of the series is exp(k log x) times the kept k^-a, one exp
+and no power, and each block is summed with one numpy sum over its
+shortest power-of-two prefix whose remainder bound is below 2^-53 of the
+block's first term.  The dropped terms are below that whatever order
+numpy adds in, so no value rests on numpy's summation layout.
 
 The Zipf form is not exact at small P: the subtraction cancels and the
 series stops at 10^6 terms.  Against 40-digit mpmath, its relative
@@ -68,11 +68,11 @@ _ZETA_SERIES_TERMS = 64
 _POLYLOG_RTOL = 1e-12
 _POLYLOG_MAX_TERMS = 10**6
 _POLYLOG_BLOCK = 4096
-# Shortest prefix _block_sum tries (numpy's pairwise-sum leaf), and the
-# share of a block's first term its dropped remainder must stay below.
-_PAIRWISE_LEAF = 128
+# Shortest prefix of a block that is summed, and the share of the block's
+# first term its dropped remainder must stay below.
+_MIN_PREFIX = 128
 _UNIT_ROUNDOFF = 2.0**-53
-# k over the series' first block, shared by every law; read-only.
+# k over the series' first block; block i's k adds i 4,096.  Shared, read-only.
 _FIRST_K = np.arange(1, _POLYLOG_BLOCK + 1, dtype=np.float64)
 _FIRST_K.flags.writeable = False
 
@@ -144,21 +144,32 @@ def polylog(alpha: float, x: float) -> float:
 def _polylog_blocks(alpha: float, x: float, blocks: dict[int, np.ndarray]) -> float:
     """Li_alpha(x) for 0 < x < 1, summed block by block.
 
-    ``blocks[i]`` is k^alpha over block i, the terms from i 4,096 + 1 on;
-    a block the dict does not hold yet is computed and stored.  A power
-    past the float range is inf, and its term x^k / inf is 0.
+    ``blocks[i]`` is k^-alpha over block i, the terms from i 4,096 + 1 on
+    (0 where it underflows); a block the dict does not hold yet is
+    computed and stored.  Each term is exp(k log x) k^-alpha: one exp,
+    not a power.  A block is summed over its shortest power-of-two prefix
+    of at least 128 terms whose remainder bound 2 T(k0 + m), with T the
+    geometric tail bound, falls below 2^-53 of the block's first term;
+    the dropped terms are positive and below that, so the prefix sum is
+    within an ulp of the full-block sum of the same terms.
     """
-    total, k = 0.0, _FIRST_K
+    total, log_x = 0.0, math.log(x)
     for i in itertools.count():
-        k_alpha = blocks.get(i)
-        if k_alpha is None:
-            with np.errstate(over="ignore"):
-                k_alpha = blocks[i] = np.power(k, alpha)
-        total += _block_sum(alpha, x, k, k_alpha)
-        k0 = int(k[-1]) + 1
+        k0 = 1 + i * _POLYLOG_BLOCK
+        k_pow = blocks.get(i)
+        if k_pow is None:  # the block at the 10^6-term cap is partial
+            with np.errstate(under="ignore"):
+                k_pow = blocks[i] = (_FIRST_K[: _POLYLOG_MAX_TERMS + 1 - k0] + (k0 - 1)) ** -alpha
+        m = len(k_pow)
+        floor = _UNIT_ROUNDOFF * x**k0 * float(k_pow[0])
+        while m > _MIN_PREFIX and 2.0 * _series_tail(alpha, x, k0 + m // 2) < floor:
+            m //= 2
+        terms = np.exp((_FIRST_K[:m] + (k0 - 1)) * log_x)
+        terms *= k_pow[:m]
+        total += float(np.add.reduce(terms))
+        k0 += len(k_pow)
         if _series_tail(alpha, x, k0) < _POLYLOG_RTOL * total or k0 > _POLYLOG_MAX_TERMS:
             return total
-        k = np.arange(k0, min(k0 + _POLYLOG_BLOCK, _POLYLOG_MAX_TERMS + 1), dtype=np.float64)
 
 
 def _series_tail(alpha: float, x: float, big_k: int) -> float:
@@ -171,34 +182,6 @@ def _series_tail(alpha: float, x: float, big_k: int) -> float:
         return x**big_k / ((1.0 - x) * big_k**alpha)
     except OverflowError:
         return 0.0
-
-
-def _block_sum(alpha: float, x: float, k: np.ndarray, k_alpha: np.ndarray) -> float:
-    """np.sum(x^k / k^alpha) over one block, bit for bit, from its shortest sufficient prefix.
-
-    numpy's float64 add reduction (``np.sum``, ``np.add.reduce``) is a
-    pairwise sum: it halves a 4,096-term block down to 128-term leaves,
-    so every prefix of m = 128, 256, ..., 2,048 terms is a left subtree.
-    A full block is summed over the shortest such prefix whose remainder
-    bound 2 T(k0 + m), with T the geometric tail bound, falls below
-    2^-53 of the block's first term, and that prefix sum ``head`` is
-    kept only if ``head + 2 T == head``.
-    Every dropped right subtree is then a computed sum of positive terms
-    below 2 T, so, rounding being monotone, it is absorbed at its level
-    of the tree, and ``head`` is the full-block sum bit for bit.  Partial
-    blocks (only at the 10^6-term cap) and prefixes that fail the check
-    are summed in full.  Only the bit-identity depends on numpy's
-    summation layout, which the tests pin.
-    """
-    if len(k) == _POLYLOG_BLOCK:
-        k0, m = int(k[0]), _POLYLOG_BLOCK
-        floor = _UNIT_ROUNDOFF * x**k0 / float(k_alpha[0])
-        while m > _PAIRWISE_LEAF and 2.0 * _series_tail(alpha, x, k0 + m // 2) < floor:
-            m //= 2
-        head = float(np.add.reduce(np.power(x, k[:m]) / k_alpha[:m]))
-        if m == _POLYLOG_BLOCK or head + 2.0 * _series_tail(alpha, x, k0 + m) == head:
-            return head
-    return float(np.add.reduce(np.power(x, k) / k_alpha))
 
 
 class DegreeDistribution:

@@ -464,6 +464,19 @@ class TestCalibrateCommand:
         config = write_config(tmp_path, {**BASELINE_CONFIG, "calibrate": True})
         assert run_cli("calibrate", "--config", config) == run_cli("calibrate")
 
+    def test_config_needs_no_groups(self, tmp_path):
+        # Calibration solves its own two-Poisson baseline and reads no groups.
+        config = write_config(tmp_path, {"calibrate": True})
+        code, text = run_cli("calibrate", "--config", config)
+        assert (code, text) == run_cli("calibrate")
+        assert code == EXIT_OK and len(text.splitlines()) == 4
+
+    def test_config_with_an_unknown_key_is_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"calibrate": True, "group": []})
+        code, text = run_cli("calibrate", "--config", config)
+        assert code == EXIT_BAD_CONFIG and text == ""
+        assert capsys.readouterr().err == "error: unknown config keys: ['group']\n"
+
 
 class TestModuleEntry:
     def test_python_dash_m(self):

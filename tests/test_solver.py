@@ -359,7 +359,7 @@ class TestGroupSolveStopRule:
             ([0.08226147123344742, 0.08524367364847901], 0.045336268179641995, 14),
             ([0.08230078429468549, 0.08528692807761044], 0.045338776321366736, 18),
             ([0.08229856308965224, 0.08528450809563312], 0.04533863540252402, 19),
-            ([0.08230566876803291, 0.08529228552010004], 0.04533908718892572, 18),
+            ([0.08230566876803291, 0.08529228552010001], 0.045339087188925715, 18),
         ]
 
 
