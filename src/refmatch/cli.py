@@ -210,7 +210,10 @@ def _print_equilibrium(name: str, eq: Equilibrium, row: SweepRow, out) -> None:
 
 def _cmd_solve(args, out) -> int:
     scenario, solver_config = load_scenario(args.config)
-    equilibria = solve_all(scenario.params, scenario.groups, solver_config)
+    try:
+        equilibria = solve_all(scenario.params, scenario.groups, solver_config)
+    except ValueError as exc:  # parameters the model admits but no steady state has
+        raise ConfigError(f"invalid params: {exc}") from exc
     # The rows' gate runs before anything is printed, with or without --out.
     means = [group.dist.mean() for group in scenario.groups]
     rows = [equilibrium_rows(scenario.name, means, eq) for eq in equilibria]

@@ -29,9 +29,14 @@ until it repeats thousands of steps later.  Both end the corner in tens
 of steps.
 A scalar solve is an Illinois iteration on a bracket that provably holds
 a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
-adjacent doubles; damping halves when the residual rises twice in a row,
-which tames the overshoot the u -> v -> u loop can produce at high
-referral frequencies.
+adjacent doubles.  From the third sweep on, the bracket is first a warm
+one around the law's root in the last sweep, twice as wide as that root's
+last move: below u = 1/2 the flow residual rises strictly, so a sign
+change across it holds the one root there, the root the analytic bracket
+would give.  Without a strict sign change the solve falls back to the
+analytic bracket, which holds every root.  Damping halves when the
+residual rises twice in a row, which tames the overshoot the u -> v -> u
+loop can produce at high referral frequencies.
 
 Inputs are checked where they enter.  The public entries check every
 value: ``flow_residual`` here, ``info_probability`` and
@@ -174,51 +179,22 @@ def flow_residual(
                      np.asarray(u_vec, dtype=np.float64), v, checked=True).R
 
 
-def _solve_group_u(
-    params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float
-) -> float:
-    """Solve u p(u) = delta (1 - u) for one group with aggregates frozen.
+def _illinois(referral, p_m: float, reach: float, delta: float,
+              lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+    """The flow-balance root in [lo, hi], where the residual goes from f_lo < 0 to f_hi > 0.
 
-    ``phi_bracket`` is the frozen ``contact_reach``, so the per-contact
-    information probability is phi_bracket * (1 - u).
-
-    The total arrival rate lies in [p_m, p_m + p_r_max] with p_r_max the
-    referral rate of a fully employed group, so any root sits inside
-    [delta/(delta + p_m + p_r_max), delta/(delta + p_m)]: at the lower
-    endpoint the residual is u (p_r(u) - p_r_max) <= 0, at the upper it
-    is u p_r(u) >= 0.  Starting from this bracket keeps every evaluation
-    away from u = 1, where heavy-tailed referral expectations are slow.
+    Illinois-damped regula falsi (Dowell & Jarratt 1971) on the residual
+    u (p_m + referral(reach (1 - u))) - delta (1 - u): stops at a zero, at
+    hi - lo < 4e-18 + 1e-16 hi, or once no double lies strictly inside
+    [lo, hi]; 200 evaluations are a safety cap.
     """
-    delta = params.delta
-    if delta == 0.0:
-        return _U_EPS  # no destruction, no unemployment
-
-    # The checked kernel call also returns 0 at reach 0, the market-only
-    # case.  Past it every P = phi_bracket (1 - x) with phi_bracket in
-    # (0, 1] and x in [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the loop
-    # calls the unchecked kernel, which returns +0.0 should P underflow.
-    p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
-    referral = group.dist._reach
-    lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
-    hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
-    if p_r_max == 0.0:
-        return hi  # market-only group: the flow equation is linear
-    f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
-    f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
-    if f_lo >= 0.0:
-        return lo
-    if f_hi <= 0.0:
-        return hi
-    # Illinois-damped regula falsi on the sign change: stops at a zero, at
-    # hi - lo < 4e-18 + 1e-16 hi, or once no double lies strictly inside
-    # [lo, hi]; 200 evaluations are a safety cap.
     side = 0
     for _ in range(200):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
         # Guard against stagnation at an endpoint.
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
-        fx = x * (p_m + referral(phi_bracket * (1.0 - x))) - delta * (1.0 - x)
+        fx = x * (p_m + referral(reach * (1.0 - x))) - delta * (1.0 - x)
         if fx == 0.0 or hi - lo < 1e-17:
             return x
         if (fx > 0.0) == (f_hi > 0.0):
@@ -234,6 +210,63 @@ def _solve_group_u(
         if hi - lo < 4e-18 + 1e-16 * hi or not lo < 0.5 * (lo + hi) < hi:
             break
     return 0.5 * (lo + hi)
+
+
+def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float,
+                   last: tuple[float, float] | None = None) -> float:
+    """Solve u p(u) = delta (1 - u) for one group with aggregates frozen.
+
+    ``phi_bracket`` is the frozen ``contact_reach``, so the per-contact
+    information probability is phi_bracket * (1 - u).  ``last`` holds the
+    law's roots in the last two sweeps, (r, r_prev), or None.
+
+    The residual f(u) = u (p_m + p_r(phi_bracket (1 - u))) - delta (1 - u)
+    rises strictly on (0, 1/2]: p_r is concave in P with p_r(0) = 0, so
+    p_r(P) >= P p_r'(P), and with P = phi_bracket (1 - u) that gives
+    f'(u) >= p_m + delta + p_r(P) (1 - u / (1 - u)) >= p_m + delta > 0.
+    A sign change inside (0, 1/2] therefore brackets the only root there.
+    The solve takes the first of two brackets that holds one:
+      - warm, from ``last`` with r <= 1/2: [r - w, r + w] with
+        w = 2 |r - r_prev| + 1e-15 r, clipped to [_U_EPS, 1/2], used only
+        where f changes sign strictly across it;
+      - analytic, otherwise: the total arrival rate lies in
+        [p_m, p_m + p_r_max], with p_r_max the referral rate of a fully
+        employed group, so any root sits inside
+        [delta/(delta + p_m + p_r_max), delta/(delta + p_m)]: at the lower
+        endpoint the residual is u (p_r(u) - p_r_max) <= 0, at the upper it
+        is u p_r(u) >= 0.  This bracket holds every root, including those
+        above 1/2 (the corner economies), and keeps every evaluation away
+        from u = 1, where heavy-tailed referral expectations are slow.
+    Late in a solve the root moves by less than 1e-12 a sweep, so the warm
+    bracket saves the kernel calls that narrow the analytic one.
+    """
+    delta = params.delta
+    # Every P = phi_bracket (1 - x) with phi_bracket in [0, 1] and x in
+    # [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the loops call the unchecked
+    # kernel, which returns +0.0 at P = 0 or should P underflow.
+    referral = group.dist._reach
+    if last is not None and last[0] <= 0.5:  # so that lo <= r <= hi
+        r, r_prev = last
+        w = 2.0 * abs(r - r_prev) + 1e-15 * r
+        lo, hi = max(_U_EPS, r - w), min(0.5, r + w)
+        f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
+        f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
+        if f_lo < 0.0 < f_hi:
+            return _illinois(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
+
+    # The checked kernel call also returns 0 at reach 0, the market-only case.
+    p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
+    lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
+    hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
+    if p_r_max == 0.0:
+        return hi  # market-only group: the flow equation is linear
+    f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
+    f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
+    if f_lo >= 0.0:
+        return lo
+    if f_hi <= 0.0:
+        return hi
+    return _illinois(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
 
 
 def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[GroupSpec], list[int]]:
@@ -264,8 +297,11 @@ def _iterate(
     v = vacancy_closure(params, groups, u_vec.tolist())
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
 
+    roots = before = None  # each law's roots in the last two sweeps
     for it in range(1, _MAX_OUTER_ITERS + 1):
-        roots = [_solve_group_u(params, g, p_m, reach) for g in firsts]
+        lasts = zip(roots, before) if before else [None] * len(firsts)
+        before, roots = roots, [_solve_group_u(params, g, p_m, reach, last)
+                                for g, last in zip(firsts, lasts)]
         target = np.array([roots[j] for j in where])
         previous = u_vec
         u_vec = np.clip((1.0 - damping) * u_vec + damping * target, _U_EPS, 1.0 - _U_EPS)
@@ -363,10 +399,13 @@ def solve_equilibrium(
 
     Raises :class:`ConvergenceError` when the outer iteration does not
     bring every group's flow residual below ``_RESIDUAL_TOL`` and r V
-    within 1e4 times it.
+    within 1e4 times it, and ``ValueError`` for no groups or for delta = 0.
     """
     if len(groups) == 0:
         raise ValueError("need at least one worker group")
+    if params.delta == 0.0:
+        raise ValueError("params.delta = 0: with no job destruction the vacancy closure gives"
+                         " v = 0 and every worker ends employed: no steady state to solve for")
     return _iterate(params, groups, config or SolverConfig())[4]
 
 

@@ -290,6 +290,17 @@ class TestBadConfigs:
         assert len(err) == 1 and err[0].startswith("error: ") and "eta" in err[0]
         assert text == ""
 
+    def test_no_job_destruction(self, tmp_path, capsys):
+        # The vacancy closure gives v = 0 before the first step, which used
+        # to exit 1 with market_arrival's traceback naming u and v.
+        config = write_config(tmp_path, {"params": {"delta": 0.0},
+                                         "groups": [{"family": "poisson", "mean": 10}]})
+        code, text = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid params: params.delta = 0")
+        assert text == ""
+
     @pytest.mark.parametrize("payload, field", [
         ({"params": {"c": math.inf}}, "c must be finite"),
         ({"params": {"r": math.inf}}, "r must be finite"),

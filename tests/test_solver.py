@@ -246,13 +246,19 @@ class TestSolverControls:
     def test_singular_vacancy_closure(self):
         # The solver's numpy rates turned the closure's 0 denominator into
         # two RuntimeWarnings and v = nan, reported as a market-arrival error.
-        params = ModelParams(r=5e-324, delta=0.0)
-        with pytest.raises(ValueError, match="singular vacancy closure"):
+        params = ModelParams(r=5e-324, delta=5e-324)
+        with pytest.raises(ValueError, match="singular vacancy closure: r \\+ delta = 1e-323"):
             solve_equilibrium(params, (GroupSpec(1.0, Poisson(1.0)),) * 2)
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
             solve_equilibrium(PUBLISHED, [])
+
+    def test_no_job_destruction_rejected(self):
+        # The closure gives v = 0 at every u, which market_arrival used to
+        # reject at the first step with a message naming u and v.
+        with pytest.raises(ValueError, match=r"^params\.delta = 0: "):
+            solve_equilibrium(replace(PUBLISHED, delta=0.0), [GroupSpec(1e6, Poisson(10.0))])
 
     def test_config_validation(self):
         assert [f.name for f in fields(SolverConfig)] == ["initial_u", "multistart"]
@@ -335,12 +341,13 @@ class TestGroupSolveStopRule:
     def test_er_vs_zipf_unchanged(self):
         # Bit-exact values of the published ER-vs-Zipf(2.3) economy, computed
         # before the per-group rates and the contact reach each got one
-        # definition.
+        # definition.  u_2 was 0.08526716680837916, an ulp lower, before each
+        # law's scalar solve started from a bracket around its last root.
         zipf = Zipf(2.3)
         eq = solve_equilibrium(PUBLISHED, (GroupSpec(1e6, Poisson(zipf.mean())),
                                            GroupSpec(1e6, zipf)))
         assert eq.iterations == 45
-        assert group_u(eq).tolist() == [0.08228276926657493, 0.08526716680837916]
+        assert group_u(eq).tolist() == [0.08228276926657493, 0.08526716680837917]
         assert eq.v == 0.04533762919048985
         assert [g.P for g in eq.groups] == [0.023710793832285068, 0.023633686818863575]
         assert [g.p_referral for g in eq.groups] == [0.06301265798846371, 0.04769937029064153]
@@ -361,6 +368,90 @@ class TestGroupSolveStopRule:
             ([0.08229856308965224, 0.08528450809563312], 0.04533863540252402, 19),
             ([0.08230566876803291, 0.08529228552010001], 0.045339087188925715, 18),
         ]
+
+
+_ANY_LAW = st.one_of(st.floats(0.5, 50.0).map(Poisson), st.integers(0, 50).map(Degenerate),
+                    st.floats(2.01, 4.0).map(Zipf))
+
+
+@st.composite
+def _frozen_sweeps(draw):
+    """One law's scalar solve: delta, the law, and the frozen p_m and contact reach."""
+    params = replace(PUBLISHED, delta=draw(st.floats(0.001, 0.9)))
+    return params, draw(_ANY_LAW), draw(st.floats(1e-3, 3.0)), draw(st.floats(1e-4, 1.0))
+
+
+def frozen_residual(params, dist, p_m: float, reach: float):
+    """The flow residual u (p_m + p_r(reach (1 - u))) - delta (1 - u) a scalar solve zeroes."""
+    return lambda u: (u * (p_m + dist.referral_expectation(reach * (1.0 - u)))
+                      - params.delta * (1.0 - u))
+
+
+def sign_band(f, u: float, k: int = 64) -> tuple[float, float]:
+    """The span of the doubles within k steps of u where f changes sign, or (u, u) if none does.
+
+    Where f is monotone in floats, this is its zero or the two doubles
+    around it; the Zipf kernel's rounding can make f change sign several
+    times across a few ulps, all of them roots to a bracketing solve.
+    """
+    xs = [u]
+    for toward in (0.0, 1.0):
+        x = u
+        for _ in range(k):
+            x = float(np.nextafter(x, toward))
+            xs.append(x)
+    xs.sort()
+    signs = [f(x) for x in xs]
+    ups = [x for x, fx in zip(xs, signs) if fx >= 0.0]
+    downs = [x for x, fx in zip(xs, signs) if fx <= 0.0]
+    if not ups or not downs:
+        return u, u
+    return min(ups[0], downs[-1]), max(ups[0], downs[-1])
+
+
+class TestWarmBracket:
+    # From the third sweep on, each law's scalar solve first tries the
+    # bracket r -+ (2 |r - r_prev| + 1e-15 r) around its last root r.
+    def test_kernel_call_budget(self):
+        # The analytic bracket on every sweep made 430 Zipf kernel calls here.
+        zipf = CountingDist(Zipf(2.3))
+        eq = solve_equilibrium(PUBLISHED, (GroupSpec(1e6, Poisson(zipf.dist.mean())),
+                                           GroupSpec(1e6, zipf)))
+        assert eq.iterations == 45
+        assert zipf.calls == 288
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(sweep=_frozen_sweeps(), shift=st.one_of(st.floats(-1e-12, 1e-12), st.floats(-0.5, 0.5)),
+           moved=st.floats(-17.0, -1.0))
+    def test_warm_root_is_the_cold_root(self, sweep, shift, moved):
+        # The residual rises strictly on (0, 1/2], so a strict sign change
+        # there brackets the one root the analytic bracket holds.  Each
+        # solve stops within 1e-17 and an ulp of a sign change of the float
+        # residual.  Without a strict sign change the warm bracket is
+        # dropped and the solve is the cold one, bit for bit.
+        params, dist, p_m, reach = sweep
+        group = GroupSpec(1.0, dist)
+        cold = _solve_group_u(params, group, p_m, reach)
+        r = min(max(solver._U_EPS, cold * (1.0 + shift)), 1.0 - solver._U_EPS)
+        r_prev = r - cold * 10.0 ** moved
+        warm = _solve_group_u(params, group, p_m, reach, (r, r_prev))
+        f = frozen_residual(params, dist, p_m, reach)
+        w = 2.0 * abs(r - r_prev) + 1e-15 * r
+        if r <= 0.5 and f(max(solver._U_EPS, r - w)) < 0.0 < f(min(0.5, r + w)):
+            lo, hi = sign_band(f, cold)
+            slack = 4.0 * math.ulp(cold) + 2e-17
+            assert lo - slack <= warm <= hi + slack
+        else:
+            assert warm.hex() == cold.hex()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(sweep=_frozen_sweeps())
+    def test_residual_rises_strictly_up_to_one_half(self, sweep):
+        # The warm bracket's uniqueness argument: p_r is concave in P with
+        # p_r(0) = 0, so the residual's slope is at least p_m + delta > 0.
+        f = frozen_residual(*sweep)
+        values = [f(u) for u in np.linspace(0.0, 0.5, 257)[1:].tolist()]
+        assert all(a < b for a, b in zip(values, values[1:]))
 
 
 class TestDampingBackoff:
@@ -403,9 +494,9 @@ class TestOneEvaluationPerStep:
         in_sweeps = []
         solve_group_u = solver._solve_group_u
 
-        def counting(params, group, p_m, reach):
+        def counting(params, group, p_m, reach, last):
             before = group.dist.calls
-            u = solve_group_u(params, group, p_m, reach)
+            u = solve_group_u(params, group, p_m, reach, last)
             in_sweeps.append(group.dist.calls - before)
             return u
 
@@ -438,9 +529,9 @@ def count_group_solves(monkeypatch) -> list:
     laws = []
     solve_group_u = solver._solve_group_u
 
-    def counting(params, group, p_m, reach):
+    def counting(params, group, p_m, reach, last):
         laws.append(group.dist)
-        return solve_group_u(params, group, p_m, reach)
+        return solve_group_u(params, group, p_m, reach, last)
 
     monkeypatch.setattr(solver, "_solve_group_u", counting)
     return laws

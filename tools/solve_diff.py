@@ -14,11 +14,14 @@ the package from its checkout's src/:
     with period 2, never meeting free entry;
   - edge economies with referrals off: d_f = 0, phi = 0 with an interior
     steady state, and a group on Degenerate(0).
-Prints, per economy, which of u, v, iterations, P and p_r differ, or,
-when either side raises, the two error types and the steps they report.
-Floats are compared bit for bit (float.hex), so -0.0 against 0.0 or a
-NaN against a number counts as a difference.  Exits 1 if any value or
-error type differs.
+Prints, per economy, which of u, v, iterations, P and p_r differ, with
+the largest relative difference in each of u, v, P and p_r, or, when
+either side raises, the two error types and the steps they report; then
+the largest relative difference over every economy, which tells a
+rounding-level change (about 1e-16) from a real one.  Floats are
+compared bit for bit (float.hex), so -0.0 against 0.0 or a NaN against a
+number counts as a difference.  Exits 1 if any value or error type
+differs.
 Usage: python tools/solve_diff.py CHECKOUT
 """
 
@@ -29,6 +32,7 @@ import sys
 from pathlib import Path
 
 FIELDS = ("u", "v", "iterations", "P", "p_r")
+VALUES = ("u", "v", "P", "p_r")
 
 
 def economies(rm):
@@ -103,18 +107,27 @@ def solve_in(root: Path) -> list[dict]:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def compare(a: dict, b: dict) -> tuple[bool, str]:
-    """(differs, description) for one economy; a is this checkout's."""
+def rel_diff(a, b) -> float:
+    """Largest relative difference between two floats, or two lists of them, given as hex."""
+    pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
+    return max(0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+               for x, y in ((float.fromhex(x), float.fromhex(y)) for x, y in pairs))
+
+
+def compare(a: dict, b: dict) -> tuple[bool, str, float]:
+    """(differs, description, largest relative difference) for one economy; a is this checkout's."""
     if "error" in a or "error" in b:
         kinds = (a.get("error", "no error"), b.get("error", "no error"))
         steps = f"steps {a.get('steps', a.get('iterations'))} vs {b.get('steps', b.get('iterations'))}"
         if kinds[0] != kinds[1]:
-            return True, f"error type differs: {kinds[0]} vs {kinds[1]} ({steps})"
-        return False, f"both raise {kinds[0]} ({steps})"
+            return True, f"error type differs: {kinds[0]} vs {kinds[1]} ({steps})", 0.0
+        return False, f"both raise {kinds[0]} ({steps})", 0.0
     differing = [f for f in FIELDS if a[f] != b[f]]
     if differing:
-        return True, "differ: " + ", ".join(differing)
-    return False, f"same ({a['iterations']} iterations)"
+        moved = {f: rel_diff(a[f], b[f]) for f in VALUES}
+        sizes = "  ".join(f"{f} {d:.1e}" for f, d in moved.items())
+        return True, f"differ: {', '.join(differing):<16} max rel diff {sizes}", max(moved.values())
+    return False, f"same ({a['iterations']} iterations)", 0.0
 
 
 if __name__ == "__main__":
@@ -127,10 +140,12 @@ if __name__ == "__main__":
     theirs = solve_in(Path(sys.argv[1]).resolve())
     if [r["name"] for r in ours] != [r["name"] for r in theirs]:
         sys.exit("the two checkouts solved different lists of economies")
-    differing = 0
+    differing, largest = 0, 0.0
     for a, b in zip(ours, theirs):
-        differs, text = compare(a, b)
+        differs, text, moved = compare(a, b)
         differing += differs
+        largest = max(largest, moved)
         print(f"{a['name']:<28} {text}")
-    print(f"{differing} of {len(ours)} economies differ")
+    print(f"{differing} of {len(ours)} economies differ; "
+          f"largest relative difference in u, v, P or p_r {largest:.3e}")
     sys.exit(1 if differing else 0)
