@@ -20,10 +20,11 @@ block its polylog series has reached (at most 245, 7.6 MiB, at the
 scalar solve's last steps often ask again for a 1 - P that rounds to it.
 A value is a function of (a, x) alone, so nothing depends on call order.
 Each term of the series is exp(k log x) times the kept k^-a, one exp
-and no power, and each block is summed with one numpy sum over its
-shortest power-of-two prefix whose remainder bound is below 2^-53 of the
-block's first term.  The dropped terms are below that whatever order
-numpy adds in, so no value rests on numpy's summation layout.
+and no power, formed in one buffer per block, and each block is summed
+with one numpy sum over its shortest power-of-two prefix whose remainder
+bound is below 2^-53 of the block's first term.  The dropped terms are
+below that whatever order numpy adds in, so no value rests on numpy's
+summation layout.
 
 The Zipf form is not exact at small P: the subtraction cancels and the
 series stops at 10^6 terms.  Against 40-digit mpmath, its relative
@@ -153,7 +154,7 @@ def _polylog_blocks(alpha: float, x: float, blocks: dict[int, np.ndarray]) -> fl
     the dropped terms are positive and below that, so the prefix sum is
     within an ulp of the full-block sum of the same terms.
     """
-    total, log_x = 0.0, math.log(x)
+    total, log_x, one_minus_x = 0.0, math.log(x), 1.0 - x
     for i in itertools.count():
         k0 = 1 + i * _POLYLOG_BLOCK
         k_pow = blocks.get(i)
@@ -162,9 +163,17 @@ def _polylog_blocks(alpha: float, x: float, blocks: dict[int, np.ndarray]) -> fl
                 k_pow = blocks[i] = (_FIRST_K[: _POLYLOG_MAX_TERMS + 1 - k0] + (k0 - 1)) ** -alpha
         m = len(k_pow)
         floor = _UNIT_ROUNDOFF * x**k0 * float(k_pow[0])
-        while m > _MIN_PREFIX and 2.0 * _series_tail(alpha, x, k0 + m // 2) < floor:
+        while m > _MIN_PREFIX:  # 2 _series_tail(alpha, x, k0 + m/2) < floor, inline
+            try:
+                tail = x ** (k0 + m // 2) / (one_minus_x * (k0 + m // 2) ** alpha)
+            except OverflowError:
+                tail = 0.0
+            if not 2.0 * tail < floor:
+                break
             m //= 2
-        terms = np.exp((_FIRST_K[:m] + (k0 - 1)) * log_x)
+        # The terms exp(k log x) k^-alpha, formed and summed in one buffer.
+        terms = (_FIRST_K[:m] + (k0 - 1) if k0 > 1 else _FIRST_K[:m]) * log_x
+        np.exp(terms, out=terms)
         terms *= k_pow[:m]
         total += float(np.add.reduce(terms))
         k0 += len(k_pow)

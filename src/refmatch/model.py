@@ -21,6 +21,7 @@ pins the vacancy rate through ``vacancy_closure``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
@@ -209,18 +210,40 @@ def vacancy_closure(
         raise ValueError("vacancy closure needs at least one group")
     if len(groups) != len(u_vec):
         raise ValueError(f"{len(groups)} groups but {len(u_vec)} unemployment rates")
-    total = sum(g.size for g in groups)
-    r_delta, beta_delta = params.r + params.delta, params.beta * params.delta
-    acc = 0.0
-    for g, u_i in zip(groups, u_vec):
+    for u_i in u_vec:
         if not 0.0 < u_i < 1.0:
             raise ValueError(f"unemployment rates must lie in (0, 1), got {u_i}")
-        u_i = float(u_i)  # a numpy scalar would divide by 0 to nan with a warning, not raise
-        try:
-            acc += u_i * (1.0 - u_i) * (g.size / total) / (u_i * r_delta + beta_delta * (1.0 - u_i))
-        except ZeroDivisionError:  # positive, but r + delta is so small that it underflowed
-            raise ValueError(f"singular vacancy closure: r + delta = {r_delta}") from None
-    return float((params.y - params.b) * (1.0 - params.beta) * params.delta / params.c * acc)
+    # A numpy scalar would divide by 0 to nan with a warning, not raise.
+    return closure_for(params, groups)([float(u_i) for u_i in u_vec])
+
+
+def closure_for(params: ModelParams, groups: Sequence[GroupSpec]):
+    """The vacancy closure as a function of plain floats u_i in (0, 1), unchecked.
+
+    Each group's share L_i / L, r + delta, beta delta and the prefactor
+    (y-b)(1-beta) delta / c are formed once, here; the solver makes one
+    such function per solve and calls it every step.  It raises
+    ``ValueError`` where r + delta underflows to a zero denominator, or
+    where v is not finite (a vacancy cost so small that the prefactor
+    overflows).
+    """
+    total = sum(g.size for g in groups)
+    shares = [g.size / total for g in groups]
+    r_delta, beta_delta = params.r + params.delta, params.beta * params.delta
+    scale = (params.y - params.b) * (1.0 - params.beta) * params.delta / params.c
+
+    def closure(u_vec: list[float]) -> float:
+        acc = 0.0
+        for share, u_i in zip(shares, u_vec):
+            try:
+                acc += u_i * (1.0 - u_i) * share / (u_i * r_delta + beta_delta * (1.0 - u_i))
+            except ZeroDivisionError:  # positive, but r + delta is so small that it underflowed
+                raise ValueError(f"singular vacancy closure: r + delta = {r_delta}") from None
+        if math.isfinite(v := float(scale * acc)):
+            return v
+        raise ValueError(f"vacancy closure v = {scale!r} * {acc!r} is not finite")
+
+    return closure
 
 
 def value_functions(params: ModelParams, w_i: float, p_i: float) -> AssetValues:

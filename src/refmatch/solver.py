@@ -18,6 +18,11 @@ next sweep freezes; the last one holds the equilibrium's rates, so
 assembling it evaluates nothing again.  A group's per-contact
 information probability has one formula, contact reach times (1 - u_i)
 (``info_probability``), which the solver forms from the reach it holds.
+A step's state is plain Python floats: the damped update, the vacancy
+closure (``closure_for``, formed once per solve), each P_i, referral
+rate and flow residual are scalar arithmetic, and only the aggregate u
+is a numpy dot product.  max() keeps a NaN only in first place, so a
+step checks its residuals for NaN and raises at the first one.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  An iterate that repeats bit for
 bit before then would repeat forever, and a step that starts from the
@@ -57,6 +62,7 @@ and the restart count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -68,6 +74,7 @@ from .model import (
     GroupSpec,
     GroupState,
     ModelParams,
+    closure_for,
     contact_reach,
     market_arrival,
     info_probability,
@@ -128,28 +135,28 @@ class _Point(NamedTuple):
     the flow residuals R are what an equilibrium reports.
     """
 
-    u_vec: np.ndarray
+    u_vec: list[float]
     v: float
     u: float
     p_m: float
     reach: float
     P: list[float]
     p_r: list[float]
-    R: np.ndarray
+    R: list[float]
 
 
-def _aggregates(params: ModelParams, sizes: np.ndarray, total: float, u_vec: np.ndarray, v: float):
+def _aggregates(params: ModelParams, sizes: np.ndarray, total: float, u_vec: list[float], v: float):
     """Aggregate u, market rate p_m and contact reach at (u_vec, v).
 
     ``sizes`` holds the group sizes and ``total`` their sum.
     """
-    u = float(u_vec @ sizes) / total
+    u = float(np.array(u_vec) @ sizes) / total
     return u, market_arrival(params, u, v), contact_reach(params.phi, params.d_f, u, v)
 
 
 def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: np.ndarray, total: float,
-              u_vec: np.ndarray, v: float, checked: bool = False) -> _Point:
-    """The one evaluation of the economy at (u_vec, v) an outer step makes.
+              u_vec: list[float], v: float, checked: bool = False) -> _Point:
+    """The one evaluation of the economy at plain floats (u_vec, v) an outer step makes.
 
     ``sizes`` and ``total`` are as for :func:`_aggregates`.  Each P_i is
     info_probability's reach (1 - u_i), formed from the reach at hand;
@@ -160,10 +167,10 @@ def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: np.ndarra
     referral_expectation returns.
     """
     u, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
-    P = ([info_probability(params, u_i, u, v) for u_i in u_vec.tolist()] if checked
-         else (reach * (1.0 - u_vec)).tolist())
+    P = ([info_probability(params, u_i, u, v) for u_i in u_vec] if checked
+         else [reach * (1.0 - u_i) for u_i in u_vec])
     p_r = [g.dist._reach(P_i) if P_i else 0.0 for g, P_i in zip(groups, P)]
-    R = u_vec * (p_m + np.array(p_r)) - params.delta * (1.0 - u_vec)
+    R = [u_i * (p_m + p_r_i) - params.delta * (1.0 - u_i) for u_i, p_r_i in zip(u_vec, p_r)]
     return _Point(u_vec, v, u, p_m, reach, P, p_r, R)
 
 
@@ -175,8 +182,8 @@ def flow_residual(
     Raises ``ValueError`` for a u_i outside [0, 1] or a v that is not positive.
     """
     sizes = np.array([g.size for g in groups], dtype=np.float64)
-    return _evaluate(params, groups, sizes, float(sizes.sum()),
-                     np.asarray(u_vec, dtype=np.float64), v, checked=True).R
+    return np.array(_evaluate(params, groups, sizes, float(sizes.sum()),
+                              np.asarray(u_vec, dtype=np.float64).tolist(), v, checked=True).R)
 
 
 def _illinois(referral, p_m: float, reach: float, delta: float,
@@ -248,7 +255,7 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
     if last is not None and last[0] <= 0.5:  # so that lo <= r <= hi
         r, r_prev = last
         w = 2.0 * abs(r - r_prev) + 1e-15 * r
-        lo, hi = max(_U_EPS, r - w), min(0.5, r + w)
+        lo, hi = (r - w if r - w > _U_EPS else _U_EPS), (r + w if r + w < 0.5 else 0.5)
         f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
         f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
         if f_lo < 0.0 < f_hi:
@@ -285,16 +292,18 @@ def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[GroupSpec], list[int]]
 def _iterate(
     params: ModelParams, groups: Sequence[GroupSpec], config: SolverConfig
 ) -> tuple[np.ndarray, float, float, int, Equilibrium]:
-    """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, equilibrium)."""
-    u_vec = np.full(len(groups), config.initial_u, dtype=np.float64)
+    """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, equilibrium).
+
+    The state of a step is plain floats; u_vec is returned as an array.
+    """
+    u_vec = [float(config.initial_u)] * len(groups)
     sizes = np.array([g.size for g in groups], dtype=np.float64)
     total = float(sizes.sum())
     firsts, where = _law_slots(groups)
-    damping = _DAMPING
-    prev_residual = np.inf
-    worse_streak = 0
+    damping, prev_residual, worse_streak = _DAMPING, math.inf, 0
     back = (None, None)  # the states that started the last two steps
-    v = vacancy_closure(params, groups, u_vec.tolist())
+    v = vacancy_closure(params, groups, u_vec)
+    closure = closure_for(params, groups)
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
 
     roots = before = None  # each law's roots in the last two sweeps
@@ -302,20 +311,22 @@ def _iterate(
         lasts = zip(roots, before) if before else [None] * len(firsts)
         before, roots = roots, [_solve_group_u(params, g, p_m, reach, last)
                                 for g, last in zip(firsts, lasts)]
-        target = np.array([roots[j] for j in where])
-        previous = u_vec
-        u_vec = np.clip((1.0 - damping) * u_vec + damping * target, _U_EPS, 1.0 - _U_EPS)
+        previous, keep = u_vec, 1.0 - damping
+        u_vec = [min(max(keep * u_i + damping * roots[j], _U_EPS), 1.0 - _U_EPS)
+                 for u_i, j in zip(previous, where)]
 
-        v = vacancy_closure(params, groups, u_vec.tolist())
+        v = closure(u_vec)
         point = _evaluate(params, groups, sizes, total, u_vec, v)
-        residual = float(np.max(np.abs(point.R)))
+        residual = max(map(abs, point.R))
+        if any(map(math.isnan, point.R)):  # max() keeps a NaN only in first place
+            raise ConvergenceError(f"flow residual is NaN at step {it}", u_vec, v, math.nan, it)
         if residual < _RESIDUAL_TOL:
             eq = _assemble(params, groups, total, point, residual, it)
             # Free entry weighs each flow residual by about 1/v, so where v is
             # tiny flow balance alone leaves r V far from 0: go on until it is
             # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
-                return u_vec, point.v, residual, it, eq
+                return np.array(u_vec), v, residual, it, eq
         # The same iterate gives the same point, residual and damping, so
         # every later step repeats this one.  A step depends only on the
         # state it starts from (the last residual only tells the first
@@ -323,13 +334,12 @@ def _iterate(
         # step two before begins a period-2 cycle.  With every u_i at the
         # clip and the damping at its floor, the iterate only crawls by
         # ulps for thousands of steps until it repeats: raise there too.
-        repeats = np.array_equal(u_vec, previous)
+        repeats = u_vec == previous
         state = (previous, damping, worse_streak, prev_residual)
-        cycles = (back[0] is not None and back[0][1:] == state[1:]
-                  and np.array_equal(back[0][0], previous))
+        cycles = back[0] == state
         back = (back[1], state)
         at_floor = damping == _MIN_DAMPING and residual >= _RESIDUAL_TOL
-        corner = (repeats or cycles or at_floor) and bool(np.all(1.0 - u_vec < 2.0 * _U_EPS))
+        corner = (repeats or cycles or at_floor) and all(1.0 - u_i < 2.0 * _U_EPS for u_i in u_vec)
         if repeats or cycles or (at_floor and corner):
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
@@ -338,7 +348,7 @@ def _iterate(
                 f"outer iterate {how} at step {it} ({gap})"
                 + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
                    " whose employment lies below what a double near 1 resolves" if corner else ""),
-                u_vec, point.v, residual, it,
+                u_vec, v, residual, it,
             )
         p_m, reach = point.p_m, point.reach
 
@@ -355,7 +365,7 @@ def _iterate(
 
     raise ConvergenceError(
         f"no convergence after {_MAX_OUTER_ITERS} outer iterations (residual {residual:.3e})",
-        u_vec, point.v, residual, _MAX_OUTER_ITERS,
+        u_vec, v, residual, _MAX_OUTER_ITERS,
     )
 
 
@@ -370,7 +380,7 @@ def _assemble(
     """The equilibrium at ``point``; ``total`` is the sum of the group sizes."""
     states = []
     entry_flow = 0.0
-    for g, u_i, P, p_r in zip(groups, point.u_vec.tolist(), point.P, point.p_r):
+    for g, u_i, P, p_r in zip(groups, point.u_vec, point.P, point.p_r):
         p_i = point.p_m + p_r
         q_i = g.size * u_i * p_i / (total * point.v)  # worker arrival rate faced by a vacancy
         s_i = surplus(params, p_i)
@@ -432,11 +442,7 @@ def solve_all(
             candidate = solve_equilibrium(params, groups, restart)
         except ConvergenceError:
             continue
-        cand_u = np.array([s.u for s in candidate.groups])
-        distinct = all(
-            np.max(np.abs(cand_u - np.array([s.u for s in eq.groups]))) > 1e-6
-            for eq in found
-        )
-        if distinct:
+        if all(max(abs(a.u - b.u) for a, b in zip(candidate.groups, eq.groups)) > 1e-6
+               for eq in found):
             found.append(candidate)
     return found

@@ -301,6 +301,18 @@ class TestBadConfigs:
         assert len(err) == 1 and err[0].startswith("error: invalid params: params.delta = 0")
         assert text == ""
 
+    def test_tiny_vacancy_cost(self, tmp_path, capsys):
+        # The closure overflows to v = inf, and market_arrival then raised
+        # ZeroDivisionError: exit 1 with a traceback.
+        config = write_config(tmp_path, {"params": {"c": 1e-320},
+                                         "groups": [{"family": "poisson", "mean": 10}]})
+        code, text = run_cli("solve", "--config", config)
+        assert code == EXIT_BAD_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: invalid params: vacancy closure v = inf * ")
+        assert text == ""
+
     @pytest.mark.parametrize("payload, field", [
         ({"params": {"c": math.inf}}, "c must be finite"),
         ({"params": {"r": math.inf}}, "r must be finite"),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from refmatch import Degenerate, GroupSpec, ModelParams, Poisson, calibrate
 from refmatch import calibration
 from refmatch.model import (
+    closure_for,
     contact_reach,
     info_probability,
     market_arrival,
@@ -176,6 +177,33 @@ class TestVacancyClosure:
         with pytest.raises(ValueError):
             vacancy_closure(PUBLISHED, self._groups([1e6, 1e6]), [0.05])
 
+    @pytest.mark.parametrize("n", [1, 2, 64])
+    def test_solver_helper_equals_checked_closure(self, n):
+        # The solver makes closure_for once per solve and calls it every
+        # step; it must give vacancy_closure's bits, and those of the
+        # formula summed in its original order (total a Python sum).
+        rng = np.random.default_rng(n)
+        groups = [GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), Poisson(22.47)) for _ in range(n)]
+        closure = closure_for(PUBLISHED, groups)
+        p = PUBLISHED
+        for u_vec in ([1e-9] * n, [1.0 - 1e-9] * n, rng.uniform(1e-9, 1.0 - 1e-9, n).tolist()):
+            total = sum(g.size for g in groups)
+            acc = 0.0
+            for g, u in zip(groups, u_vec):
+                acc += (u * (1.0 - u) * (g.size / total)
+                        / (u * (p.r + p.delta) + p.beta * p.delta * (1.0 - u)))
+            want = (p.y - p.b) * (1.0 - p.beta) * p.delta / p.c * acc
+            got = closure(u_vec)
+            assert got.hex() == vacancy_closure(p, groups, u_vec).hex() == want.hex()
+            assert type(got) is float
+
+    def test_tiny_vacancy_cost_overflows_to_value_error(self):
+        # c = 1e-320 passes validation, but the closure's prefactor overflows
+        # to v = inf, and market_arrival then raised ZeroDivisionError.
+        params = ModelParams(c=1e-320)
+        with pytest.raises(ValueError, match=r"vacancy closure v = inf \* \d.* is not finite"):
+            vacancy_closure(params, self._groups([1e6]), [0.05])
+
 
 class TestValueFunctions:
     def test_indifference_at_home_production_wage(self):
@@ -274,6 +302,8 @@ class TestParamsValidation:
         groups = [GroupSpec(size=1.0, dist=Poisson(5.0))]
         with pytest.raises(ValueError, match="singular vacancy closure"):
             vacancy_closure(params, groups, [0.05])
+        with pytest.raises(ValueError, match="singular vacancy closure"):
+            closure_for(params, groups)([0.05])  # the solver's per-step path
         for u_vec in ([0.3, 0.4], (0.3, 0.4), np.array([0.3, 0.4]), [np.float64(0.3), 0.4]):
             with pytest.raises(ValueError, match="singular vacancy closure"):
                 vacancy_closure(params, groups * 2, u_vec)

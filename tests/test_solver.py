@@ -167,12 +167,15 @@ class TestUncheckedKernels:
         for u_vec in (np.full(n, solver._U_EPS), np.full(n, 1.0 - solver._U_EPS),
                       rng.uniform(solver._U_EPS, 1.0 - solver._U_EPS, n)):
             v = vacancy_closure(params, groups, u_vec.tolist())
-            point = solver._evaluate(params, groups, sizes, float(sizes.sum()), u_vec, v)
+            point = solver._evaluate(params, groups, sizes, float(sizes.sum()), u_vec.tolist(), v)
             assert point.P == [info_probability(params, u_i, point.u, v) for u_i in u_vec.tolist()]
             assert point.p_r == [g.dist.referral_expectation(P_i)
                                  for g, P_i in zip(groups, point.P)]
             assert all(math.copysign(1.0, p_r) == 1.0 for p_r in point.p_r)
             assert all(type(x) is float for x in point.P + point.p_r)
+            # The step's plain-float residuals are the public array's, bit for bit.
+            assert [x.hex() for x in point.R] == [
+                float(x).hex() for x in flow_residual(params, groups, u_vec, v)]
 
 
 class TestEquilibriumInvariants:
@@ -249,6 +252,20 @@ class TestSolverControls:
         params = ModelParams(r=5e-324, delta=5e-324)
         with pytest.raises(ValueError, match="singular vacancy closure: r \\+ delta = 1e-323"):
             solve_equilibrium(params, (GroupSpec(1.0, Poisson(1.0)),) * 2)
+
+    def test_nan_residual_raises_at_its_step(self):
+        # A referral rate of NaN in the second group: max() would drop the
+        # NaN, and the error message read r V from an equilibrium never built
+        # (UnboundLocalError).
+        class NaNBelowHalf(Poisson):
+            def _reach(self, p_info):
+                return math.nan if p_info < 0.5 else super()._reach(p_info)
+
+        groups = [GroupSpec(1e6, Poisson(22.47)), GroupSpec(1e6, NaNBelowHalf(10.0))]
+        with pytest.raises(ConvergenceError, match="flow residual is NaN at step 1") as err:
+            solve_equilibrium(PUBLISHED, groups)
+        assert math.isnan(err.value.residual)
+        assert err.value.iterations == 1
 
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ the package from its checkout's src/:
     parameters with phi in [1e-3, 1] and d_f in [0, 40], each group's
     law drawn from a pool of four, so that laws repeat;
   - Poisson-vs-Zipf pairs at the published parameters, one with the
-    Zipf law twice;
+    Zipf law twice, and Poisson vs Zipf(2.028) at phi = 1e-3, whose
+    series run over up to 8 blocks;
+  - 16 groups on three Zipf laws and one Poisson law;
   - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01), and a
     corner economy at phi = 1 whose iterate crawls at the clip;
   - an economy that meets flow balance but whose iterate then cycles
@@ -56,6 +58,13 @@ def economies(rm):
     out.append(("Poisson vs 2 x Zipf(2.3)", rm.ModelParams(),
                 [rm.GroupSpec(1e6, rm.Poisson(22.47)), rm.GroupSpec(5e5, rm.Zipf(2.3)),
                  rm.GroupSpec(2e6, rm.Zipf(2.3))]))
+    # P falls to about 5e-4, where a Zipf series runs over up to 8 blocks.
+    zipf = rm.Zipf(2.028)
+    out.append(("Zipf(2.028) at phi = 1e-3", rm.ModelParams(phi=0.001),
+                [rm.GroupSpec(1e6, rm.Poisson(zipf.mean())), rm.GroupSpec(1e6, zipf)]))
+    pool = [rm.Zipf(2.1), rm.Zipf(2.5), rm.Zipf(3.5), rm.Poisson(15.0)]
+    out.append(("16 groups, 3 Zipf + Poisson", rm.ModelParams(),
+                [rm.GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), pool[i % 4]) for i in range(16)]))
     out.append(("phi = 0 corner", rm.ModelParams(eta=0.05, gamma=0.01, phi=0.0),
                 [rm.GroupSpec(1.0, rm.Poisson(22.47))]))
     crawl = rm.ModelParams(b=0.0595130817476952, r=0.11943165448064004, delta=0.3287231885500706,
