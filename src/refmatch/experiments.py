@@ -198,7 +198,7 @@ def _common_mean_groups() -> tuple[GroupSpec, ...]:
     """Poisson vs Zipf at the common mean degree, the d_f and phi economy.
 
     The laws are new on each call, so the k^alpha blocks and the last
-    value a Zipf law keeps are freed with the economy that used them.
+    value a Zipf law keeps are freed with the sweep that used them.
     """
     return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(_common_mean_alpha()))
 
@@ -237,14 +237,21 @@ SCENARIOS: dict[str, SweepScenario] = {
 
 
 def sweep(*names: str) -> SweepResult:
-    """Solve, verify and emit the rows of the named scenarios, in order."""
+    """Solve, verify and emit the rows of the named scenarios, in order.
+
+    An economy equal to one already solved in the call (phi_fine repeats
+    two of phi's grid values) takes that solve's equilibrium.
+    """
     result = SweepResult(rows=[], notes=[])
+    solved: dict[Economy, Equilibrium] = {}
     for name in names:
         scenario = SCENARIOS[name]
         for x in scenario.grid:
-            params, groups = scenario.economy_at(x)
-            eq = solve_equilibrium(params, groups)
-            axis = x if isinstance(x, tuple) else (x,) * len(groups)
+            economy = scenario.economy_at(x)
+            if economy not in solved:
+                solved[economy] = solve_equilibrium(*economy)
+            eq = solved[economy]
+            axis = x if isinstance(x, tuple) else (x,) * len(economy[1])
             result.rows.extend(equilibrium_rows(name, axis, eq))
         if scenario.note:
             result.notes.append(scenario.note)

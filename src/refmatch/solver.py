@@ -32,16 +32,20 @@ once.  So does one whose u_i all sit within 2e-9 of 1 once the damping
 is at its floor: there, in the no-market corner, it only crawls by ulps
 until it repeats thousands of steps later.  Both end the corner in tens
 of steps.
-A scalar solve is an Illinois iteration on a bracket that provably holds
-a root (see _solve_group_u), stopped at width 4e-18 + 1e-16 hi or at two
-adjacent doubles.  From the third sweep on, the bracket is first a warm
-one around the law's root in the last sweep, twice as wide as that root's
-last move: below u = 1/2 the flow residual rises strictly, so a sign
-change across it holds the one root there, the root the analytic bracket
-would give.  Without a strict sign change the solve falls back to the
-analytic bracket, which holds every root.  Damping halves when the
-residual rises twice in a row, which tames the overshoot the u -> v -> u
-loop can produce at high referral frequencies.
+A scalar solve is a regula falsi iteration with Anderson & Bjorck's
+update on a bracket that provably holds a root (see _solve_group_u),
+stopped at a zero of the float residual or at two adjacent doubles.  From
+the third sweep on, the bracket is first a warm one around the law's root
+in the last sweep, twice as wide as that root's last move: below u = 1/2
+the flow residual rises strictly, so a sign change across it holds the
+one root there, the root the analytic bracket would give.  The law's
+current iterate stands in for the end on its side of the root: the
+step's evaluation gave its residual at the p_m and reach the sweep
+freezes, bit for bit, so only the other end costs a kernel call.  Without
+a strict sign change the solve falls back to the analytic bracket, which
+holds every root.  Damping halves when the residual rises twice in a
+row, which tames the overshoot the u -> v -> u loop can produce at high
+referral frequencies.
 
 Inputs are checked where they enter.  The public entries check every
 value: ``flow_residual`` here, ``info_probability`` and
@@ -186,46 +190,53 @@ def flow_residual(
                               np.asarray(u_vec, dtype=np.float64).tolist(), v, checked=True).R)
 
 
-def _illinois(referral, p_m: float, reach: float, delta: float,
-              lo: float, f_lo: float, hi: float, f_hi: float) -> float:
+def _anderson_bjorck(referral, p_m: float, reach: float, delta: float,
+                     lo: float, f_lo: float, hi: float, f_hi: float) -> float:
     """The flow-balance root in [lo, hi], where the residual goes from f_lo < 0 to f_hi > 0.
 
-    Illinois-damped regula falsi (Dowell & Jarratt 1971) on the residual
-    u (p_m + referral(reach (1 - u))) - delta (1 - u): stops at a zero, at
-    hi - lo < 4e-18 + 1e-16 hi, or once no double lies strictly inside
-    [lo, hi]; 200 evaluations are a safety cap.
+    Regula falsi on the residual u (p_m + referral(reach (1 - u))) - delta (1 - u)
+    with Anderson & Bjorck's (1973) update: when an end is kept a second
+    time in a row, its residual is scaled by 1 - f_x / f_old, f_old being
+    that of the end x replaces, or by 1/2 (the Illinois factor of Dowell &
+    Jarratt 1971) where that is not positive.  A secant point that rounds
+    onto an end steps one double inside instead, so a bracket whose one
+    end has all but reached the root closes in a step, not a bisection.
+    Stops at a zero or once no double lies strictly inside [lo, hi];
+    200 evaluations are a safety cap.
     """
     side = 0
     for _ in range(200):
         x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        # Guard against stagnation at an endpoint.
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # rounded onto an end: one double inside
+            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
         fx = x * (p_m + referral(reach * (1.0 - x))) - delta * (1.0 - x)
-        if fx == 0.0 or hi - lo < 1e-17:
+        if fx == 0.0:
             return x
         if (fx > 0.0) == (f_hi > 0.0):
-            hi, f_hi = x, fx
             if side == 1:
-                f_lo *= 0.5
-            side = 1
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, side = x, fx, 1
         else:
-            lo, f_lo = x, fx
             if side == -1:
-                f_hi *= 0.5
-            side = -1
-        if hi - lo < 4e-18 + 1e-16 * hi or not lo < 0.5 * (lo + hi) < hi:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = x, fx, -1
+        if not lo < 0.5 * (lo + hi) < hi:
             break
     return 0.5 * (lo + hi)
 
 
 def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float,
-                   last: tuple[float, float] | None = None) -> float:
+                   last: tuple[float, float, float, float] | None = None) -> float:
     """Solve u p(u) = delta (1 - u) for one group with aggregates frozen.
 
     ``phi_bracket`` is the frozen ``contact_reach``, so the per-contact
-    information probability is phi_bracket * (1 - u).  ``last`` holds the
-    law's roots in the last two sweeps, (r, r_prev), or None.
+    information probability is phi_bracket * (1 - u).  ``last`` is None
+    or (r, r_prev, a, f_a): the law's roots in the last two sweeps, and
+    an anchor a with its residual f_a = f(a), the law's current iterate
+    and flow residual from the outer step's evaluation, which froze these
+    p_m and reach and formed f by the same float expression.
 
     The residual f(u) = u (p_m + p_r(phi_bracket (1 - u))) - delta (1 - u)
     rises strictly on (0, 1/2]: p_r is concave in P with p_r(0) = 0, so
@@ -235,7 +246,11 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
     The solve takes the first of two brackets that holds one:
       - warm, from ``last`` with r <= 1/2: [r - w, r + w] with
         w = 2 |r - r_prev| + 1e-15 r, clipped to [_U_EPS, 1/2], used only
-        where f changes sign strictly across it;
+        where f changes sign strictly across it.  An anchor a <= 1/2 with
+        f_a != 0 stands in for the end on its side of the root (lo if
+        f_a < 0, hi if f_a > 0), so only the other end costs a kernel
+        call; where that end gives no strict sign change, neither does
+        the two-ended warm bracket, which shares it;
       - analytic, otherwise: the total arrival rate lies in
         [p_m, p_m + p_r_max], with p_r_max the referral rate of a fully
         employed group, so any root sits inside
@@ -245,21 +260,31 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
         above 1/2 (the corner economies), and keeps every evaluation away
         from u = 1, where heavy-tailed referral expectations are slow.
     Late in a solve the root moves by less than 1e-12 a sweep, so the warm
-    bracket saves the kernel calls that narrow the analytic one.
+    bracket saves the kernel calls that narrow the analytic one.  Either
+    bracket is closed by :func:`_anderson_bjorck`, to a zero of the float
+    residual or to two adjacent doubles across which it changes sign.
     """
     delta = params.delta
     # Every P = phi_bracket (1 - x) with phi_bracket in [0, 1] and x in
     # [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the loops call the unchecked
     # kernel, which returns +0.0 at P = 0 or should P underflow.
     referral = group.dist._reach
+
+    def f(x: float) -> float:
+        return x * (p_m + referral(phi_bracket * (1.0 - x))) - delta * (1.0 - x)
+
     if last is not None and last[0] <= 0.5:  # so that lo <= r <= hi
-        r, r_prev = last
+        r, r_prev, a, f_a = last
         w = 2.0 * abs(r - r_prev) + 1e-15 * r
         lo, hi = (r - w if r - w > _U_EPS else _U_EPS), (r + w if r + w < 0.5 else 0.5)
-        f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
-        f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
+        if f_a < 0.0 and a < hi:  # a < hi <= 1/2
+            lo, f_lo, f_hi = a, f_a, f(hi)
+        elif 0.0 < f_a and lo < a <= 0.5:
+            hi, f_lo, f_hi = a, f(lo), f_a
+        else:
+            f_lo, f_hi = f(lo), f(hi)
         if f_lo < 0.0 < f_hi:
-            return _illinois(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
+            return _anderson_bjorck(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
 
     # The checked kernel call also returns 0 at reach 0, the market-only case.
     p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
@@ -267,17 +292,16 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
     hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
     if p_r_max == 0.0:
         return hi  # market-only group: the flow equation is linear
-    f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
-    f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
+    f_lo, f_hi = f(lo), f(hi)
     if f_lo >= 0.0:
         return lo
     if f_hi <= 0.0:
         return hi
-    return _illinois(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
+    return _anderson_bjorck(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
 
 
-def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[GroupSpec], list[int]]:
-    """The first group on each distinct degree law, and each group's index into them.
+def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[int], list[int]]:
+    """The index of the first group on each distinct degree law, and each group's index into them.
 
     Groups on equal laws solve the same scalar equation in a sweep, since
     it does not involve the group's size.  A law whose type cannot be
@@ -286,7 +310,7 @@ def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[GroupSpec], list[int]]
     slots: dict = {}
     where = [slots.setdefault(g.dist if type(g.dist).__hash__ else id(g.dist), len(slots))
              for g in groups]
-    return [groups[where.index(j)] for j in range(len(slots))], where
+    return [where.index(j) for j in range(len(slots))], where
 
 
 def _iterate(
@@ -299,7 +323,7 @@ def _iterate(
     u_vec = [float(config.initial_u)] * len(groups)
     sizes = np.array([g.size for g in groups], dtype=np.float64)
     total = float(sizes.sum())
-    firsts, where = _law_slots(groups)
+    heads, where = _law_slots(groups)
     damping, prev_residual, worse_streak = _DAMPING, math.inf, 0
     back = (None, None)  # the states that started the last two steps
     v = vacancy_closure(params, groups, u_vec)
@@ -308,9 +332,12 @@ def _iterate(
 
     roots = before = None  # each law's roots in the last two sweeps
     for it in range(1, _MAX_OUTER_ITERS + 1):
-        lasts = zip(roots, before) if before else [None] * len(firsts)
-        before, roots = roots, [_solve_group_u(params, g, p_m, reach, last)
-                                for g, last in zip(firsts, lasts)]
+        # From the third sweep on, each law's solve also takes its iterate
+        # and flow residual from the last evaluation as an anchor.
+        lasts = (zip(roots, before, [u_vec[i] for i in heads], [point.R[i] for i in heads])
+                 if before else [None] * len(heads))
+        before, roots = roots, [_solve_group_u(params, groups[i], p_m, reach, last)
+                                for i, last in zip(heads, lasts)]
         previous, keep = u_vec, 1.0 - damping
         u_vec = [min(max(keep * u_i + damping * roots[j], _U_EPS), 1.0 - _U_EPS)
                  for u_i, j in zip(previous, where)]

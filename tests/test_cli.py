@@ -1,5 +1,6 @@
 """Command-line interface: commands, config handling, and exit codes."""
 
+import collections
 import dataclasses
 import io
 import json
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from refmatch import CalibrationTargets, ModelParams, SolverConfig, cli, experiments, solver
+from refmatch import (CalibrationTargets, Degenerate, ModelParams, Poisson, SolverConfig, Zipf, cli,
+                      degree, experiments, solver)
 from refmatch.calibration import CalibrationError
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
@@ -595,6 +597,30 @@ class TestReproduceAll:
         # the two known reference discrepancies stay visible
         assert "FAIL zipf mean alpha=2.028" in summary
         assert "FAIL structure u-gap argmax" in summary
+
+
+class TestReproduceAllKernelCalls:
+    def test_kernel_call_count(self, tmp_path, monkeypatch):
+        # Every call into a law's referral kernel, checked or not, and every
+        # Zipf series sum one reproduce-all makes.  The analytic bracket on
+        # every sweep made 35,082 kernel calls (12,294 series sums), the
+        # two-ended warm bracket with Illinois steps 24,431 (7,792) over 54
+        # solves; the anchored bracket with Anderson-Bjorck steps and one
+        # solve per distinct economy of a sweep (52 solves) make 18,489.
+        calls = collections.Counter()
+
+        def counted(name, kernel):
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return call
+
+        for law in (Poisson, Degenerate, Zipf):
+            monkeypatch.setattr(law, "_reach", counted(law.__name__, law._reach))
+        monkeypatch.setattr(degree, "_polylog_blocks", counted("series", degree._polylog_blocks))
+        code, _ = run_cli("reproduce-all", "--outdir", str(tmp_path / "results"))
+        assert code == EXIT_OK
+        assert calls == {"Poisson": 8683, "Degenerate": 2093, "Zipf": 7713, "series": 5693}
 
 
 class TestUnwritableOutput:

@@ -72,8 +72,10 @@ class TestScenarioTable:
         assert list(dict.fromkeys(scenarios)) == list(SCENARIOS)
 
     def test_solves_and_alpha_fits_per_runner(self, monkeypatch, baseline_eq):
-        # each grid point is one solve; the common-mean d_f/phi economy's
-        # Zipf scale parameter is fitted once, not once per grid point
+        # each distinct economy of a runner is one solve (phi_fine repeats
+        # phi = 0.1 and 0.3, solved 22 times before); the common-mean
+        # d_f/phi economy's Zipf scale parameter is fitted once, not once per
+        # grid point
         calls = {"solve": 0, "fit": 0}
         fit = experiments.zipf_alpha_for_mean
 
@@ -88,7 +90,7 @@ class TestScenarioTable:
         monkeypatch.setattr(experiments, "solve_equilibrium", fake_solve)
         monkeypatch.setattr(experiments, "zipf_alpha_for_mean", counting_fit)
         for run, solves, fits in ((run_table2, 3, 2), (run_structure_sweeps, 18, 0),
-                                  (run_df_sweep, 9, 1), (run_phi_sweep, 22, 1)):
+                                  (run_df_sweep, 9, 1), (run_phi_sweep, 20, 1)):
             calls.update(solve=0, fit=0)
             experiments._common_mean_alpha.cache_clear()
             run()
@@ -96,7 +98,7 @@ class TestScenarioTable:
 
 
 class TestZipfLawLifetime:
-    """A Zipf law keeps the k^alpha blocks it has used, so none may outlive its economy."""
+    """A Zipf law keeps the k^alpha blocks it has used, so none may outlive the sweep that used it."""
 
     def test_common_mean_groups_are_new_on_each_call(self):
         first, second = experiments._common_mean_groups(), experiments._common_mean_groups()

@@ -17,18 +17,21 @@ the package from its checkout's src/:
   - edge economies with referrals off: d_f = 0, phi = 0 with an interior
     steady state, and a group on Degenerate(0).
 Prints, per economy, which of u, v, iterations, P and p_r differ, with
-the largest relative difference in each of u, v, P and p_r, or, when
-either side raises, the two error types and the steps they report; then
-the largest relative difference over every economy, which tells a
-rounding-level change (about 1e-16) from a real one.  Floats are
-compared bit for bit (float.hex), so -0.0 against 0.0 or a NaN against a
-number counts as a difference.  Exits 1 if any value or error type
-differs.
+the largest difference in each of u, v, P and p_r, relative and in ulps
+(the number of doubles from one value to the other), or, when either
+side raises, the two error types and the steps they report; then the
+largest of each over every economy, which tells a rounding-level change
+(about 1e-16, a few ulps) from a real one.  Floats are compared bit for
+bit (float.hex), so -0.0 against 0.0 or a NaN against a number counts as
+a difference (0 ulps for the zeros, an infinite count for a NaN).  Exits
+1 if any value or error type differs.
 Usage: python tools/solve_diff.py CHECKOUT
 """
 
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -116,27 +119,39 @@ def solve_in(root: Path) -> list[dict]:
     return [json.loads(line) for line in done.stdout.splitlines()]
 
 
-def rel_diff(a, b) -> float:
-    """Largest relative difference between two floats, or two lists of them, given as hex."""
-    pairs = zip(a, b) if isinstance(a, list) else [(a, b)]
-    return max(0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
-               for x, y in ((float.fromhex(x), float.fromhex(y)) for x, y in pairs))
+def ordinal(x: float) -> int:
+    """x's position among the doubles: consecutive doubles differ by 1, and -0.0 is 0.0."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFF_FFFF_FFFF_FFFF)
 
 
-def compare(a: dict, b: dict) -> tuple[bool, str, float]:
-    """(differs, description, largest relative difference) for one economy; a is this checkout's."""
+def diffs(a, b) -> tuple[float, float]:
+    """Largest (relative, ulp) difference between two floats, or two lists of them, given as hex."""
+    pairs = [(float.fromhex(x), float.fromhex(y))
+             for x, y in (zip(a, b) if isinstance(a, list) else [(a, b)])]
+    rel = max(0.0 if x == y else abs(x - y) / max(abs(x), abs(y)) for x, y in pairs)
+    ulps = max(math.inf if math.isnan(x) or math.isnan(y) else abs(ordinal(x) - ordinal(y))
+               for x, y in pairs)
+    return rel, ulps
+
+
+def compare(a: dict, b: dict) -> tuple[bool, str, dict]:
+    """(differs, description, {field: (relative, ulp) difference}) for one economy.
+
+    ``a`` is this checkout's; the dict is empty unless values were compared.
+    """
     if "error" in a or "error" in b:
         kinds = (a.get("error", "no error"), b.get("error", "no error"))
         steps = f"steps {a.get('steps', a.get('iterations'))} vs {b.get('steps', b.get('iterations'))}"
         if kinds[0] != kinds[1]:
-            return True, f"error type differs: {kinds[0]} vs {kinds[1]} ({steps})", 0.0
-        return False, f"both raise {kinds[0]} ({steps})", 0.0
+            return True, f"error type differs: {kinds[0]} vs {kinds[1]} ({steps})", {}
+        return False, f"both raise {kinds[0]} ({steps})", {}
     differing = [f for f in FIELDS if a[f] != b[f]]
     if differing:
-        moved = {f: rel_diff(a[f], b[f]) for f in VALUES}
-        sizes = "  ".join(f"{f} {d:.1e}" for f, d in moved.items())
-        return True, f"differ: {', '.join(differing):<16} max rel diff {sizes}", max(moved.values())
-    return False, f"same ({a['iterations']} iterations)", 0.0
+        moved = {f: diffs(a[f], b[f]) for f in VALUES}
+        sizes = "  ".join(f"{f} {rel:.1e} ({ulps:g} ulp)" for f, (rel, ulps) in moved.items())
+        return True, f"differ: {', '.join(differing):<16} max diff {sizes}", moved
+    return False, f"same ({a['iterations']} iterations)", {}
 
 
 if __name__ == "__main__":
@@ -149,12 +164,14 @@ if __name__ == "__main__":
     theirs = solve_in(Path(sys.argv[1]).resolve())
     if [r["name"] for r in ours] != [r["name"] for r in theirs]:
         sys.exit("the two checkouts solved different lists of economies")
-    differing, largest = 0, 0.0
+    differing, largest = 0, {f: (0.0, 0) for f in VALUES}
     for a, b in zip(ours, theirs):
         differs, text, moved = compare(a, b)
         differing += differs
-        largest = max(largest, moved)
+        for f, (rel, ulps) in moved.items():
+            largest[f] = (max(largest[f][0], rel), max(largest[f][1], ulps))
         print(f"{a['name']:<28} {text}")
-    print(f"{differing} of {len(ours)} economies differ; "
-          f"largest relative difference in u, v, P or p_r {largest:.3e}")
+    print(f"{differing} of {len(ours)} economies differ; largest relative difference in u, v, P"
+          f" or p_r {max(rel for rel, _ in largest.values()):.3e}; largest in ulps: "
+          + ", ".join(f"{f} {ulps:g}" for f, (_, ulps) in largest.items()))
     sys.exit(1 if differing else 0)
