@@ -291,7 +291,7 @@ class Zipf(DegreeDistribution):
 
     @cached_property
     def _blocks(self) -> dict[int, np.ndarray]:
-        # Block index -> k^alpha over that block; _polylog_blocks fills it.
+        # Block index -> k^-alpha over that block; _polylog_blocks fills it.
         return {}
 
     # The last x = 1 - P summed and its value, replaced as one tuple so that

@@ -24,14 +24,12 @@ rate and flow residual are scalar arithmetic, and only the aggregate u
 is a numpy dot product.  max() keeps a NaN only in first place, so a
 step checks its residuals for NaN and raises at the first one.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
-and free entry holds to 1e4 times that.  An iterate that repeats bit for
-bit before then would repeat forever, and a step that starts from the
-outer state (iterate, damping and worse-streak) that started the step
-two before begins a period-2 cycle: either way the solver raises at
-once.  So does one whose u_i all sit within 2e-9 of 1 once the damping
-is at its floor: there, in the no-market corner, it only crawls by ulps
-until it repeats thousands of steps later.  Both end the corner in tens
-of steps.
+and free entry holds to 1e4 times that.  Every step damps by the same
+``_DAMPING``, so a step depends only on the iterate it starts from: an
+iterate that repeats bit for bit before the stop would repeat forever,
+and one equal to the iterate two steps before begins a period-2 cycle.
+Either way the solver raises at once, which ends the no-market corner,
+where every u_i sits at the clip, in tens of steps.
 A scalar solve is a regula falsi iteration with Anderson & Bjorck's
 update on a bracket that provably holds a root (see _solve_group_u),
 stopped at a zero of the float residual or at two adjacent doubles.  From
@@ -43,9 +41,7 @@ current iterate stands in for the end on its side of the root: the
 step's evaluation gave its residual at the p_m and reach the sweep
 freezes, bit for bit, so only the other end costs a kernel call.  Without
 a strict sign change the solve falls back to the analytic bracket, which
-holds every root.  Damping halves when the residual rises twice in a
-row, which tames the overshoot the u -> v -> u loop can produce at high
-referral frequencies.
+holds every root.
 
 Inputs are checked where they enter.  The public entries check every
 value: ``flow_residual`` here, ``info_probability`` and
@@ -59,7 +55,7 @@ inner loops therefore call the law's unchecked kernel ``_reach`` on
 plain floats, which gives the floats the checked path gives.
 
 The steady state does not depend on how the solver reaches it, so the
-stop tolerance, iteration cap, starting damping and restart seed are
+stop tolerance, iteration cap, damping and restart seed are
 module constants; :class:`SolverConfig` holds only the starting point
 and the restart count.
 """
@@ -94,12 +90,11 @@ __all__ = ["SolverConfig", "ConvergenceError", "flow_residual", "solve_equilibri
 # u_i = 0 and u_i = 1 singularities.
 _U_EPS = 1e-9
 # Outer-iteration constants, read at call time: the stop rule on max |R_i|,
-# the iteration cap, the starting damping (halved down to _MIN_DAMPING) and
-# the seed of solve_all's restart points.
+# the iteration cap, the damping of every outer step and the seed of
+# solve_all's restart points.
 _RESIDUAL_TOL = 1e-12
 _MAX_OUTER_ITERS = 10_000
 _DAMPING = 0.5
-_MIN_DAMPING = 1.0 / 1024.0
 _RESTART_SEED = 0
 
 
@@ -324,8 +319,8 @@ def _iterate(
     sizes = np.array([g.size for g in groups], dtype=np.float64)
     total = float(sizes.sum())
     heads, where = _law_slots(groups)
-    damping, prev_residual, worse_streak = _DAMPING, math.inf, 0
-    back = (None, None)  # the states that started the last two steps
+    damping, keep = _DAMPING, 1.0 - _DAMPING
+    back = (None, None)  # the iterates that started the last two steps
     v = vacancy_closure(params, groups, u_vec)
     closure = closure_for(params, groups)
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
@@ -338,7 +333,7 @@ def _iterate(
                  if before else [None] * len(heads))
         before, roots = roots, [_solve_group_u(params, groups[i], p_m, reach, last)
                                 for i, last in zip(heads, lasts)]
-        previous, keep = u_vec, 1.0 - damping
+        previous = u_vec
         u_vec = [min(max(keep * u_i + damping * roots[j], _U_EPS), 1.0 - _U_EPS)
                  for u_i, j in zip(previous, where)]
 
@@ -354,23 +349,18 @@ def _iterate(
             # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
                 return np.array(u_vec), v, residual, it, eq
-        # The same iterate gives the same point, residual and damping, so
-        # every later step repeats this one.  A step depends only on the
-        # state it starts from (the last residual only tells the first
-        # step apart), so one that starts from the state that started the
-        # step two before begins a period-2 cycle.  With every u_i at the
-        # clip and the damping at its floor, the iterate only crawls by
-        # ulps for thousands of steps until it repeats: raise there too.
+        # At a fixed damping a step depends only on the iterate it starts
+        # from: an iterate equal to the one before repeats forever, and a
+        # step that starts from the iterate that started the step two
+        # before begins a period-2 cycle.
         repeats = u_vec == previous
-        state = (previous, damping, worse_streak, prev_residual)
-        cycles = back[0] == state
-        back = (back[1], state)
-        at_floor = damping == _MIN_DAMPING and residual >= _RESIDUAL_TOL
-        corner = (repeats or cycles or at_floor) and all(1.0 - u_i < 2.0 * _U_EPS for u_i in u_vec)
-        if repeats or cycles or (at_floor and corner):
+        cycles = back[0] == previous
+        back = (back[1], previous)
+        if repeats or cycles:
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
-            how = "repeats" if repeats else "cycles with period 2" if cycles else "crawls"
+            how = "repeats" if repeats else "cycles with period 2"
+            corner = all(1.0 - u_i < 2.0 * _U_EPS for u_i in u_vec)
             raise ConvergenceError(
                 f"outer iterate {how} at step {it} ({gap})"
                 + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
@@ -378,17 +368,6 @@ def _iterate(
                 u_vec, v, residual, it,
             )
         p_m, reach = point.p_m, point.reach
-
-        # The u -> v -> u loop can overshoot at high phi; back off the
-        # damping after two consecutive residual increases.
-        if residual > prev_residual:
-            worse_streak += 1
-            if worse_streak >= 2 and damping > _MIN_DAMPING:
-                damping = max(0.5 * damping, _MIN_DAMPING)
-                worse_streak = 0
-        else:
-            worse_streak = 0
-        prev_residual = residual
 
     raise ConvergenceError(
         f"no convergence after {_MAX_OUTER_ITERS} outer iterations (residual {residual:.3e})",

@@ -11,9 +11,12 @@ the package from its checkout's src/:
     series run over up to 8 blocks;
   - 16 groups on three Zipf laws and one Poisson law;
   - the phi = 0 no-market corner (eta = 0.05, gamma = 0.01), and a
-    corner economy at phi = 1 whose iterate crawls at the clip;
+    corner economy at phi = 1 whose iterate reaches the clip and then
+    cycles with period 2;
   - an economy that meets flow balance but whose iterate then cycles
     with period 2, never meeting free entry;
+  - a phi = 1 economy whose residual rises twice in a row early on,
+    where a damping halved on each such pair stalled for 10,000 steps;
   - edge economies with referrals off: d_f = 0, phi = 0 with an interior
     steady state, and a group on Degenerate(0).
 Prints, per economy, which of u, v, iterations, P and p_r differ, with
@@ -70,10 +73,10 @@ def economies(rm):
                 [rm.GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), pool[i % 4]) for i in range(16)]))
     out.append(("phi = 0 corner", rm.ModelParams(eta=0.05, gamma=0.01, phi=0.0),
                 [rm.GroupSpec(1.0, rm.Poisson(22.47))]))
-    crawl = rm.ModelParams(b=0.0595130817476952, r=0.11943165448064004, delta=0.3287231885500706,
-                           eta=1 / 3, gamma=0.01, beta=0.9276375421277745, c=38.83597263090465,
-                           phi=1.0, d_f=4)
-    out.append(("phi = 1 crawling corner", crawl,
+    corner = rm.ModelParams(b=0.0595130817476952, r=0.11943165448064004, delta=0.3287231885500706,
+                            eta=1 / 3, gamma=0.01, beta=0.9276375421277745, c=38.83597263090465,
+                            phi=1.0, d_f=4)
+    out.append(("phi = 1 corner", corner,
                 [rm.GroupSpec(1.0, rm.Poisson(lam))
                  for lam in (0.5, 0.5, 38.83597263090465, 41.21123044467842)]))
     cycle = rm.ModelParams(b=0.5459275321952658, r=0.14334393296201056, delta=0.7674855304027197,
@@ -85,6 +88,17 @@ def economies(rm):
                  rm.GroupSpec(30063.438307059034, rm.Degenerate(25)),
                  rm.GroupSpec(52.470296306663435, rm.Poisson(30.211156389029693)),
                  rm.GroupSpec(1231368.2025324712, rm.Poisson(30.211156389029693))]))
+    rising = rm.ModelParams(delta=0.1545274005773913, eta=0.03182720133966904,
+                            gamma=1.1451909704404253, beta=0.31875818292603086,
+                            c=28.81781739360187, b=0.8727085118437508, r=0.11566740155120275,
+                            phi=1.0, d_f=4)
+    out.append(("phi = 1, residual rising", rising,
+                [rm.GroupSpec(382582.2868055708, rm.Poisson(4.316723212089775)),
+                 rm.GroupSpec(1040.9206067851467, rm.Degenerate(35)),
+                 rm.GroupSpec(1215120.585084422, rm.Poisson(6.485368987893442)),
+                 rm.GroupSpec(4535.244481703927, rm.Poisson(5.244280640727932)),
+                 rm.GroupSpec(54.8988126920546, rm.Degenerate(24)),
+                 rm.GroupSpec(1692.403980695569, rm.Poisson(6.485368987893442))]))
     mixed = [rm.GroupSpec(1e6, rm.Poisson(22.47)), rm.GroupSpec(5e5, rm.Degenerate(16))]
     out.append(("d_f = 0", rm.ModelParams(d_f=0), mixed))
     out.append(("phi = 0 interior", rm.ModelParams(phi=0.0), mixed))
