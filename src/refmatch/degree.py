@@ -246,7 +246,7 @@ class Poisson(DegreeDistribution):
         return -math.expm1(-self.lam * p_info)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.poisson(self.lam, size).astype(np.int64)
+        return rng.poisson(self.lam, size).astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ class Zipf(DegreeDistribution):
         return reach
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.zipf(self.alpha, size).astype(np.int64)
+        return rng.zipf(self.alpha, size).astype(np.int64, copy=False)
 
 
 def zipf_alpha_for_mean(target_mean: float) -> float:

@@ -24,19 +24,25 @@ Because the contact states are redrawn independently per trial, trials
 are i.i.d. Bernoulli and the reported binomial standard error is exact
 for the network-conditional success rate.
 
-Stub pairing.  The stubs are put in uniformly random order by one
-in-place sort of random 64-bit keys that carry each stub's owner in their
-low bits, with every run of tied random bits put in random order; edge k
-joins stubs 2k and 2k + 1.  This replaced a Fisher-Yates shuffle of the
-stub list, which cost about twice as much at 10^6 workers.  A seed gives
-the same degrees as before but another pairing, so every seeded estimate
-changed while their distribution did not (``tools/mc_diff.py`` compares
-two checkouts).
+Stub pairing.  The stubs are put in uniformly random order by sorting
+random 64-bit keys that carry each stub's owner in their low bits, with
+every run of tied random bits put in random order; edge k joins stubs
+2k and 2k + 1.  The keys are drawn and given their owners on the
+calling thread, then split in place at their median; each half is
+sorted, scanned for ties and masked on a thread of its own, and
+``Network.reachable_degrees`` scans the two halves of the edge list
+the same way.  The tie runs are shuffled on the calling thread in
+ascending order, so a seed gives the same network bit for bit as one
+sort on one thread (``tools/mc_diff.py`` compares two checkouts).  The
+workers allocate nothing of block size: they fill buffers made on the
+calling thread, since glibc gives each thread its own heap and a block
+freed there stays resident.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +59,9 @@ __all__ = [
 ]
 
 _PARITY_RESAMPLE_LIMIT = 100
-# Stubs per chunk of owner ids and per block of the tie scan.
-_PAIR_BLOCK = 1 << 20
+# Stubs per chunk of owner ids and pairs per block of the tie and self-loop
+# scans; work whose first half holds at most one block stays on one thread.
+_PAIR_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,11 @@ class Network:
 
         A node's degree minus two per self-loop at it.
         """
-        ends, partners = self.stubs[0::2], self.stubs[1::2]
-        loops = np.bincount(ends[ends == partners], minlength=self.n)
-        return self.degrees - 2 * loops
+        ends = self.stubs[0::2]
+        loops = _near_pairs(ends.view(np.uint64), self.stubs[1::2].view(np.uint64), np.uint64(0))
+        reachable = self.degrees.copy()
+        np.subtract.at(reachable, ends[loops], 2)
+        return reachable
 
 
 def build_configuration_network(
@@ -101,7 +110,7 @@ def build_configuration_network(
     """
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
-    degrees = dist.sample(rng, n).astype(np.int64)
+    degrees = dist.sample(rng, n).astype(np.int64, copy=False)
     if degrees.sum() % 2 == 1:
         for _ in range(_PARITY_RESAMPLE_LIMIT):
             degrees[-1] = int(dist.sample(rng, 1)[0])
@@ -116,10 +125,9 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
     """Owner of each stub, in uniformly random order.
 
     Each stub gets a uniform 64-bit key whose low bits are overwritten
-    with its owner's id; one in-place sort of the keys orders the stubs
-    by their random high bits, and masking leaves the owners.  Owners are
-    written node chunk by node chunk and ties are found block by block,
-    so the keys are the only stub-length array.
+    with its owner's id; sorting the keys orders the stubs by their
+    random high bits, and masking leaves the owners.  Owners are written
+    node chunk by node chunk, so the keys are the only stub-length array.
     """
     n, total = degrees.size, int(degrees.sum())
     bits = (n - 1).bit_length()
@@ -132,14 +140,16 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
         keys[lo:lo + ids.size] &= ~low
         keys[lo:lo + ids.size] |= ids
         lo += ids.size
-    keys.sort()
+    half = total // 2
+    if half:
+        keys.partition(half)  # every key before keys[half] is at most every key after
+    first, second = keys[:half], keys[half:]
+    _on_two_threads(np.ndarray.sort, (first,), (second,), half)
     # Sorted i.i.d. keys are a uniform order only where the high bits
     # differ.  Each run of equal high bits goes in random order; a run may
-    # cross a block edge, so runs are formed only once all blocks are read.
-    ties = []  # i where keys i and i + 1 tie
-    for s in range(0, total - 1, _PAIR_BLOCK):
-        e = min(s + _PAIR_BLOCK, total - 1)
-        ties += (np.flatnonzero(keys[s:e] ^ keys[s + 1:e + 1] <= low) + s).tolist()
+    # cross a block edge or the split, so runs are formed only once all
+    # blocks are read.
+    ties = _near_pairs(keys, keys[1:], low)  # i where keys i and i + 1 tie
     lo = hi = 0  # the run [lo, hi) being formed
     for i in [*ties, total]:
         if i >= hi:
@@ -147,8 +157,60 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
                 keys[lo:hi] = keys[lo:hi][rng.permutation(hi - lo)]
             lo = i
         hi = i + 2
-    keys &= low
+    _on_two_threads(np.bitwise_and, (first, low, first), (second, low, second), half)
     return keys.view(np.int64)
+
+
+def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
+    """Run ``f(*first)`` on a worker thread and ``f(*second)`` on this one.
+
+    Joins the worker and re-raises its exception, if any, here.  The two
+    calls must write disjoint memory and fill only buffers made by the
+    caller (see the module docstring).  If the first half is at most one
+    block (``size`` items), both run in turn on this thread: a thread
+    start (about 50 us) costs more than it saves there.
+    """
+    if size <= _PAIR_BLOCK:
+        f(*first)
+        f(*second)
+        return
+    errors = []
+
+    def work():
+        try:
+            f(*first)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        f(*second)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
+    """Each i, ascending, where ``x[i]`` and ``y[i]`` differ only in the bits of ``low``.
+
+    The two halves of ``y`` are scanned block by block on two threads.
+    """
+    half, width = y.size // 2, max(1, min(_PAIR_BLOCK, y.size))
+
+    def scan(start, stop, xor, near, out):
+        for s in range(start, stop, width):
+            m = min(width, stop - s)
+            np.bitwise_xor(x[s:s + m], y[s:s + m], out=xor[:m])
+            if np.less_equal(xor[:m], low, out=near[:m]).any():
+                out += (np.flatnonzero(near[:m]) + s).tolist()
+
+    found = ([], [])
+    buffers = [(np.empty(width, np.uint64), np.empty(width, bool)) for _ in found]
+    _on_two_threads(scan, (0, half, *buffers[0], found[0]), (half, y.size, *buffers[1], found[1]),
+                    half)
+    return found[0] + found[1]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Configuration-model networks and the Monte Carlo referral check."""
 
 import math
+import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -46,6 +48,24 @@ def config_for(dist, n_workers=50_000, n_trials=50_000, seed=11):
 def info_probability_in_context() -> float:
     vac = CONTEXT["v"] / (1.0 - CONTEXT["u"] + CONTEXT["v"])
     return CONTEXT["phi"] * (1.0 - CONTEXT["u_i"]) * (1.0 - (1.0 - vac) ** CONTEXT["d_f"])
+
+
+def sorted_pairing(rng, degrees):
+    """The pairing on one thread: sort all keys, shuffle each tie run in order, mask."""
+    n, total = degrees.size, int(degrees.sum())
+    bits = (n - 1).bit_length()
+    low = np.uint64((1 << bits) - 1)
+    keys = rng.integers(0, 1 << 64, size=total, dtype=np.uint64)
+    keys = keys & ~low | np.repeat(np.arange(n, dtype=np.uint64), degrees)
+    keys.sort()
+    high = (keys >> np.uint64(bits)).tolist()
+    lo = 0
+    for i in range(1, total + 1):
+        if i == total or high[i] != high[lo]:
+            if i - lo > 1:
+                keys[lo:i] = keys[lo:i][rng.permutation(i - lo)]
+            lo = i
+    return (keys & low).view(np.int64)
 
 
 class TestNetworkBuild:
@@ -133,6 +153,28 @@ class TestNetworkBuild:
         assert counts.keys() == MATCHINGS[degrees].keys()
         for matching, p in MATCHINGS[degrees].items():
             assert abs(counts[matching] - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
+
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
+                             ids=["random-keys", "tied-keys"])
+    @pytest.mark.parametrize("total", [0, 2, 9, 10, 14, 19, 22, 38])
+    def test_split_pairing_equals_one_sort(self, total, make_rng, monkeypatch):
+        # 4-stub blocks put block edges, odd block tails and the split
+        # between the halves inside tie runs and self-loops; halves of
+        # more than one block run on two threads.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        degrees = np.bincount(np.arange(total) % 7, minlength=7)
+        for seed in range(20):
+            stubs = simulate._pair_stubs(make_rng(seed), degrees)
+            assert np.array_equal(stubs, sorted_pairing(make_rng(seed), degrees))
+            if total % 2:
+                continue
+            net = simulate.Network(n=7, degrees=degrees, stubs=stubs)
+            reachable = [0] * 7
+            for a, b in zip(stubs[0::2].tolist(), stubs[1::2].tolist()):
+                if a != b:
+                    reachable[a] += 1
+                    reachable[b] += 1
+            assert net.reachable_degrees().tolist() == reachable
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
@@ -265,3 +307,34 @@ class TestDegreeConditionalUnemployment:
             for a, b in zip(u_by_degree[np.argsort(net.degrees)][:-1],
                             u_by_degree[np.argsort(net.degrees)][1:])
         )
+
+
+class TestTwoThreads:
+    def test_worker_error_reaches_the_caller(self):
+        ran = []
+
+        def half(fail):
+            ran.append(threading.get_ident())
+            if fail:
+                raise MemoryError("worker half")
+
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="worker half"):
+            simulate._on_two_threads(half, (True,), (False,), simulate._PAIR_BLOCK + 1)
+        assert len(set(ran)) == 2  # the worker and this thread
+        assert threading.active_count() == before
+
+    def test_caller_error_waits_for_the_worker(self):
+        finished = []
+
+        def half(fail):
+            if fail:
+                raise ValueError("calling half")
+            time.sleep(0.05)
+            finished.append(True)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="calling half"):
+            simulate._on_two_threads(half, (False,), (True,), simulate._PAIR_BLOCK + 1)
+        assert finished  # the worker was joined before the error left
+        assert threading.active_count() == before

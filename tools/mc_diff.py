@@ -8,9 +8,10 @@ WORKERS workers x TRIALS trials with the refmatch of this checkout and
 with that of CHECKOUT, each in a subprocess that imports the package
 from its checkout's src/.  Prints, per family and side, the mean and
 standard deviation of z against ``referral_expectation`` and the mean
-number of self-loops per node of the seeds' networks.  Exits 1 if a
-family's mean z differs between the sides by more than 4 standard
-errors.
+number of self-loops per node of the seeds' networks, then how many
+seeds give the same estimate bit for bit on both sides (all of them
+when a change keeps every draw).  Exits 1 if a family's mean z differs
+between the sides by more than 4 standard errors.
 Usage: python tools/mc_diff.py CHECKOUT
 """
 
@@ -26,7 +27,7 @@ LIMIT = 4.0
 
 
 def emit() -> None:
-    """Child side: one JSON line per family with its z and self-loop statistics."""
+    """Child side: one JSON line per family with its estimates, z and self-loop statistics."""
     import numpy as np
 
     import refmatch as rm
@@ -42,16 +43,18 @@ def emit() -> None:
                 "zipf": rm.Zipf(rm.zipf_alpha_for_mean(COMMON_MEAN_DEGREE))}
     for fam, dist in families.items():
         target = dist.referral_expectation(g.P)
-        z, loops = [], []
+        estimates, z, loops = [], [], []
         for seed in range(SEEDS):
             config = SimConfig.at_context(dist, u_i=g.u, u=baseline.u, v=baseline.v,
                                           phi=params.phi, d_f=params.d_f, n_workers=WORKERS,
                                           n_trials=TRIALS, seed=seed)
-            z.append(estimate_referral_rate(config).z_score(target))
+            est = estimate_referral_rate(config)
+            estimates.append(est.estimate)
+            z.append(est.z_score(target))
             # The estimator's network: the same law, size and seed.
             net = build_configuration_network(dist, WORKERS, np.random.default_rng(seed))
             loops.append(float(np.sum(net.degrees - net.reachable_degrees())) / 2 / WORKERS)
-        print(json.dumps({"family": fam, "mean_z": float(np.mean(z)),
+        print(json.dumps({"family": fam, "estimates": estimates, "mean_z": float(np.mean(z)),
                           "sd_z": float(np.std(z, ddof=1)), "loops": float(np.mean(loops))}),
               flush=True)
 
@@ -83,4 +86,7 @@ if __name__ == "__main__":
         differing += abs(gap) > LIMIT
         print(f"{a['family']:<8} mean z differs by {gap:+.2f} standard errors")
     print(f"{differing} of {len(ours)} families differ")
+    for a, b in zip(ours, theirs):
+        same = sum(x == y for x, y in zip(a["estimates"], b["estimates"]))
+        print(f"{a['family']:<8} {same} of {SEEDS} seeds give the same estimate bit for bit")
     sys.exit(1 if differing else 0)
