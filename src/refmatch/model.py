@@ -148,10 +148,14 @@ class AssetValues(NamedTuple):
 
 
 def market_arrival(params: ModelParams, u: float, v: float) -> float:
-    """Offer arrival rate through the open market, gamma * (u/v)**(eta-1)."""
-    if not (u > 0.0 and v > 0.0):
-        raise ValueError(f"market arrival needs u > 0 and v > 0, got u={u}, v={v}")
-    return params.gamma * (u / v) ** (params.eta - 1.0)
+    """Offer arrival rate through the open market, gamma * (u/v)**(eta-1).
+
+    Raises ``ValueError`` unless u > 0 and v is positive and finite, or
+    where u/v underflows to 0.
+    """
+    if not (u > 0.0 and 0.0 < v < math.inf and (ratio := u / v) > 0.0):
+        raise ValueError(f"market arrival needs u > 0, finite v > 0 and u/v > 0, got u={u}, v={v}")
+    return params.gamma * ratio ** (params.eta - 1.0)
 
 
 def contact_reach(phi: float, d_f: int, u: float, v: float) -> float:
@@ -165,8 +169,8 @@ def contact_reach(phi: float, d_f: int, u: float, v: float) -> float:
         raise ValueError(f"referral frequency must lie in [0, 1], got {phi}")
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"aggregate unemployment rate must lie in [0, 1], got {u}")
-    if v < 0.0:
-        raise ValueError(f"vacancy rate must be nonnegative, got {v}")
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"vacancy rate must be nonnegative and finite, got {v}")
     denom = 1.0 - u + v
     if not denom > 0.0:
         raise ValueError(f"degenerate job pool: 1 - u + v = {denom}")

@@ -25,11 +25,13 @@ is a numpy dot product.  max() keeps a NaN only in first place, so a
 step checks its residuals for NaN and raises at the first one.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  Every step damps by the same
-``_DAMPING``, so a step depends only on the iterate it starts from: an
-iterate that repeats bit for bit before the stop would repeat forever,
-and one equal to the iterate two steps before begins a period-2 cycle.
-Either way the solver raises at once, which ends the no-market corner,
-where every u_i sits at the clip, in tens of steps.
+``_DAMPING``, so a step depends only on the iterate it starts from, and
+an iterate seen before the stop begins a cycle that repeats forever.
+The solver keeps each iterate with the step that made it (the start is
+step 0's) and raises at the first one seen again, naming the period:
+1 where the iterate repeats, p where it equals the one p steps before.
+That ends the no-market corner, where every u_i sits at the clip, and
+the ulp-level cycles near it, of any period, in tens of steps.
 A scalar solve is a regula falsi iteration with Anderson & Bjorck's
 update on a bracket that provably holds a root (see _solve_group_u),
 stopped at a zero of the float residual or at two adjacent doubles.  From
@@ -77,7 +79,7 @@ from .model import (
     closure_for,
     contact_reach,
     market_arrival,
-    info_probability,
+    info_probability,  # noqa: F401  (unused here; perfbench/spans.py traces this name)
     surplus,
     value_functions,
     vacancy_closure,
@@ -154,20 +156,17 @@ def _aggregates(params: ModelParams, sizes: np.ndarray, total: float, u_vec: lis
 
 
 def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: np.ndarray, total: float,
-              u_vec: list[float], v: float, checked: bool = False) -> _Point:
+              u_vec: list[float], v: float) -> _Point:
     """The one evaluation of the economy at plain floats (u_vec, v) an outer step makes.
 
-    ``sizes`` and ``total`` are as for :func:`_aggregates`.  Each P_i is
-    info_probability's reach (1 - u_i), formed from the reach at hand;
-    ``checked`` (for u_vec from outside the iteration) has
-    info_probability form it, which raises on a u_i outside [0, 1].  The
-    reach passed contact_reach's checks, so every P_i lies in [0, 1], and
-    p_r_i is the law's unchecked kernel, or +0.0 at P_i = 0, exactly what
-    referral_expectation returns.
+    ``sizes`` and ``total`` are as for :func:`_aggregates`; every u_i lies
+    in [0, 1].  Each P_i is info_probability's reach (1 - u_i), formed
+    from the reach at hand.  The reach passed contact_reach's checks, so
+    every P_i lies in [0, 1], and p_r_i is the law's unchecked kernel, or
+    +0.0 at P_i = 0, exactly what referral_expectation returns.
     """
     u, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
-    P = ([info_probability(params, u_i, u, v) for u_i in u_vec] if checked
-         else [reach * (1.0 - u_i) for u_i in u_vec])
+    P = [reach * (1.0 - u_i) for u_i in u_vec]
     p_r = [g.dist._reach(P_i) if P_i else 0.0 for g, P_i in zip(groups, P)]
     R = [u_i * (p_m + p_r_i) - params.delta * (1.0 - u_i) for u_i, p_r_i in zip(u_vec, p_r)]
     return _Point(u_vec, v, u, p_m, reach, P, p_r, R)
@@ -178,11 +177,13 @@ def flow_residual(
 ) -> np.ndarray:
     """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i).
 
-    Raises ``ValueError`` for a u_i outside [0, 1] or a v that is not positive.
+    Raises ``ValueError`` for a u_i outside [0, 1] or a v that is not positive and finite.
     """
+    u_vec = np.asarray(u_vec, dtype=np.float64).tolist()
+    if bad := [u_i for u_i in u_vec if not 0.0 <= u_i <= 1.0]:
+        raise ValueError(f"group unemployment rate must lie in [0, 1], got {bad[0]}")
     sizes = np.array([g.size for g in groups], dtype=np.float64)
-    return np.array(_evaluate(params, groups, sizes, float(sizes.sum()),
-                              np.asarray(u_vec, dtype=np.float64).tolist(), v, checked=True).R)
+    return np.array(_evaluate(params, groups, sizes, float(sizes.sum()), u_vec, v).R)
 
 
 def _anderson_bjorck(referral, p_m: float, reach: float, delta: float,
@@ -320,7 +321,7 @@ def _iterate(
     total = float(sizes.sum())
     heads, where = _law_slots(groups)
     damping, keep = _DAMPING, 1.0 - _DAMPING
-    back = (None, None)  # the iterates that started the last two steps
+    seen = {tuple(u_vec): 0}  # each iterate so far, with the step that made it
     v = vacancy_closure(params, groups, u_vec)
     closure = closure_for(params, groups)
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
@@ -333,9 +334,8 @@ def _iterate(
                  if before else [None] * len(heads))
         before, roots = roots, [_solve_group_u(params, groups[i], p_m, reach, last)
                                 for i, last in zip(heads, lasts)]
-        previous = u_vec
         u_vec = [min(max(keep * u_i + damping * roots[j], _U_EPS), 1.0 - _U_EPS)
-                 for u_i, j in zip(previous, where)]
+                 for u_i, j in zip(u_vec, where)]
 
         v = closure(u_vec)
         point = _evaluate(params, groups, sizes, total, u_vec, v)
@@ -350,16 +350,11 @@ def _iterate(
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
                 return np.array(u_vec), v, residual, it, eq
         # At a fixed damping a step depends only on the iterate it starts
-        # from: an iterate equal to the one before repeats forever, and a
-        # step that starts from the iterate that started the step two
-        # before begins a period-2 cycle.
-        repeats = u_vec == previous
-        cycles = back[0] == previous
-        back = (back[1], previous)
-        if repeats or cycles:
+        # from, so an iterate seen before ends a cycle that repeats forever.
+        if period := it - seen.setdefault(tuple(u_vec), it):
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
-            how = "repeats" if repeats else "cycles with period 2"
+            how = "repeats" if period == 1 else f"cycles with period {period}"
             corner = all(1.0 - u_i < 2.0 * _U_EPS for u_i in u_vec)
             raise ConvergenceError(
                 f"outer iterate {how} at step {it} ({gap})"

@@ -57,7 +57,10 @@ class TestMarketArrival:
         params = ModelParams(gamma=0.0)
         assert market_arrival(params, 0.3, 0.1) == 0.0
 
-    @pytest.mark.parametrize("u, v", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.2)])
+    # At v = inf, or where u/v underflows to 0, 0.0 ** (eta - 1) used to
+    # raise ZeroDivisionError.
+    @pytest.mark.parametrize("u, v", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, -0.2),
+                                      (0.05, math.inf), (1e-320, 1e10)])
     def test_domain(self, u, v):
         with pytest.raises(ValueError):
             market_arrival(PUBLISHED, u, v)
@@ -95,6 +98,11 @@ class TestInfoProbability:
     def test_degenerate_job_pool(self):
         with pytest.raises(ValueError):
             info_probability(PUBLISHED, 0.5, 1.0, 0.0)
+
+    def test_infinite_vacancy_rate_rejected(self):
+        # v / (1 - u + v) at v = inf is NaN, which contact_reach used to return.
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            contact_reach(0.5, 16, 0.05, math.inf)
 
 
 class TestReferralArrival:

@@ -136,7 +136,7 @@ class TestFlowResidual:
         with pytest.raises(ValueError, match="group unemployment rate"):
             flow_residual(PUBLISHED, self.MIXED, u_vec, 0.04)
 
-    @pytest.mark.parametrize("v", [-0.01, -0.0, float("nan")])
+    @pytest.mark.parametrize("v", [-0.01, -0.0, float("nan"), math.inf])
     def test_rejects_vacancy_rate_not_positive(self, v):
         with pytest.raises(ValueError, match="v > 0"):
             flow_residual(PUBLISHED, self.MIXED, [0.05] * 4, v)
@@ -669,9 +669,9 @@ class TestRepeatedIterate:
         assert np.all(1.0 - err.value.u_vec < 2e-9)
 
     def test_period_two_cycle_raises(self):
-        # Flow balance holds but free entry never does: from step 170 the
-        # iterate equals the one two steps back, r V alternating 3.873e-8 /
-        # -2.083e-8, and the solve used to run all 10,000 steps.
+        # Flow balance holds but free entry never does: the iterate of step
+        # 171 equals that of step 169, r V alternating 3.873e-8 / -2.083e-8,
+        # and the solve used to run all 10,000 steps.
         params = ModelParams(b=0.5459275321952658, r=0.14334393296201056,
                              delta=0.7674855304027197, eta=0.26143130695909506,
                              gamma=0.5224205259426208, beta=0.9166081335701889,
@@ -681,9 +681,26 @@ class TestRepeatedIterate:
                   GroupSpec(52.470296306663435, Poisson(30.211156389029693)),
                   GroupSpec(1231368.2025324712, Poisson(30.211156389029693))]
         with pytest.raises(ConvergenceError,
-                           match=r"cycles with period 2 at step 172 \(r V = 3\.873e-08\)$") as err:
+                           match=r"cycles with period 2 at step 171 \(r V = -2\.083e-08\)$") as err:
             solve_equilibrium(params, groups)
-        assert err.value.iterations == 172
+        assert err.value.iterations == 171
+        assert err.value.residual < solver._RESIDUAL_TOL
+
+    def test_long_cycle_raises(self):
+        # Flow balance holds, but v = 1.6e-11 keeps r V away from 0 while the
+        # Zipf group's u, 5e-8 inside the clip, cycles with period 5 at the
+        # ulp level; a rule for periods 1 and 2 alone ran all 10,000 steps.
+        params = ModelParams(b=0.37538530958268296, r=0.1669349372821773,
+                             delta=0.36712712973126066, eta=0.08776242598041055,
+                             gamma=2.964386766293216, beta=0.9316906153725378,
+                             c=32.15994695902772, phi=0.8031112560684767, d_f=4)
+        poisson = Poisson(7.752493852604399)
+        groups = [GroupSpec(2055028.1618089858, poisson),
+                  GroupSpec(5197047.475111586, Zipf(2.2517290715585703)),
+                  GroupSpec(7365628.32855502, poisson)]
+        with pytest.raises(ConvergenceError, match="cycles with period 5 at step") as err:
+            solve_equilibrium(params, groups)
+        assert err.value.iterations < 100
         assert err.value.residual < solver._RESIDUAL_TOL
 
 
