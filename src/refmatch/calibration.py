@@ -26,10 +26,11 @@ import math
 from dataclasses import dataclass, replace
 
 from .degree import Poisson, as_count, is_finite
-from .model import DEFAULT_GROUP_SIZE, GroupSpec, ModelParams, contact_reach
+from .model import DEFAULT_GROUP_SIZE, Equilibrium, GroupSpec, ModelParams, contact_reach
 from .solver import ConvergenceError, solve_equilibrium
 
-__all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate"]
+__all__ = ["CalibrationTargets", "CalibrationError", "baseline_groups", "calibrate",
+           "calibrated_baseline"]
 
 _VERIFY_TOL = 1e-6
 
@@ -97,8 +98,17 @@ def calibrate(
     beta outside [0, 1]) or when a fresh equilibrium solve does not
     converge or does not reproduce the targets to 1e-6.
     """
-    t = targets or CalibrationTargets()
     given = ModelParams(y=y, b=b, r=r, delta=delta, eta=eta)  # checked before any use
+    return _calibrate(targets or CalibrationTargets(), given)[0]
+
+
+def calibrated_baseline() -> tuple[ModelParams, Equilibrium]:
+    """:func:`calibrate` at its defaults, with the baseline equilibrium its verification solved."""
+    return _calibrate(CalibrationTargets(), ModelParams())
+
+
+def _calibrate(t: CalibrationTargets, given: ModelParams) -> tuple[ModelParams, Equilibrium]:
+    y, b, r, delta, eta = given.y, given.b, given.r, given.delta, given.eta
     if not b < t.wage_target < y:
         raise CalibrationError(
             f"wage target must lie strictly between b={b} and y={y}, got {t.wage_target}"
@@ -137,11 +147,10 @@ def calibrate(
     c = (1.0 - beta) * (u * p / v) * s
 
     params = replace(given, gamma=gamma, beta=beta, c=c, phi=phi, d_f=t.d_f)
-    _verify(params, t)
-    return params
+    return params, _verify(params, t)
 
 
-def _verify(params: ModelParams, t: CalibrationTargets) -> None:
+def _verify(params: ModelParams, t: CalibrationTargets) -> Equilibrium:
     try:
         eq = solve_equilibrium(params, baseline_groups(t.baseline_mean_degree))
     except ConvergenceError as exc:
@@ -159,3 +168,4 @@ def _verify(params: ModelParams, t: CalibrationTargets) -> None:
             raise CalibrationError(
                 f"verification solve missed the {name} target: {got!r} vs {want!r}"
             )
+    return eq

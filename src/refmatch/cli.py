@@ -20,7 +20,7 @@ from dataclasses import fields as dataclass_fields
 from functools import partial
 from pathlib import Path
 
-from .calibration import CalibrationError, CalibrationTargets, baseline_groups, calibrate
+from .calibration import CalibrationError, CalibrationTargets, calibrate, calibrated_baseline
 from .degree import Degenerate, DegreeDistribution, Poisson, Zipf, zipf_alpha_for_mean
 from .experiments import (
     Scenario,
@@ -260,8 +260,7 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
-    params = calibrate()
-    baseline = solve_equilibrium(params, baseline_groups())
+    params, baseline = calibrated_baseline()
     g = baseline.groups[0]
     poisson, zipf = (group.dist for group in _common_mean_groups())
     families = {"poisson": poisson, "regular": Degenerate(int(poisson.mean())), "zipf": zipf}
@@ -289,8 +288,7 @@ def _cmd_reproduce_all(args, out) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    calibrated = calibrate()
-    baseline = solve_equilibrium(calibrated, baseline_groups())
+    calibrated, baseline = calibrated_baseline()  # the baseline its verification solved
     # Looked up here, not at import, so each runner is read from this
     # module's globals when the command runs.
     runs = (

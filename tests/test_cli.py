@@ -14,9 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from refmatch import (CalibrationTargets, Degenerate, ModelParams, Poisson, SolverConfig, Zipf, cli,
-                      degree, experiments, solver)
-from refmatch.calibration import CalibrationError
+from refmatch import (CalibrationTargets, Degenerate, ModelParams, Poisson, SolverConfig, Zipf,
+                      calibration, cli, experiments, solver)
+from refmatch.calibration import CalibrationError, baseline_groups, calibrate
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
     EXIT_INFEASIBLE_CALIBRATION,
@@ -601,12 +601,14 @@ class TestReproduceAll:
 
 class TestReproduceAllKernelCalls:
     def test_kernel_call_count(self, tmp_path, monkeypatch):
-        # Every call into a law's referral kernel, checked or not, and every
-        # Zipf series sum one reproduce-all makes.  The analytic bracket on
-        # every sweep made 35,082 kernel calls (12,294 series sums), the
-        # two-ended warm bracket with Illinois steps 24,431 (7,792) over 54
-        # solves; the anchored bracket with Anderson-Bjorck steps and one
-        # solve per distinct economy of a sweep (52 solves) make 18,489.
+        # Every call into a law's referral kernel, checked or not, one
+        # reproduce-all makes.  The analytic bracket on every sweep made
+        # 35,082 kernel calls, the two-ended warm bracket with Illinois
+        # steps 24,431 over 54 solves; the anchored bracket with
+        # Anderson-Bjorck steps and one solve per distinct economy of a
+        # sweep (52 solves) 18,489.  Wood's expansion for the Zipf kernel
+        # took the Zipf calls from 7,713 to 6,973, and sharing the
+        # calibration's baseline solve the Poisson calls from 8,683 to 8,574.
         calls = collections.Counter()
 
         def counted(name, kernel):
@@ -617,10 +619,30 @@ class TestReproduceAllKernelCalls:
 
         for law in (Poisson, Degenerate, Zipf):
             monkeypatch.setattr(law, "_reach", counted(law.__name__, law._reach))
-        monkeypatch.setattr(degree, "_polylog_blocks", counted("series", degree._polylog_blocks))
         code, _ = run_cli("reproduce-all", "--outdir", str(tmp_path / "results"))
         assert code == EXIT_OK
-        assert calls == {"Poisson": 8683, "Degenerate": 2093, "Zipf": 7713, "series": 5693}
+        assert calls == {"Poisson": 8574, "Degenerate": 2093, "Zipf": 6973}
+
+
+class TestReproduceAllSolves:
+    def test_one_solve_per_economy(self, tmp_path, monkeypatch):
+        # Every solve of reproduce-all goes through one of these names.  The
+        # baseline economy is solved once, by calibrate's verification: 51
+        # solves, where a second solve of it made 52.
+        baseline, solved = (calibrate(), baseline_groups()), []
+
+        def counted(solve):
+            def call(params, groups, *args, **kwargs):
+                solved.append((params, tuple(groups)))
+                return solve(params, groups, *args, **kwargs)
+            return call
+
+        for module in (calibration, experiments, cli):
+            monkeypatch.setattr(module, "solve_equilibrium", counted(module.solve_equilibrium))
+        code, _ = run_cli("reproduce-all", "--outdir", str(tmp_path / "results"))
+        assert code == EXIT_OK
+        assert len(solved) == 51
+        assert solved.count(baseline) == 1
 
 
 class TestUnwritableOutput:

@@ -233,17 +233,16 @@ class TestReferralExpectation:
 
 
 class TestCachedZipfKernel:
-    """Each Zipf law computes zeta(alpha) and k^alpha of the polylog's first block once."""
+    """Each Zipf law computes zeta(alpha) and its Wood table once; no value depends on them."""
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3, 3.0, 5.0])
     def test_equals_uncached_formula(self, alpha):
-        # 1e-17: 1 - P rounds to 1; 1e-6: the series runs over several blocks.
-        grid = [1e-17, 1e-9, 1e-6, 1e-3, 0.048, 0.5, 1.0 - 1e-12, 1.0]
+        # 1e-17: 1 - P rounds to 1; 1e-9 and 1e-6: the series cap's tail term.
+        grid = [1e-17, 1e-9, 1e-6, 1e-3, 0.048, 0.5, 0.9, 1.0 - 1e-12, 1.0]
         law = Zipf(alpha)
-        for _ in range(2):  # the second pass reads the filled cache
+        for _ in range(2):  # the second pass reads the kept table
             for p_info in grid:
-                expected = 1.0 - polylog(alpha, 1.0 - p_info) / zeta(alpha)
-                assert law.referral_expectation(p_info) == expected
+                assert law.referral_expectation(p_info) == Zipf(alpha).referral_expectation(p_info)
 
     @pytest.mark.parametrize("alpha", [2.028, 3, 5.0])
     def test_mean_equals_uncached_formula(self, alpha):
@@ -285,141 +284,28 @@ class TestCachedZipfKernel:
         assert other.referral_expectation(0.05) != law.referral_expectation(0.05)
         assert other.mean() == Zipf(3.0).mean()
 
-
-def series_referral(alpha, p_info: float) -> float:
-    """The Zipf kernel from a fresh series: what a law must return whatever it has kept."""
-    return 1.0 - polylog(alpha, 1.0 - p_info) / zeta(alpha)
-
-
-def full_block_polylog(alpha, x: float) -> float:
-    """Li_alpha(x) from the kernel's terms exp(k log x) k^-alpha, every 4,096-term block in full."""
-    total, k0, log_x = 0.0, 1, math.log(x)
-    while True:
-        k = np.arange(k0, min(k0 + 4096, 10**6 + 1), dtype=np.float64)
-        total += float(np.sum(np.exp(k * log_x) * k ** -float(alpha)))
-        k0 = int(k[-1]) + 1
-        if x**k0 / ((1.0 - x) * k0**alpha) < 1e-12 * total or k0 > 10**6:
-            return total
-
-
-def assert_within_an_ulp_of_full_blocks(alpha, p_info: float):
-    x = 1.0 - p_info
-    want = full_block_polylog(alpha, x)
-    assert abs(polylog(alpha, x) - want) <= np.spacing(want)
-
-
-class TestPolylogPrefixRule:
-    """Summing a block over a prefix whose remainder bound is below 2^-53 of its first term moves it by at most an ulp."""
-
-    # Across these alphas the grid makes the first block use every prefix
-    # of 128 to 4,096 terms, runs later blocks (alpha <= 3 at P <= 1e-3),
-    # and reaches the 10^6-term cap's partial block (alpha <= 2.3 at
-    # P = 1e-6).
-    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3, 5, 7])
-    def test_equals_full_block_sums(self, alpha):
-        for p_info in [0.5, 0.2, 0.1, 0.05, 0.02, 0.01, 3e-3, 1e-3, 1e-4, 1e-6]:
-            assert_within_an_ulp_of_full_blocks(alpha, p_info)
-
-    @pytest.mark.parametrize("m", [128, 256, 512, 1024, 2048])
-    def test_numpy_sum_is_pairwise_at_powers_of_two(self, m):
-        # Under this layout of numpy's float64 sum a power-of-two prefix
-        # is a subtree of the block's sum, so dropping the rest moves the
-        # sum by at most an ulp: the first m terms of 2m form one
-        # subtree, the next m the other.
-        rng = np.random.default_rng(m)
-        for _ in range(50):
-            a = rng.lognormal(0.0, 4.0, 2 * m)
-            assert np.sum(a[: 2 * m]) == np.sum(a[:m]) + np.sum(a[m : 2 * m])
-
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(
-        alpha=st.floats(2.0, 8.0, exclude_min=True),
-        log_p=st.floats(-6.0, 0.0),
-    )
-    def test_equals_full_block_sums_anywhere(self, alpha, log_p):
-        p_info = 10.0**log_p
-        if p_info < 1.0:  # at P = 1, x = 0 and polylog sums no series
-            assert_within_an_ulp_of_full_blocks(alpha, p_info)
-
-
-class TestSeriesTruncation:
-    """Where the series stops: pinned, because it sets golden digits."""
-
-    def test_blocks_summed_for_zipf_2_028(self):
-        # The block-end rule (tail bound below 1e-12 of the sum, 10^6-term
-        # cap) truncates the series for P below about 3e-3, so these counts
-        # fix digits of perfbench/golden.  An exact kernel (ROADMAP item 3)
-        # changes them on purpose.
-        counts = {}
-        for p_info in [1e-2, 3e-3, 1e-3, 4.5e-4, 1e-4, 1e-5]:
-            law = Zipf(2.028)
+    def test_keeps_only_zeta_and_table(self):
+        law = Zipf(3)
+        assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
+        assert sorted(law.__dict__) == ["alpha"]  # the ends of the range build nothing
+        for p_info in [*np.geomspace(1e-9, 0.6, 2000).tolist(), 0.8]:
             law.referral_expectation(p_info)
-            counts[p_info] = len(law._blocks)
-        assert counts == {1e-2: 1, 3e-3: 2, 1e-3: 4, 4.5e-4: 8, 1e-4: 31, 1e-5: 245}
-
-
-class TestMpmathTable:
-    """The Zipf kernel against the stored 40-digit mpmath table, at the bounds degree.py states."""
-
-    @pytest.fixture(scope="class")
-    def errors(self):
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles" / "zipf_mpmath.json"
-        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
-        return [(r["p"], abs(Zipf(r["alpha"]).referral_expectation(r["p"]) / float(r["value"]) - 1.0))
-                for r in rows]
-
-    @pytest.mark.parametrize("p_min, bound", [(1e-3, 3e-10), (0.02, 1e-13)])
-    def test_relative_error_bound(self, errors, p_min, bound):
-        checked = [err for p, err in errors if p >= p_min]
-        assert len(checked) >= 20 and max(checked) <= bound
-
-
-def count_series_sums(monkeypatch) -> list[float]:
-    """Record the x of every series ``degree._polylog_blocks`` sums from now on."""
-    summed, series = [], degree._polylog_blocks
-
-    def counting(alpha, x, blocks):
-        summed.append(x)
-        return series(alpha, x, blocks)
-
-    monkeypatch.setattr(degree, "_polylog_blocks", counting)
-    return summed
-
-
-class TestLaterBlockCache:
-    """A Zipf law keeps k^-alpha of each block it has summed, by index; no value depends on it."""
+        assert sorted(law.__dict__) == ["_table", "_zeta", "alpha"]
+        j, eps, c1, g, scale, coefficients, e_coefficients = law._table
+        assert (j, eps) == (2, 0.0) and len(coefficients) == 24 and len(e_coefficients) == 30
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
     def test_order_independent(self, alpha):
-        # Small P fills many blocks that larger P then reads, and the reverse.
         grid = np.geomspace(1e-6, 0.5, 16)
         np.random.default_rng(7).shuffle(grid)
         law = Zipf(alpha)
         for p_info in map(float, grid):
-            got = law.referral_expectation(p_info)
-            assert got == series_referral(alpha, p_info)
-            assert got == Zipf(alpha).referral_expectation(p_info)
-
-    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
-    def test_blocks_are_k_to_the_alpha_and_bounded(self, alpha):
-        law = Zipf(alpha)
-        law.referral_expectation(1e-8)  # at or near the 10^6-term cap
-        blocks = law._blocks
-        assert 1 < len(blocks) <= 245 and sorted(blocks) == list(range(len(blocks)))
-        for i, block in blocks.items():
-            k0 = 1 + i * 4096
-            k = np.arange(k0, min(k0 + 4096, 10**6 + 1), dtype=np.float64)
-            assert np.array_equal(block, k ** -float(alpha))
-        law.referral_expectation(1e-10)
-        assert len(law._blocks) <= 245
-        if alpha < 2.1:  # the cap: 244 full blocks and one of 576 terms
-            assert len(blocks) == 245 and len(blocks[244]) == 576
+            assert law.referral_expectation(p_info) == Zipf(alpha).referral_expectation(p_info)
 
     def test_threads_sharing_a_law_get_the_single_thread_values(self):
         # Four threads ask one fresh law for the same P in different
-        # orders, switching every microsecond, so they race to store
-        # the same blocks; a store that appended by position shifted
-        # blocks or raised on a block of the wrong length.
+        # orders, switching every microsecond, so they race to build its
+        # zeta and table.
         grid = [float(p) for p in np.geomspace(1e-6, 1e-3, 12)]
         expected = [Zipf(2.028).referral_expectation(p) for p in grid]
 
@@ -439,65 +325,125 @@ class TestLaterBlockCache:
             sys.setswitchinterval(interval)
 
 
-class TestReachMemo:
-    """A Zipf law keeps the last x = 1 - P it summed and its value; no value depends on it."""
+# Scale parameters near the pole of each Wood term at alpha = 2 and 3, on
+# either side of 2 + 1e-3 where an unmerged pole pair loses three digits,
+# and away from integers.
+_WOOD_ALPHAS = [2 + 1e-9, 2 + 1e-6, 2.0009, 2.0011, 2.01, 2.028, 2.5, 3 - 1e-7, 3, 3 + 2e-4, 4, 5,
+                7.3]
+# mu = -log1p(-P) crosses 1 between 0.63 and 0.64.
+_WOOD_PS = [1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 0.02, 0.1, 0.3, 0.5, 0.63, 0.64, 0.9, 0.999]
 
-    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
-    def test_repeats_equal_the_series(self, alpha):
-        grid = np.geomspace(1e-6, 0.5, 16)
-        np.random.default_rng(11).shuffle(grid)
-        expected = {p_info: series_referral(alpha, p_info) for p_info in map(float, grid)}
-        assert all(Zipf(alpha).referral_expectation(p) == v for p, v in expected.items())
+
+def mp_gap(alpha, p_info: float):
+    """zeta(alpha) - Li_alpha(e^-mu), mu = -log1p(-P), at 40 digits."""
+    with mpmath.workdps(40):
+        mu = -mpmath.log1p(-mpmath.mpf(p_info))
+        return mpmath.zeta(alpha) - mpmath.polylog(alpha, mpmath.exp(-mu))
+
+
+def mp_tail(alpha, p_info: float, big_k: int):
+    """sum_{k>=K} e^(-mu k) k^-alpha, mu = -log1p(-P), at 40 digits."""
+    with mpmath.workdps(40):
+        mu = -mpmath.log1p(-mpmath.mpf(p_info))
+        return mpmath.exp(-mu * big_k) * mpmath.lerchphi(mpmath.exp(-mu), alpha, big_k)
+
+
+def former_stop(alpha, p_info: float, li: float) -> int:
+    """The former series' stop K: the first 4,096-term block end whose geometric
+    tail bound is below 1e-12 of Li, or 10^6 + 1."""
+    x, k = 1.0 - p_info, 1
+    while True:
+        k = min(k + 4096, 10**6 + 1)
+        if x**k / ((1.0 - x) * k**alpha) < 1e-12 * li or k > 10**6:
+            return k
+
+
+class TestWoodExpansion:
+    """zeta(alpha) - Li_alpha(e^-mu) without cancellation, against 40-digit mpmath."""
+
+    @pytest.mark.parametrize("alpha", _WOOD_ALPHAS)
+    def test_gap_against_mpmath(self, alpha):
+        table = degree._wood_table(alpha)
+        for p_info in _WOOD_PS:
+            mu = -math.log1p(-p_info)
+            gap = (degree._wood(table, mu) if mu < 1.0
+                   else zeta(alpha) - polylog(alpha, math.exp(-mu)))
+            assert gap == pytest.approx(float(mp_gap(alpha, p_info)), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", _WOOD_ALPHAS)
+    def test_polylog_against_mpmath(self, alpha):
+        for p_info in _WOOD_PS:
+            x = math.exp(math.log1p(-p_info))
+            with mpmath.workdps(40):
+                ref = float(mpmath.polylog(alpha, x))
+            assert polylog(alpha, x) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_zeta_within_four_ulps(self):
+        grid = [2 + d for d in (1e-9, 1e-7, 1e-5, 1e-3, 0.028)] + np.linspace(2.1, 20.0, 60).tolist()
+        with mpmath.workdps(40):
+            for s in grid:
+                ref = float(mpmath.zeta(s))
+                assert abs(zeta(s) - ref) <= 4 * math.ulp(ref), s
+
+
+class TestCutTail:
+    """The kernel adds back the tail T the former block series left off."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3.0, 5.0])
+    def test_kernel_against_mpmath(self, alpha):
+        # 1 - (Li - T) / zeta at 40 digits, T from the former series' stop.
+        zeta_a = mpmath.zeta(alpha)
+        for p_info in [1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.02, 0.1, 0.5, 0.9, 1.0]:
+            with mpmath.workdps(40):
+                gap = mp_gap(alpha, p_info) if p_info < 1.0 else zeta_a
+                big_k = former_stop(alpha, p_info, float(zeta_a - gap))
+                tail = mp_tail(alpha, p_info, big_k) if p_info < 1.0 else 0
+                ref = float((gap + tail) / zeta_a)
+            got = Zipf(alpha).referral_expectation(p_info)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), p_info
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3.0, 5.0])
+    def test_nondecreasing(self, alpha):
         law = Zipf(alpha)
-        for _ in range(3):  # each pass sums every value again
-            for p_info, value in expected.items():
-                assert law.referral_expectation(p_info) == value
-                assert law._kept == (1.0 - p_info, value)
+        values = [law.referral_expectation(p) for p in np.geomspace(1e-6, 0.5, 10**4).tolist()]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
-    def test_same_x_shares_one_entry(self, monkeypatch):
-        law = Zipf(2.3)
-        p_a = 1e-3
-        p_b = float(np.nextafter(p_a, 1.0))
-        assert p_a != p_b and 1.0 - p_a == 1.0 - p_b
-        want = series_referral(2.3, p_b)
-        summed = count_series_sums(monkeypatch)
-        value = law.referral_expectation(p_a)
-        assert law.referral_expectation(p_b) == value == want
-        assert law._kept == (1.0 - p_a, value)
-        assert summed == [1.0 - p_a]
 
-    def test_repeat_of_the_last_x_sums_no_series(self, monkeypatch):
-        law = Zipf(2.028)
-        want = series_referral(2.028, 1e-4)
-        summed = count_series_sums(monkeypatch)
-        values = [law.referral_expectation(1e-4) for _ in range(5)]
-        assert values == [want] * 5
-        assert summed == [1.0 - 1e-4]
+class TestSeriesTruncation:
+    """Where the former series stopped: pinned, because T's stop K sets golden digits."""
 
-    def test_a_b_a_recomputes_a(self, monkeypatch):
-        law = Zipf(2.028)
-        want = [series_referral(2.028, p) for p in (1e-4, 0.02, 1e-4)]
-        summed = count_series_sums(monkeypatch)
-        got = [law.referral_expectation(p) for p in (1e-4, 0.02, 1e-4)]
-        assert got == want
-        assert summed == [1.0 - 1e-4, 1.0 - 0.02, 1.0 - 1e-4]
+    def test_blocks_summed_for_zipf_2_028(self):
+        # The block-end rule (tail bound below 1e-12 of the sum, 10^6-term
+        # cap) truncated the series for P below about 3e-3, so these counts
+        # fix digits of perfbench/golden.  The kernel's T is the tail from
+        # K = 1 + 4096 n on, n the block count, or 0 where even the first
+        # block's bound is negligible (n = 1).  Deleting T (ROADMAP item 2's
+        # regeneration) changes them on purpose.
+        pinned = {1e-2: 1, 3e-3: 2, 1e-3: 4, 4.5e-4: 8, 1e-4: 31, 1e-5: 245}
+        law, counts = Zipf(2.028), {}
+        for p_info, n in pinned.items():
+            x, mu = 1.0 - p_info, -math.log1p(-p_info)
+            tail = law._cut_tail(2.028, x, mu, degree._wood(law._table, mu))
+            misfit = {m: abs(math.log(tail / float(mp_tail(2.028, p_info, min(1 + 4096 * m, 10**6 + 1)))))
+                      for m in (n - 1, n, n + 1) if tail and 1 <= m <= 245}
+            counts[p_info] = min(misfit, key=misfit.get) if tail else 1
+        assert counts == pinned
 
-    def test_ends_of_the_range_are_not_kept(self, monkeypatch):
-        law = Zipf(2.3)
-        summed = count_series_sums(monkeypatch)
-        assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
-        assert summed == [] and "_kept" not in law.__dict__ and "_blocks" not in law.__dict__
 
-    def test_bounded(self):
-        law = Zipf(3)
-        grid = np.linspace(0.3, 0.5, 4100)
-        for p_info in map(float, grid):
-            value = law.referral_expectation(p_info)
-            assert law._kept == (1.0 - p_info, value)  # one pair, however many x
-        assert sorted(law.__dict__) == ["_blocks", "_kept", "_zeta", "alpha"]
-        assert law.referral_expectation(float(grid[-1])) == Zipf(3).referral_expectation(
-            float(grid[-1])
-        )
+class TestMpmathTable:
+    """The Zipf kernel against the stored 40-digit mpmath table, at the bounds degree.py states."""
+
+    @pytest.fixture(scope="class")
+    def errors(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles" / "zipf_mpmath.json"
+        rows = json.loads(path.read_text(encoding="utf-8"))["rows"]
+        return [(r["p"], abs(Zipf(r["alpha"]).referral_expectation(r["p"]) / float(r["value"]) - 1.0))
+                for r in rows]
+
+    @pytest.mark.parametrize("p_min, bound", [(1e-3, 3e-10), (0.02, 1e-13)])
+    def test_relative_error_bound(self, errors, p_min, bound):
+        checked = [err for p, err in errors if p >= p_min]
+        assert len(checked) >= 20 and max(checked) <= bound
 
 
 # Degree parameters a law may be given: near and at its lower bound, huge

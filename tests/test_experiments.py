@@ -1,13 +1,10 @@
 """Sweep runners, the CSV contract, and the embedded reference checks."""
 
-import gc
-import io
 import math
-import sys
 
 import pytest
 
-from refmatch import Zipf, cli, experiments
+from refmatch import experiments
 from refmatch.experiments import (
     CSV_HEADER,
     DF_GRID,
@@ -95,47 +92,6 @@ class TestScenarioTable:
             experiments._common_mean_alpha.cache_clear()
             run()
             assert (calls["solve"], calls["fit"]) == (solves, fits), run.__name__
-
-
-class TestZipfLawLifetime:
-    """A Zipf law keeps the k^alpha blocks it has used, so none may outlive the sweep that used it."""
-
-    def test_common_mean_groups_are_new_on_each_call(self):
-        first, second = experiments._common_mean_groups(), experiments._common_mean_groups()
-        assert isinstance(first[1].dist, Zipf)
-        assert first[1].dist is not second[1].dist and first[1].dist == second[1].dist
-
-    def test_no_law_with_blocks_reachable_after_reproduce_all(self, tmp_path):
-        assert cli.main(["reproduce-all", "--outdir", str(tmp_path)], out=io.StringIO()) == 0
-        assert _reachable_laws_with_blocks() == []
-
-    def test_walk_finds_a_law_left_reachable(self, monkeypatch):
-        # Positive control: a law that has summed its series, kept a few
-        # levels down from a refmatch module, is found by the same walk.
-        groups = experiments._common_mean_groups()
-        law = groups[1].dist
-        law.referral_expectation(1e-3)
-        monkeypatch.setattr(experiments, "_kept_economy", {"groups": [groups]}, raising=False)
-        assert _reachable_laws_with_blocks() == [law]
-
-
-def _reachable_laws_with_blocks() -> list[Zipf]:
-    """Zipf laws holding k^alpha blocks that the refmatch modules reach
-    without passing through another module or its globals (a function's
-    __globals__)."""
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "refmatch"]
-    others = [m for m in sys.modules.values() if m not in modules]
-    seen = {id(m) for m in others} | {id(getattr(m, "__dict__", None)) for m in others}
-    stack, kept = list(modules), []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Zipf) and obj.__dict__.get("_blocks"):
-            kept.append(obj)
-        stack.extend(gc.get_referents(obj))
-    return kept
 
 
 class TestTable2:
