@@ -197,8 +197,8 @@ def _common_mean_alpha() -> float:
 def _common_mean_groups() -> tuple[GroupSpec, ...]:
     """Poisson vs Zipf at the common mean degree, the d_f and phi economy.
 
-    The laws are new on each call, so the k^-alpha blocks and the last
-    value a Zipf law keeps are freed with the sweep that used them.
+    The laws are new on each call, so the zeta(alpha) and Wood table a
+    Zipf law keeps are freed with the sweep that used them.
     """
     return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(_common_mean_alpha()))
 

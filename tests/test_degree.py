@@ -284,46 +284,6 @@ class TestCachedZipfKernel:
         assert other.referral_expectation(0.05) != law.referral_expectation(0.05)
         assert other.mean() == Zipf(3.0).mean()
 
-    def test_keeps_only_zeta_and_table(self):
-        law = Zipf(3)
-        assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
-        assert sorted(law.__dict__) == ["alpha"]  # the ends of the range build nothing
-        for p_info in [*np.geomspace(1e-9, 0.6, 2000).tolist(), 0.8]:
-            law.referral_expectation(p_info)
-        assert sorted(law.__dict__) == ["_table", "_zeta", "alpha"]
-        j, eps, c1, g, scale, coefficients, e_coefficients = law._table
-        assert (j, eps) == (2, 0.0) and len(coefficients) == 24 and len(e_coefficients) == 30
-
-    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
-    def test_order_independent(self, alpha):
-        grid = np.geomspace(1e-6, 0.5, 16)
-        np.random.default_rng(7).shuffle(grid)
-        law = Zipf(alpha)
-        for p_info in map(float, grid):
-            assert law.referral_expectation(p_info) == Zipf(alpha).referral_expectation(p_info)
-
-    def test_threads_sharing_a_law_get_the_single_thread_values(self):
-        # Four threads ask one fresh law for the same P in different
-        # orders, switching every microsecond, so they race to build its
-        # zeta and table.
-        grid = [float(p) for p in np.geomspace(1e-6, 1e-3, 12)]
-        expected = [Zipf(2.028).referral_expectation(p) for p in grid]
-
-        def wrong_values(law, seed):
-            order = np.random.default_rng(seed).permutation(len(grid))
-            return sum(law.referral_expectation(grid[j]) != expected[j] for j in order)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as pool:
-                for _ in range(5):
-                    law = Zipf(2.028)
-                    futures = [pool.submit(wrong_values, law, seed) for seed in range(4)]
-                    assert [f.result() for f in futures] == [0, 0, 0, 0]
-        finally:
-            sys.setswitchinterval(interval)
-
 
 # Scale parameters near the pole of each Wood term at alpha = 2 and 3, on
 # either side of 2 + 1e-3 where an unmerged pole pair loses three digits,
@@ -356,6 +316,18 @@ def former_stop(alpha, p_info: float, li: float) -> int:
         k = min(k + 4096, 10**6 + 1)
         if x**k / ((1.0 - x) * k**alpha) < 1e-12 * li or k > 10**6:
             return k
+
+
+def series_referral(alpha, p_info: float) -> float:
+    """1 - (Li_alpha - T) / zeta(alpha) at 40 digits, T the tail past the former series' stop:
+    what the Zipf kernel returns, up to rounding, whatever a law has kept."""
+    if p_info == 1.0:
+        return 1.0
+    with mpmath.workdps(40):
+        zeta_a = mpmath.zeta(alpha)
+        gap = mp_gap(alpha, p_info)
+        big_k = former_stop(alpha, p_info, float(zeta_a - gap))
+        return float((gap + mp_tail(alpha, p_info, big_k)) / zeta_a)
 
 
 class TestWoodExpansion:
@@ -391,16 +363,9 @@ class TestCutTail:
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3.0, 5.0])
     def test_kernel_against_mpmath(self, alpha):
-        # 1 - (Li - T) / zeta at 40 digits, T from the former series' stop.
-        zeta_a = mpmath.zeta(alpha)
         for p_info in [1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.02, 0.1, 0.5, 0.9, 1.0]:
-            with mpmath.workdps(40):
-                gap = mp_gap(alpha, p_info) if p_info < 1.0 else zeta_a
-                big_k = former_stop(alpha, p_info, float(zeta_a - gap))
-                tail = mp_tail(alpha, p_info, big_k) if p_info < 1.0 else 0
-                ref = float((gap + tail) / zeta_a)
             got = Zipf(alpha).referral_expectation(p_info)
-            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), p_info
+            assert got == pytest.approx(series_referral(alpha, p_info), rel=1e-12, abs=0.0), p_info
 
     @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3.0, 5.0])
     def test_nondecreasing(self, alpha):
@@ -444,6 +409,118 @@ class TestMpmathTable:
     def test_relative_error_bound(self, errors, p_min, bound):
         checked = [err for p, err in errors if p >= p_min]
         assert len(checked) >= 20 and max(checked) <= bound
+
+
+class TestLaterBlockCache:
+    """A Zipf law builds zeta(alpha) and its Wood table on first use; no value depends on them."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_order_independent(self, alpha):
+        grid = np.geomspace(1e-6, 0.5, 16)
+        np.random.default_rng(7).shuffle(grid)
+        law = Zipf(alpha)
+        for p_info in map(float, grid):
+            assert law.referral_expectation(p_info) == Zipf(alpha).referral_expectation(p_info)
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_blocks_are_k_to_the_alpha_and_bounded(self, alpha):
+        # What a law keeps after calls at and past the former 10^6-term
+        # cap: zeta and a table of fixed size, whose coefficients are those
+        # of Wood's expansion and of E_alpha's series.
+        law = Zipf(alpha)
+        law.referral_expectation(1e-8)
+        law.referral_expectation(1e-10)
+        assert sorted(law.__dict__) == ["_table", "_zeta", "alpha"] and law._zeta == zeta(alpha)
+        j, eps, _, _, scale, a, b = law._table
+        assert law._table == degree._wood_table(alpha)
+        assert j == round(alpha) - 1 and eps == alpha - round(alpha) and len(a) == 24 and len(b) == 30
+        with mpmath.workdps(40):
+            assert scale == float(mpmath.mpf(-1) ** j / mpmath.factorial(j))
+            assert a[-j] == b[-1 - j] == 0.0  # the pole terms, merged outside the table
+            for k in set(range(1, 25)) - {j}:
+                want = float((-1) ** (k + 1) * mpmath.zeta(alpha - k) / mpmath.factorial(k))
+                # Where alpha - k < 1/2 the coefficient comes from the
+                # reflection formula, up to 1.3e-12 relative from mpmath
+                # near zeta's trivial zeros (alpha = 2.001); it is weighted
+                # by mu^k < 1.
+                assert a[-k] == pytest.approx(want, rel=1e-11, abs=0.0), k
+            for i in set(range(30)) - {j}:
+                want = float(mpmath.mpf(-1) ** i / (mpmath.factorial(i) * (alpha - i - 1)))
+                assert b[-1 - i] == pytest.approx(want, rel=1e-15, abs=0.0), i
+
+    def test_threads_sharing_a_law_get_the_single_thread_values(self):
+        # Four threads ask one fresh law for the same P in different
+        # orders, switching every microsecond, so they race to build its
+        # zeta and table.
+        grid = [float(p) for p in np.geomspace(1e-6, 1e-3, 12)]
+        expected = [Zipf(2.028).referral_expectation(p) for p in grid]
+
+        def wrong_values(law, seed):
+            order = np.random.default_rng(seed).permutation(len(grid))
+            return sum(law.referral_expectation(grid[j]) != expected[j] for j in order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                for _ in range(5):
+                    law = Zipf(2.028)
+                    futures = [pool.submit(wrong_values, law, seed) for seed in range(4)]
+                    assert [f.result() for f in futures] == [0, 0, 0, 0]
+        finally:
+            sys.setswitchinterval(interval)
+
+
+
+class TestReachMemo:
+    """A Zipf law keeps nothing per P: a repeat, or a P asked before, is computed again to the same value."""
+
+    @pytest.mark.parametrize("alpha", [2.001, 2.028, 2.3, 3])
+    def test_repeats_equal_the_series(self, alpha):
+        grid = np.geomspace(1e-6, 0.5, 16)
+        np.random.default_rng(11).shuffle(grid)
+        expected = {p_info: Zipf(alpha).referral_expectation(p_info) for p_info in map(float, grid)}
+        for p_info, value in expected.items():
+            assert value == pytest.approx(series_referral(alpha, p_info), rel=1e-12, abs=0.0)
+        law = Zipf(alpha)
+        for _ in range(3):  # each pass computes every value again
+            for p_info, value in expected.items():
+                assert law.referral_expectation(p_info) == value
+                assert sorted(law.__dict__) == ["_table", "_zeta", "alpha"]
+
+    def test_repeat_of_the_last_x_sums_no_series(self, monkeypatch):
+        # Five calls at one P build the table once, and return one value.
+        want = Zipf(2.028).referral_expectation(1e-4)
+        built, build = [], degree._wood_table
+        monkeypatch.setattr(degree, "_wood_table", lambda alpha: built.append(alpha) or build(alpha))
+        law = Zipf(2.028)
+        assert [law.referral_expectation(1e-4) for _ in range(5)] == [want] * 5
+        assert built == [2.028]
+
+    def test_a_b_a_recomputes_a(self):
+        law = Zipf(2.028)
+        got = [law.referral_expectation(p) for p in (1e-4, 0.02, 1e-4)]
+        assert got == [Zipf(2.028).referral_expectation(p) for p in (1e-4, 0.02, 1e-4)]
+        assert got[0] == got[2]
+        for p_info, value in zip((1e-4, 0.02), got):
+            assert value == pytest.approx(series_referral(2.028, p_info), rel=1e-12, abs=0.0)
+
+    def test_ends_of_the_range_are_not_kept(self, monkeypatch):
+        built, build = [], degree._wood_table
+        monkeypatch.setattr(degree, "_wood_table", lambda alpha: built.append(alpha) or build(alpha))
+        law = Zipf(2.3)
+        assert [law.referral_expectation(p) for p in (0.0, 1e-17, 1.0)] == [0.0, 0.0, 1.0]
+        assert built == [] and sorted(law.__dict__) == ["alpha"]  # the ends build nothing
+
+    def test_bounded(self):
+        law = Zipf(3)
+        grid = [*np.geomspace(1e-9, 0.6, 2000).tolist(), 0.8]
+        for p_info in grid:
+            law.referral_expectation(p_info)
+        assert sorted(law.__dict__) == ["_table", "_zeta", "alpha"]  # the same, however many P
+        j, eps, _, _, _, coefficients, e_coefficients = law._table
+        assert (j, eps) == (2, 0.0) and len(coefficients) == 24 and len(e_coefficients) == 30
+        assert law.referral_expectation(grid[-2]) == Zipf(3).referral_expectation(grid[-2])
 
 
 # Degree parameters a law may be given: near and at its lower bound, huge

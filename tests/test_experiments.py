@@ -1,10 +1,13 @@
 """Sweep runners, the CSV contract, and the embedded reference checks."""
 
+import gc
+import io
 import math
+import sys
 
 import pytest
 
-from refmatch import experiments
+from refmatch import Zipf, cli, experiments
 from refmatch.experiments import (
     CSV_HEADER,
     DF_GRID,
@@ -92,6 +95,47 @@ class TestScenarioTable:
             experiments._common_mean_alpha.cache_clear()
             run()
             assert (calls["solve"], calls["fit"]) == (solves, fits), run.__name__
+
+
+class TestZipfLawLifetime:
+    """A Zipf law keeps the zeta(alpha) and Wood table it has built; no module may keep such a law."""
+
+    def test_common_mean_groups_are_new_on_each_call(self):
+        first, second = experiments._common_mean_groups(), experiments._common_mean_groups()
+        assert isinstance(first[1].dist, Zipf)
+        assert first[1].dist is not second[1].dist and first[1].dist == second[1].dist
+
+    def test_no_law_with_blocks_reachable_after_reproduce_all(self, tmp_path):
+        assert cli.main(["reproduce-all", "--outdir", str(tmp_path)], out=io.StringIO()) == 0
+        assert _reachable_laws_with_tables() == []
+
+    def test_walk_finds_a_law_left_reachable(self, monkeypatch):
+        # Positive control: a law that has built its table, kept a few
+        # levels down from a refmatch module, is found by the same walk.
+        groups = experiments._common_mean_groups()
+        law = groups[1].dist
+        law.referral_expectation(1e-3)
+        monkeypatch.setattr(experiments, "_kept_economy", {"groups": [groups]}, raising=False)
+        assert _reachable_laws_with_tables() == [law]
+
+
+def _reachable_laws_with_tables() -> list[Zipf]:
+    """Zipf laws holding a Wood table that the refmatch modules reach
+    without passing through another module or its globals (a function's
+    __globals__)."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "refmatch"]
+    others = [m for m in sys.modules.values() if m not in modules]
+    seen = {id(m) for m in others} | {id(getattr(m, "__dict__", None)) for m in others}
+    stack, kept = list(modules), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Zipf) and "_table" in obj.__dict__:
+            kept.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return kept
 
 
 class TestTable2:
