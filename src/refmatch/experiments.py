@@ -197,8 +197,9 @@ def _common_mean_alpha() -> float:
 def _common_mean_groups() -> tuple[GroupSpec, ...]:
     """Poisson vs Zipf at the common mean degree, the d_f and phi economy.
 
-    The laws are new on each call, so the zeta(alpha) and Wood table a
-    Zipf law keeps are freed with the sweep that used them.
+    The laws are new on each call; :func:`sweep` solves every economy of
+    a call on the first of its equal laws, so a Zipf law builds its
+    zeta(alpha) and Wood table once per sweep and frees them with it.
     """
     return _groups(Poisson(COMMON_MEAN_DEGREE), Zipf(_common_mean_alpha()))
 
@@ -240,14 +241,18 @@ def sweep(*names: str) -> SweepResult:
     """Solve, verify and emit the rows of the named scenarios, in order.
 
     An economy equal to one already solved in the call (phi_fine repeats
-    two of phi's grid values) takes that solve's equilibrium.
+    two of phi's grid values) takes that solve's equilibrium.  Each
+    economy's groups take the first equal degree law of the call, so a
+    Zipf law's zeta(alpha) and Wood table are built once per call.
     """
     result = SweepResult(rows=[], notes=[])
     solved: dict[Economy, Equilibrium] = {}
+    laws: dict = {}
     for name in names:
         scenario = SCENARIOS[name]
         for x in scenario.grid:
-            economy = scenario.economy_at(x)
+            params, groups = scenario.economy_at(x)
+            economy = params, tuple(replace(g, dist=laws.setdefault(g.dist, g.dist)) for g in groups)
             if economy not in solved:
                 solved[economy] = solve_equilibrium(*economy)
             eq = solved[economy]

@@ -105,6 +105,8 @@ class GroupSpec:
     def __post_init__(self):
         if not (self.size > 0.0 and is_finite(self.size)):
             raise ValueError(f"group size must be positive and finite, got {self.size}")
+        if not isinstance(self.dist, DegreeDistribution):
+            raise ValueError(f"group degree law must be a DegreeDistribution, got {self.dist!r}")
 
 
 @dataclass(frozen=True)

@@ -32,18 +32,22 @@ step 0's) and raises at the first one seen again, naming the period:
 1 where the iterate repeats, p where it equals the one p steps before.
 That ends the no-market corner, where every u_i sits at the clip, and
 the ulp-level cycles near it, of any period, in tens of steps.
-A scalar solve is a regula falsi iteration with Anderson & Bjorck's
-update on a bracket that provably holds a root (see _solve_group_u),
-stopped at a zero of the float residual or at two adjacent doubles.  From
-the third sweep on, the bracket is first a warm one around the law's root
-in the last sweep, twice as wide as that root's last move: below u = 1/2
-the flow residual rises strictly, so a sign change across it holds the
-one root there, the root the analytic bracket would give.  The law's
-current iterate stands in for the end on its side of the root: the
-step's evaluation gave its residual at the p_m and reach the sweep
-freezes, bit for bit, so only the other end costs a kernel call.  Without
-a strict sign change the solve falls back to the analytic bracket, which
-holds every root.
+A scalar solve is one function, ``_solve_group_u``: it chooses a bracket
+that provably holds a root, then closes it in one inline loop of regula
+falsi steps with Anderson & Bjorck's update, stopped at a zero of the
+float residual or at two adjacent doubles.  From the third sweep on, the
+bracket is first a warm one around the law's root in the last sweep,
+twice as wide as that root's last move: below u = 1/2 the flow residual
+rises strictly, so a sign change across it holds the one root there, the
+root the analytic bracket would give.  The law's current iterate stands
+in for the end on its side of the root: the step's evaluation gave its
+residual at the p_m and reach the sweep freezes, bit for bit, so only
+the other end costs a kernel call.  Without a strict sign change the
+solve falls back to the analytic bracket, which holds every root.  Each
+residual is written out inline as the float expression ``_evaluate``
+forms R_i by, which is what makes the anchor's residual exact, and no
+helper is called per evaluation: a Poisson or regular kernel call takes
+under 1 us, about what a Python call around it costs.
 
 Inputs are checked where they enter.  The public entries check every
 value: ``flow_residual`` here, ``info_probability`` and
@@ -186,43 +190,6 @@ def flow_residual(
     return np.array(_evaluate(params, groups, sizes, float(sizes.sum()), u_vec, v).R)
 
 
-def _anderson_bjorck(referral, p_m: float, reach: float, delta: float,
-                     lo: float, f_lo: float, hi: float, f_hi: float) -> float:
-    """The flow-balance root in [lo, hi], where the residual goes from f_lo < 0 to f_hi > 0.
-
-    Regula falsi on the residual u (p_m + referral(reach (1 - u))) - delta (1 - u)
-    with Anderson & Bjorck's (1973) update: when an end is kept a second
-    time in a row, its residual is scaled by 1 - f_x / f_old, f_old being
-    that of the end x replaces, or by 1/2 (the Illinois factor of Dowell &
-    Jarratt 1971) where that is not positive.  A secant point that rounds
-    onto an end steps one double inside instead, so a bracket whose one
-    end has all but reached the root closes in a step, not a bisection.
-    Stops at a zero or once no double lies strictly inside [lo, hi];
-    200 evaluations are a safety cap.
-    """
-    side = 0
-    for _ in range(200):
-        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < x < hi:  # rounded onto an end: one double inside
-            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
-        fx = x * (p_m + referral(reach * (1.0 - x))) - delta * (1.0 - x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (f_hi > 0.0):
-            if side == 1:
-                m = 1.0 - fx / f_hi
-                f_lo *= m if m > 0.0 else 0.5
-            hi, f_hi, side = x, fx, 1
-        else:
-            if side == -1:
-                m = 1.0 - fx / f_lo
-                f_hi *= m if m > 0.0 else 0.5
-            lo, f_lo, side = x, fx, -1
-        if not lo < 0.5 * (lo + hi) < hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float,
                    last: tuple[float, float, float, float] | None = None) -> float:
     """Solve u p(u) = delta (1 - u) for one group with aggregates frozen.
@@ -256,44 +223,75 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
         above 1/2 (the corner economies), and keeps every evaluation away
         from u = 1, where heavy-tailed referral expectations are slow.
     Late in a solve the root moves by less than 1e-12 a sweep, so the warm
-    bracket saves the kernel calls that narrow the analytic one.  Either
-    bracket is closed by :func:`_anderson_bjorck`, to a zero of the float
-    residual or to two adjacent doubles across which it changes sign.
+    bracket saves the kernel calls that narrow the analytic one.
+
+    Either bracket [lo, hi], with f(lo) < 0 < f(hi), is closed by regula
+    falsi with Anderson & Bjorck's (1973) update: when an end is kept a
+    second time in a row, its residual is scaled by 1 - f_x / f_old,
+    f_old being that of the end x replaces, or by 1/2 (the Illinois
+    factor of Dowell & Jarratt 1971) where that is not positive.  A
+    secant point that rounds onto an end steps one double inside instead,
+    so a bracket whose one end has all but reached the root closes in a
+    step, not a bisection.  The loop stops at a zero of the float
+    residual or once no double lies strictly inside [lo, hi]; 200
+    evaluations are a safety cap.
     """
     delta = params.delta
     # Every P = phi_bracket (1 - x) with phi_bracket in [0, 1] and x in
-    # [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the loops call the unchecked
-    # kernel, which returns +0.0 at P = 0 or should P underflow.
+    # [_U_EPS, 1 - _U_EPS] lies in [0, 1), so the solve calls the unchecked
+    # kernel, which returns +0.0 at P = 0 or should P underflow.  Each
+    # residual is _evaluate's float expression for R_i, written out (see
+    # the module docstring).
     referral = group.dist._reach
-
-    def f(x: float) -> float:
-        return x * (p_m + referral(phi_bracket * (1.0 - x))) - delta * (1.0 - x)
-
+    f_lo = f_hi = 0.0  # 0.0: no warm end known yet
     if last is not None and last[0] <= 0.5:  # so that lo <= r <= hi
         r, r_prev, a, f_a = last
         w = 2.0 * abs(r - r_prev) + 1e-15 * r
         lo, hi = (r - w if r - w > _U_EPS else _U_EPS), (r + w if r + w < 0.5 else 0.5)
         if f_a < 0.0 and a < hi:  # a < hi <= 1/2
-            lo, f_lo, f_hi = a, f_a, f(hi)
+            lo, f_lo = a, f_a
         elif 0.0 < f_a and lo < a <= 0.5:
-            hi, f_lo, f_hi = a, f(lo), f_a
-        else:
-            f_lo, f_hi = f(lo), f(hi)
-        if f_lo < 0.0 < f_hi:
-            return _anderson_bjorck(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
+            hi, f_hi = a, f_a
+        if not f_lo:
+            f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
+        if not f_hi:
+            f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
 
-    # The checked kernel call also returns 0 at reach 0, the market-only case.
-    p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
-    lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
-    hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
-    if p_r_max == 0.0:
-        return hi  # market-only group: the flow equation is linear
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo >= 0.0:
-        return lo
-    if f_hi <= 0.0:
-        return hi
-    return _anderson_bjorck(referral, p_m, phi_bracket, delta, lo, f_lo, hi, f_hi)
+    if not f_lo < 0.0 < f_hi:  # no warm bracket: the analytic one
+        # The checked kernel call also returns 0 at reach 0, the market-only case.
+        p_r_max = group.dist.referral_expectation(min(1.0, phi_bracket))
+        lo = max(_U_EPS, delta / (delta + p_m + p_r_max))
+        hi = min(1.0 - _U_EPS, delta / (delta + p_m) if p_m > 0.0 else 1.0)
+        if p_r_max == 0.0:
+            return hi  # market-only group: the flow equation is linear
+        f_lo = lo * (p_m + referral(phi_bracket * (1.0 - lo))) - delta * (1.0 - lo)
+        f_hi = hi * (p_m + referral(phi_bracket * (1.0 - hi))) - delta * (1.0 - hi)
+        if f_lo >= 0.0:
+            return lo
+        if f_hi <= 0.0:
+            return hi
+
+    side = 0  # which end the last step replaced: -1 lo, 1 hi
+    for _ in range(200):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < x < hi:  # rounded onto an end: one double inside
+            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
+        fx = x * (p_m + referral(phi_bracket * (1.0 - x))) - delta * (1.0 - x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_hi > 0.0):
+            if side == 1:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, side = x, fx, 1
+        else:
+            if side == -1:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, side = x, fx, -1
+        if not lo < 0.5 * (lo + hi) < hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[int], list[int]]:

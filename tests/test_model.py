@@ -327,6 +327,11 @@ class TestParamsValidation:
             GroupSpec(size=math.inf, dist=Poisson(5.0))
         with pytest.raises(ValueError):
             GroupSpec(size=0.0, dist=Poisson(5.0))
+        # A law that is not a DegreeDistribution raised AttributeError in
+        # the solve ('str' object has no attribute '_reach').
+        for dist in ("x", 5.0, None):
+            with pytest.raises(ValueError, match="must be a DegreeDistribution"):
+                GroupSpec(size=1.0, dist=dist)
 
 
 def _wide(top: float = sys.float_info.max):

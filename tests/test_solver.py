@@ -324,6 +324,45 @@ class CountingDist(DegreeDistribution):
         return self.dist._reach(p_info)
 
 
+_ANY_LAW = st.one_of(st.floats(0.5, 50.0).map(Poisson), st.integers(0, 50).map(Degenerate),
+                    st.floats(2.01, 4.0).map(Zipf))
+
+
+@st.composite
+def _frozen_sweeps(draw):
+    """One law's scalar solve: delta, the law, and the frozen p_m and contact reach."""
+    params = replace(PUBLISHED, delta=draw(st.floats(0.001, 0.9)))
+    return params, draw(_ANY_LAW), draw(st.floats(1e-3, 3.0)), draw(st.floats(1e-4, 1.0))
+
+
+def frozen_residual(params, dist, p_m: float, reach: float):
+    """The flow residual u (p_m + p_r(reach (1 - u))) - delta (1 - u) a scalar solve zeroes."""
+    return lambda u: (u * (p_m + dist.referral_expectation(reach * (1.0 - u)))
+                      - params.delta * (1.0 - u))
+
+
+def sign_band(f, u: float, k: int = 64) -> tuple[float, float]:
+    """The span of the doubles within k steps of u where f changes sign, or (u, u) if none does.
+
+    Where f is monotone in floats, this is its zero or the two doubles
+    around it; the Zipf kernel's rounding can make f change sign several
+    times across a few ulps, all of them roots to a bracketing solve.
+    """
+    xs = [u]
+    for toward in (0.0, 1.0):
+        x = u
+        for _ in range(k):
+            x = float(np.nextafter(x, toward))
+            xs.append(x)
+    xs.sort()
+    signs = [f(x) for x in xs]
+    ups = [x for x, fx in zip(xs, signs) if fx >= 0.0]
+    downs = [x for x, fx in zip(xs, signs) if fx <= 0.0]
+    if not ups or not downs:
+        return u, u
+    return min(ups[0], downs[-1]), max(ups[0], downs[-1])
+
+
 class TestGroupSolveStopRule:
     # A group solve stops only at a zero of the float residual or at two
     # adjacent doubles.  With these frozen aggregates the group root is
@@ -355,6 +394,25 @@ class TestGroupSolveStopRule:
         u = _solve_group_u(params, GroupSpec(1.0, dist), p_m, reach)
         assert u == 0.0012267870208894436
         assert frozen_residual(params, dist, p_m, reach)(u) == 0.0
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(sweep=_frozen_sweeps())
+    def test_cold_solve_stops_at_a_zero_or_a_sign_change(self, sweep):
+        # Over the three families: the solve ends at a zero of the float
+        # residual or at a double next to which the residual changes sign.
+        # Only an analytic end returns without a step: lo where the
+        # residual is already positive there, hi where it is still
+        # negative there or the law makes no referrals.
+        params, dist, p_m, reach = sweep
+        f = frozen_residual(*sweep)
+        u = _solve_group_u(params, GroupSpec(1.0, dist), p_m, reach)
+        band_lo, band_hi = sign_band(f, u, k=1)
+        if f(u) == 0.0 or band_lo < band_hi:
+            return
+        delta, p_r_max = params.delta, dist.referral_expectation(min(1.0, reach))
+        lo = max(solver._U_EPS, delta / (delta + p_m + p_r_max))
+        hi = min(1.0 - solver._U_EPS, delta / (delta + p_m))
+        assert (u == lo and f(u) > 0.0) or (u == hi and (f(u) < 0.0 or p_r_max == 0.0))
 
     def test_equilibrium_unchanged(self):
         # Values computed with the same degree kernels before the
@@ -403,45 +461,6 @@ class TestGroupSolveStopRule:
             ([0.08229856308965212, 0.08528450809563279], 0.04533863540252401, 19),
             ([0.0823056687680328, 0.08529228552009968], 0.045339087188925715, 18),
         ]
-
-
-_ANY_LAW = st.one_of(st.floats(0.5, 50.0).map(Poisson), st.integers(0, 50).map(Degenerate),
-                    st.floats(2.01, 4.0).map(Zipf))
-
-
-@st.composite
-def _frozen_sweeps(draw):
-    """One law's scalar solve: delta, the law, and the frozen p_m and contact reach."""
-    params = replace(PUBLISHED, delta=draw(st.floats(0.001, 0.9)))
-    return params, draw(_ANY_LAW), draw(st.floats(1e-3, 3.0)), draw(st.floats(1e-4, 1.0))
-
-
-def frozen_residual(params, dist, p_m: float, reach: float):
-    """The flow residual u (p_m + p_r(reach (1 - u))) - delta (1 - u) a scalar solve zeroes."""
-    return lambda u: (u * (p_m + dist.referral_expectation(reach * (1.0 - u)))
-                      - params.delta * (1.0 - u))
-
-
-def sign_band(f, u: float, k: int = 64) -> tuple[float, float]:
-    """The span of the doubles within k steps of u where f changes sign, or (u, u) if none does.
-
-    Where f is monotone in floats, this is its zero or the two doubles
-    around it; the Zipf kernel's rounding can make f change sign several
-    times across a few ulps, all of them roots to a bracketing solve.
-    """
-    xs = [u]
-    for toward in (0.0, 1.0):
-        x = u
-        for _ in range(k):
-            x = float(np.nextafter(x, toward))
-            xs.append(x)
-    xs.sort()
-    signs = [f(x) for x in xs]
-    ups = [x for x, fx in zip(xs, signs) if fx >= 0.0]
-    downs = [x for x, fx in zip(xs, signs) if fx <= 0.0]
-    if not ups or not downs:
-        return u, u
-    return min(ups[0], downs[-1]), max(ups[0], downs[-1])
 
 
 _SHIFTS = st.one_of(st.floats(-1e-12, 1e-12), st.floats(-0.5, 0.5))

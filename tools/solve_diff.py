@@ -26,8 +26,12 @@ side raises, the two error types and the steps they report; then the
 largest of each over every economy, which tells a rounding-level change
 (about 1e-16, a few ulps) from a real one.  Floats are compared bit for
 bit (float.hex), so -0.0 against 0.0 or a NaN against a number counts as
-a difference (0 ulps for the zeros, an infinite count for a NaN).  Exits
-1 if any value or error type differs.
+a difference (0 ulps for the zeros, an infinite count for a NaN).  Each
+line also gives both sides' referral-kernel calls per law family (every
+call into a law's ``_reach``, checked or not), and the last line their
+totals, so a change to the flow solve shows whether it saved kernel
+calls or only interpreter time.  Exits 1 if any value or error type
+differs; kernel calls do not count.
 Usage: python tools/solve_diff.py CHECKOUT
 """
 
@@ -41,6 +45,7 @@ from pathlib import Path
 
 FIELDS = ("u", "v", "iterations", "P", "p_r")
 VALUES = ("u", "v", "P", "p_r")
+FAMILIES = ("Poisson", "Degenerate", "Zipf")
 
 
 def economies(rm):
@@ -114,7 +119,19 @@ def emit() -> None:
     """Child side: solve every economy and print one JSON line each."""
     import refmatch as rm
 
+    calls = dict.fromkeys(FAMILIES, 0)
+
+    def counted(family, kernel):
+        def call(*args):
+            calls[family] += 1
+            return kernel(*args)
+        return call
+
+    for family in FAMILIES:
+        law = getattr(rm, family)
+        law._reach = counted(family, law._reach)
     for name, params, groups in economies(rm):
+        calls.update(dict.fromkeys(FAMILIES, 0))
         try:
             eq = rm.solve_equilibrium(params, groups)
         except Exception as exc:  # the error type is what is compared
@@ -123,7 +140,7 @@ def emit() -> None:
             row = {"u": [bits(g.u) for g in eq.groups], "v": bits(eq.v),
                    "iterations": eq.iterations, "P": [bits(g.P) for g in eq.groups],
                    "p_r": [bits(g.p_referral) for g in eq.groups]}
-        print(json.dumps({"name": name, **row}), flush=True)
+        print(json.dumps({"name": name, **row, "calls": calls}), flush=True)
 
 
 def solve_in(root: Path) -> list[dict]:
@@ -147,6 +164,11 @@ def diffs(a, b) -> tuple[float, float]:
     ulps = max(math.inf if math.isnan(x) or math.isnan(y) else abs(ordinal(x) - ordinal(y))
                for x, y in pairs)
     return rel, ulps
+
+
+def kernel_calls(a: dict, b: dict) -> str:
+    """Both sides' kernel calls per law family, this checkout's first, for the families called."""
+    return ", ".join(f"{f} {a[f]} vs {b[f]}" for f in FAMILIES if a[f] or b[f]) or "none"
 
 
 def compare(a: dict, b: dict) -> tuple[bool, str, dict]:
@@ -184,8 +206,11 @@ if __name__ == "__main__":
         differing += differs
         for f, (rel, ulps) in moved.items():
             largest[f] = (max(largest[f][0], rel), max(largest[f][1], ulps))
-        print(f"{a['name']:<28} {text}")
+        print(f"{a['name']:<28} {text}; kernel calls {kernel_calls(a['calls'], b['calls'])}")
     print(f"{differing} of {len(ours)} economies differ; largest relative difference in u, v, P"
           f" or p_r {max(rel for rel, _ in largest.values()):.3e}; largest in ulps: "
           + ", ".join(f"{f} {ulps:g}" for f, (_, ulps) in largest.items()))
+    totals = [{f: sum(r["calls"][f] for r in rows) for f in FAMILIES} for rows in (ours, theirs)]
+    print(f"kernel calls, this checkout vs CHECKOUT: {kernel_calls(*totals)};"
+          f" in all {sum(totals[0].values())} vs {sum(totals[1].values())}")
     sys.exit(1 if differing else 0)
