@@ -27,20 +27,29 @@ for the network-conditional success rate.
 Stub pairing.  The stubs are put in uniformly random order by sorting
 random 64-bit keys that carry each stub's owner in their low bits, with
 every run of tied random bits put in random order; edge k joins stubs
-2k and 2k + 1.  The keys are drawn and given their owners on the
-calling thread, then split in place at their median; each half is
-sorted, scanned for ties and masked on a thread of its own, and
-``Network.reachable_degrees`` scans the two halves of the edge list
-the same way.  The tie runs are shuffled on the calling thread in
+2k and 2k + 1.  The keys are drawn and given their owners node chunk by
+node chunk.  On a PCG64 or PCG64DXSM generator, whose ``advance(k)``
+skips k 64-bit draws, the chunks before the one holding the middle stub
+are drawn on the calling thread and the rest on a worker thread, by a
+copy of the generator advanced to their first stub; the generator then
+takes the state one draw of all the keys leaves, pending 32-bit half
+included.  Other generators draw every chunk in turn on the calling
+thread.  The keys are then split in place at their median; each half
+is sorted, scanned for ties and masked on a thread of its own, and
+``Network.reachable_degrees`` scans the two halves of the edge list the
+same way.  The tie runs are shuffled on the calling thread in
 ascending order, so a seed gives the same network bit for bit as one
-sort on one thread (``tools/mc_diff.py`` compares two checkouts).  The
-workers allocate nothing of block size: they fill buffers made on the
-calling thread, since glibc gives each thread its own heap and a block
+draw and one sort on one thread (``tools/mc_diff.py`` compares two
+checkouts' stub lists).  The workers write their results only into
+arrays made on the calling thread, and hold temporaries of one chunk
+or block at a time (the draws and owner ids of one node chunk, a block
+of one scan), since glibc gives each thread its own heap and memory
 freed there stays resident.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass
@@ -59,8 +68,9 @@ __all__ = [
 ]
 
 _PARITY_RESAMPLE_LIMIT = 100
-# Stubs per chunk of owner ids and pairs per block of the tie and self-loop
-# scans; work whose first half holds at most one block stays on one thread.
+# Stubs per node chunk of keys (on average: a hub's chunk holds more) and
+# pairs per block of the tie and self-loop scans; work whose first half
+# holds at most one block stays on one thread.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -126,21 +136,41 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
 
     Each stub gets a uniform 64-bit key whose low bits are overwritten
     with its owner's id; sorting the keys orders the stubs by their
-    random high bits, and masking leaves the owners.  Owners are written
-    node chunk by node chunk, so the keys are the only stub-length array.
+    random high bits, and masking leaves the owners.  The keys are drawn
+    and stamped node chunk by node chunk, on two threads where the
+    generator can skip ahead (see the module docstring), so they are the
+    only stub-length array.
     """
     n, total = degrees.size, int(degrees.sum())
     bits = (n - 1).bit_length()
     low = np.uint64((1 << bits) - 1)
-    keys = rng.integers(0, 1 << 64, size=total, dtype=np.uint64)
+    keys = np.empty(total, np.uint64)
     step = max(1, n * _PAIR_BLOCK // max(total, 1))  # nodes per chunk
-    lo = 0
-    for a in range(0, n, step):
-        ids = np.repeat(np.arange(a, min(a + step, n), dtype=np.uint64), degrees[a:a + step])
-        keys[lo:lo + ids.size] &= ~low
-        keys[lo:lo + ids.size] |= ids
-        lo += ids.size
-    half = total // 2
+    # Chunk c holds the nodes from c * step on and stubs edges[c] to edges[c + 1] - 1.
+    edges = [0, *np.add.reduceat(degrees, range(0, n, step)).cumsum().tolist()]
+    half, last = total // 2, len(edges) - 1
+
+    def stamp(gen, first, stop):  # draw and stamp chunks first to stop - 1
+        # One temporary at a time: with two alive, glibc returns the
+        # freed one to the system and faults it back in at the next chunk.
+        for c in range(first, stop):
+            a, lo, hi = c * step, edges[c], edges[c + 1]
+            np.bitwise_and(gen.integers(0, 1 << 64, size=hi - lo, dtype=np.uint64), ~low,
+                           out=keys[lo:hi])
+            keys[lo:hi] |= np.repeat(np.arange(a, min(a + step, n), dtype=np.uint64),
+                                     degrees[a:a + step])
+
+    # advance(k) is k 64-bit draws only on these; other generators draw in turn.
+    if half > _PAIR_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+        mid = int(np.searchsorted(edges, half, side="right")) - 1  # the chunk holding stub half
+        later = copy.deepcopy(rng)
+        later.bit_generator.advance(edges[mid])
+        _on_two_threads(stamp, (later, mid, last), (rng, 0, mid), half)
+        state = rng.bit_generator.state  # keeps any pending 32-bit half
+        state["state"] = later.bit_generator.state["state"]
+        rng.bit_generator.state = state
+    else:
+        stamp(rng, 0, last)
     if half:
         keys.partition(half)  # every key before keys[half] is at most every key after
     first, second = keys[:half], keys[half:]
@@ -165,10 +195,11 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
     """Run ``f(*first)`` on a worker thread and ``f(*second)`` on this one.
 
     Joins the worker and re-raises its exception, if any, here.  The two
-    calls must write disjoint memory and fill only buffers made by the
-    caller (see the module docstring).  If the first half is at most one
-    block (``size`` items), both run in turn on this thread: a thread
-    start (about 50 us) costs more than it saves there.
+    calls must write disjoint memory, write results only into arrays
+    made by the caller and hold temporaries of at most one chunk or
+    block at a time (see the module docstring).  If the first half is
+    at most one block (``size`` items), both run in turn on this
+    thread: a thread start (about 50 us) costs more than it saves there.
     """
     if size <= _PAIR_BLOCK:
         f(*first)

@@ -27,13 +27,18 @@ SEEDS = 30_000
 
 
 class OneBitKeys:
-    """A generator whose 64-bit keys carry one random high bit, so keys tie."""
+    """A PCG64 generator whose 64-bit keys keep one random high bit, so keys tie.
+
+    Each key is the top bit of one 64-bit draw, so a copy advanced by k
+    draws gives the keys from the k-th on, as the split key draw needs.
+    """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
 
     def integers(self, low, high, size, dtype):
-        return self._rng.integers(0, 2, size=size, dtype=dtype) << dtype(63)
+        return self._rng.integers(low, high, size=size, dtype=dtype) >> dtype(63) << dtype(63)
 
     def permutation(self, n):
         return self._rng.permutation(n)
@@ -175,6 +180,42 @@ class TestNetworkBuild:
                     reachable[a] += 1
                     reachable[b] += 1
             assert net.reachable_degrees().tolist() == reachable
+
+    @pytest.mark.parametrize("bit_generator, split", [
+        (np.random.PCG64, True), (np.random.PCG64DXSM, True), (np.random.Philox, False),
+        (np.random.MT19937, False), (np.random.SFC64, False),
+    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    @pytest.mark.parametrize("degrees, pending", [
+        ([6, 5, 5, 6, 5, 5, 6], False),
+        ([6, 5, 5, 6, 5, 5, 6], True),  # a 32-bit half is pending before the keys
+        ([30, 1, 1, 1, 1], False),  # the hub's chunk holds the middle stub and comes first
+        ([1, 1, 1, 1, 30], False),  # ... and comes last
+        ([0] * 7, False),
+    ], ids=["spread", "pending-half", "hub-first", "hub-last", "empty"])
+    def test_split_draw_leaves_one_draws_state(self, degrees, pending, bit_generator, split,
+                                               monkeypatch):
+        # The keys drawn in two parts, the later one by an advanced copy,
+        # equal one draw of all of them, and the generator goes on as
+        # after that one draw.  Only the PCG generators split.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        run = simulate._on_two_threads
+        staged = []
+        monkeypatch.setattr(simulate, "_on_two_threads",
+                            lambda f, *args: staged.append(f.__name__) or run(f, *args))
+        degrees = np.array(degrees)
+        for seed in range(10):
+            ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            if pending:
+                for gen in (ours, theirs):
+                    gen.integers(0, 5, dtype=np.uint32)
+                assert ours.bit_generator.state.get("has_uint32", 1) == 1  # MT19937 keeps none
+            stubs = simulate._pair_stubs(ours, degrees)
+            assert np.array_equal(stubs, sorted_pairing(theirs, degrees))
+            assert ours.random() == theirs.random()
+            # A 32-bit draw takes the pending half first, if there is one.
+            assert ours.integers(0, 1 << 32, dtype=np.uint32) == theirs.integers(
+                0, 1 << 32, dtype=np.uint32)
+        assert ("stamp" in staged) == (split and sum(degrees) > 0)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):

@@ -7,14 +7,18 @@ mean degree) at the baseline context, runs SEEDS seeded estimates of
 WORKERS workers x TRIALS trials with the refmatch of this checkout and
 with that of CHECKOUT, each in a subprocess that imports the package
 from its checkout's src/.  Prints, per family and side, the mean and
-standard deviation of z against ``referral_expectation`` and the mean
-number of self-loops per node of the seeds' networks, then how many
-seeds give the same estimate bit for bit on both sides (all of them
+standard deviation of z against ``referral_expectation``, the mean z
+against each seed's network-exact rate (the mean over nodes of
+1 - (1 - q)^k with k the node's reachable degree, which the trials
+estimate without bias), and the mean number of self-loops per node of
+the seeds' networks; then how many seeds give the same estimate and
+the same stub list (by SHA-256) bit for bit on both sides (all of them
 when a change keeps every draw).  Exits 1 if a family's mean z differs
 between the sides by more than 4 standard errors.
 Usage: python tools/mc_diff.py CHECKOUT
 """
 
+import hashlib
 import json
 import math
 import os
@@ -27,7 +31,7 @@ LIMIT = 4.0
 
 
 def emit() -> None:
-    """Child side: one JSON line per family with its estimates, z and self-loop statistics."""
+    """Child side: one JSON line per family with its estimates, stub hashes, z and self-loops."""
     import numpy as np
 
     import refmatch as rm
@@ -43,7 +47,7 @@ def emit() -> None:
                 "zipf": rm.Zipf(rm.zipf_alpha_for_mean(COMMON_MEAN_DEGREE))}
     for fam, dist in families.items():
         target = dist.referral_expectation(g.P)
-        estimates, z, loops = [], [], []
+        estimates, hashes, z, net_z, loops = [], [], [], [], []
         for seed in range(SEEDS):
             config = SimConfig.at_context(dist, u_i=g.u, u=baseline.u, v=baseline.v,
                                           phi=params.phi, d_f=params.d_f, n_workers=WORKERS,
@@ -53,9 +57,14 @@ def emit() -> None:
             z.append(est.z_score(target))
             # The estimator's network: the same law, size and seed.
             net = build_configuration_network(dist, WORKERS, np.random.default_rng(seed))
-            loops.append(float(np.sum(net.degrees - net.reachable_degrees())) / 2 / WORKERS)
-        print(json.dumps({"family": fam, "estimates": estimates, "mean_z": float(np.mean(z)),
-                          "sd_z": float(np.std(z, ddof=1)), "loops": float(np.mean(loops))}),
+            hashes.append(hashlib.sha256(net.stubs.tobytes()).hexdigest())
+            reachable = net.reachable_degrees()
+            q = config.employment_rate * config.informed_given_employed
+            net_z.append(est.z_score(float(np.mean(-np.expm1(reachable * math.log1p(-q))))))
+            loops.append(float(np.sum(net.degrees - reachable)) / 2 / WORKERS)
+        print(json.dumps({"family": fam, "estimates": estimates, "hashes": hashes,
+                          "mean_z": float(np.mean(z)), "sd_z": float(np.std(z, ddof=1)),
+                          "net_z": float(np.mean(net_z)), "loops": float(np.mean(loops))}),
               flush=True)
 
 
@@ -75,12 +84,12 @@ if __name__ == "__main__":
     ours = run_in(Path(__file__).resolve().parents[1])
     theirs = run_in(Path(sys.argv[1]).resolve())
     print(f"{SEEDS} seeds x {WORKERS} workers x {TRIALS} trials per family")
-    print(f"{'family':<8} {'side':<9} {'mean z':>8} {'sd z':>7} {'loops/node':>11}")
+    print(f"{'family':<8} {'side':<9} {'mean z':>8} {'sd z':>7} {'net z':>8} {'loops/node':>11}")
     differing = 0
     for a, b in zip(ours, theirs):
         for side, row in (("this", a), ("CHECKOUT", b)):
             print(f"{row['family']:<8} {side:<9} {row['mean_z']:>+8.3f} {row['sd_z']:>7.3f}"
-                  f" {row['loops']:>11.3e}")
+                  f" {row['net_z']:>+8.3f} {row['loops']:>11.3e}")
         se = math.hypot(a["sd_z"], b["sd_z"]) / math.sqrt(SEEDS)
         gap = (a["mean_z"] - b["mean_z"]) / se
         differing += abs(gap) > LIMIT
@@ -88,5 +97,7 @@ if __name__ == "__main__":
     print(f"{differing} of {len(ours)} families differ")
     for a, b in zip(ours, theirs):
         same = sum(x == y for x, y in zip(a["estimates"], b["estimates"]))
-        print(f"{a['family']:<8} {same} of {SEEDS} seeds give the same estimate bit for bit")
+        nets = sum(x == y for x, y in zip(a["hashes"], b["hashes"]))
+        print(f"{a['family']:<8} {same} of {SEEDS} seeds give the same estimate and {nets} the"
+              f" same stub list bit for bit")
     sys.exit(1 if differing else 0)
