@@ -7,7 +7,7 @@ population share.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .model import Equilibrium
 
@@ -22,24 +22,23 @@ def group_incomes(eq: Equilibrium) -> tuple[float, ...]:
 
 def social_welfare(eq: Equilibrium) -> float:
     """Per-capita output sum_i [y (1-u_i) + b u_i] L_i / L minus vacancy cost c v."""
-    p = eq.params
-    total = eq.total_size
-    produced = sum((p.y * (1.0 - g.u) + p.b * g.u) * g.size / total for g in eq.groups)
+    p, total = eq.params, eq.total_size
+    produced = math.fsum([(p.y * (1.0 - g.u) + p.b * g.u) * g.size / total for g in eq.groups])
     return produced - p.c * eq.v
 
 
-def _weighted_gini(values: np.ndarray, weights: np.ndarray) -> float:
-    mean = float(weights @ values)
+def _weighted_gini(values: tuple[float, ...], weights: tuple[float, ...]) -> float:
+    mean = math.fsum([w * x for w, x in zip(weights, values)])
     if mean <= 0.0:
         raise ValueError("Gini undefined for a distribution with nonpositive mean income")
-    spread = float(
-        np.sum(np.abs(values[:, None] - values[None, :]) * (weights[:, None] * weights[None, :]))
-    )
-    return spread / (2.0 * mean)
+    return math.fsum([abs(x_i - x_j) * (w_i * w_j) for x_i, w_i in zip(values, weights)
+                      for x_j, w_j in zip(values, weights)]) / (2.0 * mean)
 
 
 def gini(eq: Equilibrium) -> float:
-    """Gini coefficient of the group mean incomes, weighted by group size."""
+    """Gini coefficient of the group mean incomes, weighted by group size.
+
+    Every sum is a ``math.fsum``, so group order moves no bit of it.
+    """
     total = eq.total_size
-    weights = np.array([g.size / total for g in eq.groups])
-    return _weighted_gini(np.array(group_incomes(eq)), weights)
+    return _weighted_gini(group_incomes(eq), tuple(g.size / total for g in eq.groups))

@@ -140,7 +140,7 @@ class Equilibrium:
 
     @property
     def total_size(self) -> float:
-        return sum(g.size for g in self.groups)
+        return math.fsum([g.size for g in self.groups])
 
 
 class AssetValues(NamedTuple):
@@ -216,11 +216,23 @@ def vacancy_closure(
         raise ValueError("vacancy closure needs at least one group")
     if len(groups) != len(u_vec):
         raise ValueError(f"{len(groups)} groups but {len(u_vec)} unemployment rates")
-    for u_i in u_vec:
-        if not 0.0 < u_i < 1.0:
-            raise ValueError(f"unemployment rates must lie in (0, 1), got {u_i}")
+    if bad := [u_i for u_i in u_vec if not 0.0 < u_i < 1.0]:
+        raise ValueError(f"unemployment rates must lie in (0, 1), got {bad[0]}")
     # A numpy scalar would divide by 0 to nan with a warning, not raise.
     return closure_for(params, groups)([float(u_i) for u_i in u_vec])
+
+
+def group_sizes(groups: Sequence[GroupSpec]) -> tuple[list[float], float]:
+    """The group sizes and their ``math.fsum``, which no order of the groups moves.
+
+    Raises ``ValueError`` where the sizes sum past the largest double
+    (``math.fsum`` itself raises ``OverflowError`` there).
+    """
+    sizes = [g.size for g in groups]
+    try:
+        return sizes, math.fsum(sizes)
+    except OverflowError:
+        raise ValueError(f"group sizes {sizes} sum past the largest double") from None
 
 
 def closure_for(params: ModelParams, groups: Sequence[GroupSpec]):
@@ -228,23 +240,28 @@ def closure_for(params: ModelParams, groups: Sequence[GroupSpec]):
 
     Each group's share L_i / L, r + delta, beta delta and the prefactor
     (y-b)(1-beta) delta / c are formed once, here; the solver makes one
-    such function per solve and calls it every step.  It raises
-    ``ValueError`` where r + delta underflows to a zero denominator, or
-    where v is not finite (a vacancy cost so small that the prefactor
-    overflows).
+    such function per solve and calls it every step.  L and the sum over
+    groups are ``math.fsum``s, so group order moves no bit of v.  It
+    raises ``ValueError`` where the sizes sum past the largest double,
+    where r + delta is so small that a denominator underflows to 0 or the
+    terms' sum overflows, or where v is not finite (a vacancy cost so
+    small that the prefactor overflows).
     """
-    total = sum(g.size for g in groups)
-    shares = [g.size / total for g in groups]
+    sizes, total = group_sizes(groups)
+    shares = [size / total for size in sizes]
     r_delta, beta_delta = params.r + params.delta, params.beta * params.delta
     scale = (params.y - params.b) * (1.0 - params.beta) * params.delta / params.c
 
+    def term(share: float, u_i: float) -> float:
+        return u_i * (1.0 - u_i) * share / (u_i * r_delta + beta_delta * (1.0 - u_i))
+
     def closure(u_vec: list[float]) -> float:
-        acc = 0.0
-        for share, u_i in zip(shares, u_vec):
-            try:
-                acc += u_i * (1.0 - u_i) * share / (u_i * r_delta + beta_delta * (1.0 - u_i))
-            except ZeroDivisionError:  # positive, but r + delta is so small that it underflowed
-                raise ValueError(f"singular vacancy closure: r + delta = {r_delta}") from None
+        try:
+            acc = math.fsum(map(term, shares, u_vec))
+        except (ZeroDivisionError, OverflowError):
+            # r + delta is positive, but so small that a denominator underflowed
+            # to 0 or that the terms sum past the largest double.
+            raise ValueError(f"singular vacancy closure: r + delta = {r_delta}") from None
         if math.isfinite(v := float(scale * acc)):
             return v
         raise ValueError(f"vacancy closure v = {scale!r} * {acc!r} is not finite")

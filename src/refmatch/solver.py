@@ -20,9 +20,14 @@ information probability has one formula, contact reach times (1 - u_i)
 (``info_probability``), which the solver forms from the reach it holds.
 A step's state is plain Python floats: the damped update, the vacancy
 closure (``closure_for``, formed once per solve), each P_i, referral
-rate and flow residual are scalar arithmetic, and only the aggregate u
-is a numpy dot product.  max() keeps a NaN only in first place, so a
-step checks its residuals for NaN and raises at the first one.
+rate and flow residual are scalar arithmetic, and the step makes no
+numpy call.  Every sum over groups -- the size total L (``group_sizes``),
+the aggregate u = fsum(u_i L_i) / L, the closure's sum and, in the
+equilibrium, the entry flow -- is one ``math.fsum``.  A correctly rounded
+sum depends on its terms and not on their order, so the order in which
+the groups are listed moves no bit of a solve.  max() keeps a NaN only
+in first place, so a step checks its residuals for NaN and raises at
+the first one.
 The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  Every step damps by the same
 ``_DAMPING``, so a step depends only on the iterate it starts from, and
@@ -35,19 +40,24 @@ the ulp-level cycles near it, of any period, in tens of steps.
 A scalar solve is one function, ``_solve_group_u``: it chooses a bracket
 that provably holds a root, then closes it in one inline loop of regula
 falsi steps with Anderson & Bjorck's update, stopped at a zero of the
-float residual or at two adjacent doubles.  From the third sweep on, the
-bracket is first a warm one around the law's root in the last sweep,
-twice as wide as that root's last move: below u = 1/2 the flow residual
-rises strictly, so a sign change across it holds the one root there, the
-root the analytic bracket would give.  The law's current iterate stands
-in for the end on its side of the root: the step's evaluation gave its
-residual at the p_m and reach the sweep freezes, bit for bit, so only
-the other end costs a kernel call.  Without a strict sign change the
-solve falls back to the analytic bracket, which holds every root.  Each
-residual is written out inline as the float expression ``_evaluate``
-forms R_i by, which is what makes the anchor's residual exact, and no
-helper is called per evaluation: a Poisson or regular kernel call takes
-under 1 us, about what a Python call around it costs.
+float residual or at two adjacent doubles.  It has a third exit, with no
+step: an end of the analytic bracket whose float residual already has
+the other end's sign (lo where f(lo) >= 0, hi where f(hi) <= 0) is
+returned as it is, and there the residual need not change sign at the
+next double (24 of 3,000 random cold solves end so; ROADMAP item 20(b)
+removes the path).  From the third sweep on, the bracket is first a warm
+one around the law's root in the last sweep, twice as wide as that
+root's last move: below u = 1/2 the flow residual rises strictly, so a
+sign change across it holds the one root there, the root the analytic
+bracket would give.  The law's current iterate stands in for the end on
+its side of the root: the step's evaluation gave its residual at the p_m
+and reach the sweep freezes, bit for bit, so only the other end costs a
+kernel call.  Without a strict sign change the solve falls back to the
+analytic bracket, which holds every root.  Each residual is written out
+inline as the float expression ``_evaluate`` forms R_i by, which is what
+makes the anchor's residual exact, and no helper is called per
+evaluation: a Poisson or regular kernel call takes under 1 us, about
+what a Python call around it costs.
 
 Inputs are checked where they enter.  The public entries check every
 value: ``flow_residual`` here, ``info_probability`` and
@@ -69,6 +79,7 @@ and the restart count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -82,6 +93,7 @@ from .model import (
     ModelParams,
     closure_for,
     contact_reach,
+    group_sizes,
     market_arrival,
     info_probability,  # noqa: F401  (unused here; perfbench/spans.py traces this name)
     surplus,
@@ -150,16 +162,17 @@ class _Point(NamedTuple):
     R: list[float]
 
 
-def _aggregates(params: ModelParams, sizes: np.ndarray, total: float, u_vec: list[float], v: float):
+def _aggregates(params: ModelParams, sizes: list[float], total: float, u_vec: list[float], v: float):
     """Aggregate u, market rate p_m and contact reach at (u_vec, v).
 
-    ``sizes`` holds the group sizes and ``total`` their sum.
+    ``sizes`` and ``total`` are as ``group_sizes`` returns them; u is
+    fsum(u_i s_i) / total, so group order moves no bit of it.
     """
-    u = float(np.array(u_vec) @ sizes) / total
+    u = math.fsum(map(operator.mul, u_vec, sizes)) / total
     return u, market_arrival(params, u, v), contact_reach(params.phi, params.d_f, u, v)
 
 
-def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: np.ndarray, total: float,
+def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: list[float], total: float,
               u_vec: list[float], v: float) -> _Point:
     """The one evaluation of the economy at plain floats (u_vec, v) an outer step makes.
 
@@ -181,13 +194,13 @@ def flow_residual(
 ) -> np.ndarray:
     """Per-group steady-state residual R_i = u_i p_i - delta (1 - u_i).
 
-    Raises ``ValueError`` for a u_i outside [0, 1] or a v that is not positive and finite.
+    Raises ``ValueError`` for a u_i outside [0, 1], a v that is not
+    positive and finite, or sizes that sum past the largest double.
     """
     u_vec = np.asarray(u_vec, dtype=np.float64).tolist()
     if bad := [u_i for u_i in u_vec if not 0.0 <= u_i <= 1.0]:
         raise ValueError(f"group unemployment rate must lie in [0, 1], got {bad[0]}")
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    return np.array(_evaluate(params, groups, sizes, float(sizes.sum()), u_vec, v).R)
+    return np.array(_evaluate(params, groups, *group_sizes(groups), u_vec, v).R)
 
 
 def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float,
@@ -234,7 +247,11 @@ def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracke
     so a bracket whose one end has all but reached the root closes in a
     step, not a bisection.  The loop stops at a zero of the float
     residual or once no double lies strictly inside [lo, hi]; 200
-    evaluations are a safety cap.
+    evaluations are a safety cap.  Before any step, an analytic end whose
+    float residual already has the other end's sign (f(lo) >= 0 or
+    f(hi) <= 0) is returned as it is, as is hi for a market-only group,
+    whose flow equation is linear; the float residual then need not
+    change sign at the double next to that end.
     """
     delta = params.delta
     # Every P = phi_bracket (1 - x) with phi_bracket in [0, 1] and x in
@@ -315,8 +332,7 @@ def _iterate(
     The state of a step is plain floats; u_vec is returned as an array.
     """
     u_vec = [float(config.initial_u)] * len(groups)
-    sizes = np.array([g.size for g in groups], dtype=np.float64)
-    total = float(sizes.sum())
+    sizes, total = group_sizes(groups)
     heads, where = _law_slots(groups)
     damping, keep = _DAMPING, 1.0 - _DAMPING
     seen = {tuple(u_vec): 0}  # each iterate so far, with the step that made it
@@ -377,22 +393,21 @@ def _assemble(
     iterations: int,
 ) -> Equilibrium:
     """The equilibrium at ``point``; ``total`` is the sum of the group sizes."""
-    states = []
-    entry_flow = 0.0
+    states, entry_flows = [], []
     for g, u_i, P, p_r in zip(groups, point.u_vec, point.P, point.p_r):
         p_i = point.p_m + p_r
         q_i = g.size * u_i * p_i / (total * point.v)  # worker arrival rate faced by a vacancy
         s_i = surplus(params, p_i)
         w_i = wage(params, s_i)
         vals = value_functions(params, w_i, p_i)
-        entry_flow += q_i * (1.0 - params.beta) * s_i
+        entry_flows.append(q_i * (1.0 - params.beta) * s_i)
         states.append(
             GroupState(
                 size=g.size, u=u_i, P=P, p_market=point.p_m, p_referral=p_r,
                 p_total=p_i, S=s_i, w=w_i, W=vals.W, U=vals.U, J=vals.J,
             )
         )
-    vacant_value = (entry_flow - params.c) / params.r
+    vacant_value = (math.fsum(entry_flows) - params.c) / params.r
     return Equilibrium(
         params=params, groups=tuple(states), u=point.u, v=point.v, V=vacant_value,
         residual=residual, iterations=iterations,
@@ -408,7 +423,8 @@ def solve_equilibrium(
 
     Raises :class:`ConvergenceError` when the outer iteration does not
     bring every group's flow residual below ``_RESIDUAL_TOL`` and r V
-    within 1e4 times it, and ``ValueError`` for no groups or for delta = 0.
+    within 1e4 times it, and ``ValueError`` for no groups, for delta = 0
+    or for sizes that sum past the largest double.
     """
     if len(groups) == 0:
         raise ValueError("need at least one worker group")

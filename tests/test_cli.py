@@ -609,6 +609,8 @@ class TestReproduceAllKernelCalls:
         # sweep (52 solves) 18,489.  Wood's expansion for the Zipf kernel
         # took the Zipf calls from 7,713 to 6,973, and sharing the
         # calibration's baseline solve the Poisson calls from 8,683 to 8,574.
+        # Summing over groups with math.fsum moved paths by ulps: Poisson
+        # 8,574 -> 8,576, Degenerate 2,093 -> 2,090 and Zipf 6,973 -> 6,966.
         calls = collections.Counter()
 
         def counted(name, kernel):
@@ -621,7 +623,7 @@ class TestReproduceAllKernelCalls:
             monkeypatch.setattr(law, "_reach", counted(law.__name__, law._reach))
         code, _ = run_cli("reproduce-all", "--outdir", str(tmp_path / "results"))
         assert code == EXIT_OK
-        assert calls == {"Poisson": 8574, "Degenerate": 2093, "Zipf": 6973}
+        assert calls == {"Poisson": 8576, "Degenerate": 2090, "Zipf": 6966}
 
 
 class TestReproduceAllSolves:

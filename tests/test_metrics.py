@@ -6,6 +6,7 @@ import pytest
 from refmatch import Equilibrium, ModelParams, gini, social_welfare
 from refmatch.metrics import _weighted_gini, group_incomes
 from refmatch.model import GroupState
+from test_solver import numpy_calls
 
 
 def synthetic_eq(u_w_pairs, params=None, sizes=None, v=0.04):
@@ -67,6 +68,13 @@ class TestGini:
     def test_degenerate_incomes_rejected(self):
         with pytest.raises(ValueError):
             _weighted_gini(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
+
+
+def test_no_numpy(baseline_eq):
+    import refmatch.metrics
+
+    assert "np" not in vars(refmatch.metrics)
+    assert numpy_calls(gini, baseline_eq) == numpy_calls(social_welfare, baseline_eq) == []
 
 
 class TestSocialWelfare:

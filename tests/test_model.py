@@ -189,21 +189,27 @@ class TestVacancyClosure:
     def test_solver_helper_equals_checked_closure(self, n):
         # The solver makes closure_for once per solve and calls it every
         # step; it must give vacancy_closure's bits, and those of the
-        # formula summed in its original order (total a Python sum).
+        # formula with the total and the sum over groups correctly rounded.
         rng = np.random.default_rng(n)
         groups = [GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), Poisson(22.47)) for _ in range(n)]
         closure = closure_for(PUBLISHED, groups)
         p = PUBLISHED
         for u_vec in ([1e-9] * n, [1.0 - 1e-9] * n, rng.uniform(1e-9, 1.0 - 1e-9, n).tolist()):
-            total = sum(g.size for g in groups)
-            acc = 0.0
-            for g, u in zip(groups, u_vec):
-                acc += (u * (1.0 - u) * (g.size / total)
-                        / (u * (p.r + p.delta) + p.beta * p.delta * (1.0 - u)))
+            total = math.fsum(g.size for g in groups)
+            acc = math.fsum(u * (1.0 - u) * (g.size / total)
+                            / (u * (p.r + p.delta) + p.beta * p.delta * (1.0 - u))
+                            for g, u in zip(groups, u_vec))
             want = (p.y - p.b) * (1.0 - p.beta) * p.delta / p.c * acc
             got = closure(u_vec)
             assert got.hex() == vacancy_closure(p, groups, u_vec).hex() == want.hex()
             assert type(got) is float
+
+    def test_sum_past_the_largest_double_is_a_value_error(self):
+        # Each term is 1.5e308; math.fsum raises OverflowError on their sum,
+        # where the left-to-right sum it replaced gave inf.
+        params = ModelParams(r=5.5e-310, delta=5.5e-310, beta=0.0)
+        with pytest.raises(ValueError, match=r"singular vacancy closure: r \+ delta = 1\.1e-309"):
+            vacancy_closure(params, self._groups([1.0] * 3), [0.5] * 3)
 
     def test_tiny_vacancy_cost_overflows_to_value_error(self):
         # c = 1e-320 passes validation, but the closure's prefactor overflows

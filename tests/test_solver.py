@@ -1,6 +1,7 @@
 """Equilibrium solver: reductions, invariants, and error paths."""
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from refmatch import (
     Poisson,
     SolverConfig,
     Zipf,
+    gini,
+    social_welfare,
     solve_all,
     solve_equilibrium,
 )
@@ -164,11 +167,11 @@ class TestUncheckedKernels:
         rng = np.random.default_rng(11)
         n = len(laws)
         groups = [GroupSpec(float(10.0 ** rng.uniform(4.0, 7.0)), d) for d in laws]
-        sizes = np.array([g.size for g in groups])
+        sizes = [g.size for g in groups]
         for u_vec in (np.full(n, solver._U_EPS), np.full(n, 1.0 - solver._U_EPS),
                       rng.uniform(solver._U_EPS, 1.0 - solver._U_EPS, n)):
             v = vacancy_closure(params, groups, u_vec.tolist())
-            point = solver._evaluate(params, groups, sizes, float(sizes.sum()), u_vec.tolist(), v)
+            point = solver._evaluate(params, groups, sizes, math.fsum(sizes), u_vec.tolist(), v)
             assert point.P == [info_probability(params, u_i, point.u, v) for u_i in u_vec.tolist()]
             assert point.p_r == [g.dist.referral_expectation(P_i)
                                  for g, P_i in zip(groups, point.P)]
@@ -271,6 +274,18 @@ class TestSolverControls:
     def test_empty_groups_rejected(self):
         with pytest.raises(ValueError):
             solve_equilibrium(PUBLISHED, [])
+
+    def test_sizes_summing_past_the_largest_double_rejected(self):
+        # math.fsum raises OverflowError there; the plain sum it replaced gave
+        # inf, which market_arrival rejected.
+        groups = (GroupSpec(1e308, Poisson(22.47)), GroupSpec(1e308, Degenerate(16)))
+        match = r"^group sizes \[1e\+308, 1e\+308\] sum past the largest double$"
+        with pytest.raises(ValueError, match=match):
+            solve_equilibrium(PUBLISHED, groups)
+        with pytest.raises(ValueError, match=match):
+            flow_residual(PUBLISHED, groups, [0.05, 0.05], 0.04)
+        with pytest.raises(ValueError, match=match):
+            vacancy_closure(PUBLISHED, groups, [0.05, 0.05])
 
     def test_no_job_destruction_rejected(self):
         # The closure gives v = 0 at every u, which market_arrival used to
@@ -447,7 +462,9 @@ class TestGroupSolveStopRule:
         # three restarts are kept and their values pin the restart path.
         # Three u_i moved by an ulp when the group solves took the anchored
         # bracket and the Anderson-Bjorck update; Wood's expansion moved
-        # each u_i by 7 to 24 ulps, the step counts not at all.
+        # each u_i by 7 to 24 ulps, the step counts not at all.  The second
+        # restart's u_2 was 0.08528692807761011, an ulp higher, before every
+        # sum over groups was a math.fsum.
         monkeypatch.setattr(solver, "_RESIDUAL_TOL", 1e-5)
         monkeypatch.setattr(solver, "_RESTART_SEED", 7)
         zipf = Zipf(2.3)
@@ -457,7 +474,7 @@ class TestGroupSolveStopRule:
         )
         assert [(group_u(eq).tolist(), eq.v, eq.iterations) for eq in found] == [
             ([0.0822614712334473, 0.08524367364847868], 0.04533626817964198, 14),
-            ([0.08230078429468538, 0.08528692807761011], 0.04533877632136672, 18),
+            ([0.08230078429468538, 0.0852869280776101], 0.04533877632136672, 18),
             ([0.08229856308965212, 0.08528450809563279], 0.04533863540252401, 19),
             ([0.0823056687680328, 0.08529228552009968], 0.045339087188925715, 18),
         ]
@@ -634,12 +651,14 @@ class TestDistinctLaws:
 
     def test_many_groups_unchanged(self):
         # Values computed when every group solved its own scalar equation.
+        # The Poisson(22.47) groups' u was 0.04438095742771314, an ulp lower,
+        # before every sum over groups was a math.fsum.
         eq = solve_equilibrium(PUBLISHED, self.groups())
         assert eq.iterations == 38
         assert group_u(eq).tolist() == [
-            0.04438095742771314, 0.05018455101071233, 0.04438095742771314, 0.06982581934315635,
+            0.04438095742771315, 0.05018455101071233, 0.04438095742771315, 0.06982581934315635,
             0.039500599637763936, 0.06167063597528391, 0.05018455101071233, 0.03557921990030942,
-            0.04438095742771314, 0.07574263902162733, 0.06167063597528391, 0.055614665866866,
+            0.04438095742771315, 0.07574263902162733, 0.06167063597528391, 0.055614665866866,
         ]
         assert eq.v == 0.04147021802448763
 
@@ -696,8 +715,9 @@ class TestRepeatedIterate:
 
     def test_period_two_cycle_raises(self):
         # Flow balance holds but free entry never does: the iterate of step
-        # 171 equals that of step 169, r V alternating 3.873e-8 / -2.083e-8,
-        # and the solve used to run all 10,000 steps.
+        # 172 equals that of step 170, r V alternating -2.980e-8 / 2.977e-8,
+        # and the solve used to run all 10,000 steps.  Before every sum over
+        # groups was a math.fsum, it raised at step 171 (r V = -2.083e-08).
         params = ModelParams(b=0.5459275321952658, r=0.14334393296201056,
                              delta=0.7674855304027197, eta=0.26143130695909506,
                              gamma=0.5224205259426208, beta=0.9166081335701889,
@@ -707,24 +727,25 @@ class TestRepeatedIterate:
                   GroupSpec(52.470296306663435, Poisson(30.211156389029693)),
                   GroupSpec(1231368.2025324712, Poisson(30.211156389029693))]
         with pytest.raises(ConvergenceError,
-                           match=r"cycles with period 2 at step 171 \(r V = -2\.083e-08\)$") as err:
+                           match=r"cycles with period 2 at step 172 \(r V = 2\.977e-08\)$") as err:
             solve_equilibrium(params, groups)
-        assert err.value.iterations == 171
+        assert err.value.iterations == 172
         assert err.value.residual < solver._RESIDUAL_TOL
 
     def test_long_cycle_raises(self):
-        # Flow balance holds, but v = 1.3e-11 keeps r V away from 0 while the
-        # three groups' u, 1.3e-9 to 1.3e-7 below 1, cycle with period 4 at the
-        # ulp level.  The economy this pinned before Wood's Zipf kernel (two
-        # Poisson(7.75) groups and Zipf(2.2517)) now repeats at step 59, and
-        # this one repeated at step 72 on the block series.
-        params = ModelParams(b=0.3993673591518842, r=0.10927498977804893,
-                             delta=0.2950100250238929, eta=0.07210923146263269,
-                             gamma=3.7773231032404966, beta=0.8597479819757002,
-                             c=32.963365252322944, phi=0.606490478354557, d_f=16)
-        groups = [GroupSpec(318897.9125784189, Zipf(2.211052186831969)),
-                  GroupSpec(2584788.523152346, Poisson(8.096898881164513)),
-                  GroupSpec(5000965.735069597, Zipf(2.645153727411498))]
+        # Flow balance holds, but v = 1.9e-11 keeps r V away from 0 while the
+        # three groups' u, 1.9e-9 to 2.1e-7 below 1, cycle with period 4 at the
+        # ulp level.  Before every sum over groups was a math.fsum, this one
+        # cycled with period 3 at step 70, and the economy pinned here then
+        # (Zipf(2.2111), Poisson(8.0969), Zipf(2.6452)) with period 4; that
+        # one now repeats at step 70.
+        params = ModelParams(b=0.3937153567161544, r=0.10963927768340295,
+                             delta=0.2930949238605811, eta=0.07273382328540137,
+                             gamma=3.772582062243708, beta=0.8655203047634783,
+                             c=33.36759558524072, phi=0.6088173621323317, d_f=16)
+        groups = [GroupSpec(316117.44845730346, Zipf(2.1778220516886013)),
+                  GroupSpec(2630509.4550201036, Poisson(8.08789267734995)),
+                  GroupSpec(4966649.119652515, Zipf(2.6489723027739975))]
         with pytest.raises(ConvergenceError, match="cycles with period 4 at step") as err:
             solve_equilibrium(params, groups)
         assert err.value.iterations < 100
@@ -788,3 +809,54 @@ class TestSolverFuzz:
             for j, gj in enumerate(groups):
                 if gi.dist == gj.dist:
                     assert u[i] == u[j]
+
+
+def _bits(params, groups, order):
+    """The bits of a solve of ``groups`` in ``order``, each u_i under its group's index.
+
+    A solve that raises gives its error type and the step it raised at.
+    """
+    try:
+        eq = solve_equilibrium(params, [groups[j] for j in order])
+    except (ConvergenceError, ValueError) as err:
+        return type(err), getattr(err, "iterations", None)
+    u_i = dict(zip(order, (g.u for g in eq.groups)))
+    return ([u_i[j].hex() for j in range(len(groups))], eq.u.hex(), eq.v.hex(), eq.V.hex(),
+            eq.iterations, gini(eq).hex(), social_welfare(eq).hex())
+
+
+class TestGroupOrder:
+    # Every sum over groups is a math.fsum, whose correctly rounded value
+    # depends only on the terms, so the order of the groups moves no bit.
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(economy=_economies(), data=st.data())
+    def test_permutation_moves_no_bit(self, economy, data):
+        params, groups = economy
+        order = data.draw(st.permutations(range(len(groups))))
+        assert _bits(params, groups, order) == _bits(params, groups, range(len(groups)))
+
+
+def numpy_calls(fn, *args) -> list[str]:
+    """The name of each numpy function or method ``fn(*args)`` calls from Python."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__module__", None) or type(getattr(arg, "__self__", None)).__module__
+            if owner and owner.split(".")[0] == "numpy":
+                calls.append(arg.__qualname__)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+class TestNoNumpyInTheStep:
+    def test_only_the_returned_iterate_is_an_array(self):
+        # 45 steps; with the aggregate u a numpy dot product, each made an array.
+        zipf = Zipf(2.3)
+        groups = (GroupSpec(1e6, Poisson(zipf.mean())), GroupSpec(2e6, zipf))
+        assert numpy_calls(solve_equilibrium, PUBLISHED, groups) == ["array"]

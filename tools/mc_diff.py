@@ -35,9 +35,19 @@ def emit() -> None:
     import numpy as np
 
     import refmatch as rm
+    from refmatch import simulate
     from refmatch.calibration import baseline_groups
     from refmatch.experiments import COMMON_MEAN_DEGREE
-    from refmatch.simulate import SimConfig, build_configuration_network, estimate_referral_rate
+    from refmatch.simulate import SimConfig, estimate_referral_rate
+
+    # Keep the network each estimate builds, so that it is not built twice.
+    build, built = simulate.build_configuration_network, []
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    simulate.build_configuration_network = keep
 
     params = rm.calibrate()
     baseline = rm.solve_equilibrium(params, baseline_groups())
@@ -55,8 +65,7 @@ def emit() -> None:
             est = estimate_referral_rate(config)
             estimates.append(est.estimate)
             z.append(est.z_score(target))
-            # The estimator's network: the same law, size and seed.
-            net = build_configuration_network(dist, WORKERS, np.random.default_rng(seed))
+            net = built.pop()  # the estimator's network
             hashes.append(hashlib.sha256(net.stubs.tobytes()).hexdigest())
             reachable = net.reachable_degrees()
             q = config.employment_rate * config.informed_given_employed
