@@ -24,10 +24,22 @@ Because the contact states are redrawn independently per trial, trials
 are i.i.d. Bernoulli and the reported binomial standard error is exact
 for the network-conditional success rate.
 
-Stub pairing.  The stubs are put in uniformly random order by sorting
-random 64-bit keys that carry each stub's owner in their low bits, with
-every run of tied random bits put in random order; edge k joins stubs
-2k and 2k + 1.  The keys are drawn and given their owners node chunk by
+Poisson networks.  Take i.i.d. Poisson(lam) degrees d_i on n nodes and
+their N stubs in uniform order.  An owner sequence s_1 ... s_N then has
+probability prod_i e^-lam lam^d_i / d_i! * prod_i d_i! / N! =
+e^-(n lam) (n lam)^N / N! * n^-N: a Poisson(n lam) stub total with i.i.d.
+uniform owners (the Erdos-Renyi multigraph of the configuration model,
+Newman, Strogatz & Watts 2001, PRE 64 026118).  So a Poisson network
+draws its total, redrawn until it is even, which conditions the degrees
+on an even sum exactly, then that many uniform owners, and counts its
+degrees from them.  It draws no keys and starts no thread; only the
+self-loop scan below does.
+
+Stub pairing.  The stubs of any other law's network are put in
+uniformly random order by sorting random 64-bit keys that carry each
+stub's owner in their low bits, with every run of tied random bits put
+in random order; edge k joins stubs 2k and 2k + 1, as in a Poisson
+network.  The keys are drawn and given their owners node chunk by
 node chunk.  On a PCG64 or PCG64DXSM generator, whose ``advance(k)``
 skips k 64-bit draws, the chunks before the one holding the middle stub
 are drawn on the calling thread and the rest on a worker thread, by a
@@ -36,10 +48,10 @@ takes the state one draw of all the keys leaves, pending 32-bit half
 included.  Other generators draw every chunk in turn on the calling
 thread.  The keys are then split in place at their median; each half
 is sorted, scanned for ties and masked on a thread of its own, and
-``Network.reachable_degrees`` scans the two halves of the edge list the
-same way.  The tie runs are shuffled on the calling thread in
-ascending order, so a seed gives the same network bit for bit as one
-draw and one sort on one thread (``tools/mc_diff.py`` compares two
+``Network.reachable_degrees`` scans the two halves of any network's
+edge list the same way.  The tie runs are shuffled on the calling
+thread in ascending order, so a seed gives the same network bit for bit
+as one draw and one sort on one thread (``tools/mc_diff.py`` compares two
 checkouts' stub lists).  The workers write their results only into
 arrays made on the calling thread, and hold temporaries of one chunk
 or block at a time (the draws and owner ids of one node chunk, a block
@@ -56,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeDistribution, as_count
+from .degree import DegreeDistribution, Poisson, as_count
 from .model import contact_reach
 
 __all__ = [
@@ -109,17 +121,34 @@ def build_configuration_network(
 ) -> Network:
     """Uniform stub-matching network of ``n`` nodes with i.i.d. degrees from ``dist``.
 
-    If the sampled stub total is odd the last node's degree is resampled
-    (up to a bounded number of tries; a degree law with fixed parity,
-    e.g. a constant odd degree, gets one extra stub instead).  Self-loops
-    and parallel edges are kept: they vanish asymptotically and removing
-    them would distort the degree sequence.
+    A Poisson network is a Poisson(n lam) stub total, redrawn until it
+    is even, with i.i.d. uniform stub owners in draw order (see the
+    module docstring): its degrees are exactly i.i.d. Poisson(lam)
+    conditioned on an even sum.  For other laws, if the sampled stub
+    total is odd the last node's degree is resampled (up to a bounded
+    number of tries; a degree law with fixed parity, e.g. a constant odd
+    degree, gets one extra stub instead), and then the random keys that
+    pair the stubs are drawn.  Self-loops and parallel edges are kept:
+    they vanish asymptotically and removing them would distort the
+    degree sequence.
 
-    The degrees, then the random keys that pair the stubs (see the
-    module docstring), are drawn from ``rng``.
+    Everything is drawn from ``rng``.  ValueError unless ``dist`` is a
+    ``DegreeDistribution``, ``n`` an integer >= 2 and ``rng`` a
+    ``numpy.random.Generator``.
     """
+    if not isinstance(dist, DegreeDistribution):
+        raise ValueError(f"network degree law must be a DegreeDistribution, got {dist!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"network rng must be a numpy.random.Generator, got {rng!r}")
+    n = as_count(n, "network size n")
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
+    if isinstance(dist, Poisson):
+        total = 1
+        while total % 2:
+            total = int(rng.poisson(n * dist.lam))
+        stubs = rng.integers(0, n, size=total, dtype=np.int64)
+        return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
     degrees = dist.sample(rng, n).astype(np.int64, copy=False)
     if degrees.sum() % 2 == 1:
         for _ in range(_PARITY_RESAMPLE_LIMIT):

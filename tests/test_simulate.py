@@ -1,5 +1,6 @@
 """Configuration-model networks and the Monte Carlo referral check."""
 
+import itertools
 import math
 import threading
 import time
@@ -55,6 +56,30 @@ def info_probability_in_context() -> float:
     return CONTEXT["phi"] * (1.0 - CONTEXT["u_i"]) * (1.0 - (1.0 - vac) ** CONTEXT["d_f"])
 
 
+def poisson_network_law(lam, n, most_edges):
+    """Every edge multiset of up to ``most_edges`` edges on ``n`` nodes with its probability.
+
+    The degrees are i.i.d. Poisson(lam) conditioned on an even total and
+    the stubs are paired uniformly, so a multiset with degrees d, m
+    edges, l_i self-loops at node i and e_ij edges between i < j has
+    probability prod pmf(d_i) / P(even) * prod d_i! / (prod 2^l_i l_i!
+    prod e_ij!) / (2m - 1)!!.
+    """
+    even = (1.0 + math.exp(-2.0 * n * lam)) / 2.0
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    law = {}
+    for m in range(most_edges + 1):
+        for edges in itertools.combinations_with_replacement(pairs, m):
+            degrees = Counter(x for edge in edges for x in edge)
+            p = 1.0 / even / math.prod(range(1, 2 * m, 2))
+            for i in range(n):  # pmf(d_i) d_i! = e^-lam lam^d_i
+                p *= math.exp(-lam) * lam ** degrees[i]
+            for edge, count in Counter(edges).items():
+                p /= math.factorial(count) * 2 ** (count * (edge[0] == edge[1]))
+            law[edges] = p
+    return law
+
+
 def sorted_pairing(rng, degrees):
     """The pairing on one thread: sort all keys, shuffle each tie run in order, mask."""
     n, total = degrees.size, int(degrees.sum())
@@ -107,10 +132,11 @@ class TestNetworkBuild:
         assert abs(net.degrees.mean() - lam) < bound
 
     def test_odd_total_resampled_to_even(self):
-        # Poisson redraws the last degree; a fixed odd degree cannot be
-        # fixed by resampling and gets one extra stub
-        for seed in range(6):
-            net = build_configuration_network(Poisson(3.0), 11, np.random.default_rng(seed))
+        # Poisson redraws its stub total and Zipf the last degree until
+        # the total is even; a fixed odd degree cannot be fixed by
+        # resampling and gets one extra stub
+        for dist, seed in itertools.product([Poisson(3.0), Zipf(2.3)], range(6)):
+            net = build_configuration_network(dist, 11, np.random.default_rng(seed))
             assert net.stub_count % 2 == 0
         net = build_configuration_network(Degenerate(3), 3, np.random.default_rng(1))
         assert net.stub_count == 10
@@ -128,7 +154,7 @@ class TestNetworkBuild:
         # A seed's pairing is the owner list ordered by one uniform 64-bit
         # key per stub, drawn right after the degrees, whose low 9 bits
         # (enough for 300 ids) hold the owner.
-        dist, n, seed = Poisson(5.0), 300, 2
+        dist, n, seed = Zipf(2.3), 300, 2
         net = build_configuration_network(dist, n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         degrees = dist.sample(rng, n)
@@ -140,6 +166,51 @@ class TestNetworkBuild:
         perm = np.argsort(keys)
         assert np.all(np.diff(keys[perm] >> np.uint64(9)) > 0)  # no ties to break
         assert np.array_equal(net.stubs, owners[perm])
+
+    @pytest.mark.parametrize("seed, odd_totals", [(2, 0), (1, 1)])
+    def test_poisson_stubs_are_uniform_owners(self, seed, odd_totals):
+        # A seed's Poisson network is a Poisson(n lam) stub total, drawn
+        # first and redrawn while odd, then that many uniform owners in
+        # draw order; the degrees count them.
+        lam, n = 5.0, 300
+        net = build_configuration_network(Poisson(lam), n, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        totals = [int(rng.poisson(n * lam)) for _ in range(odd_totals + 1)]
+        assert [t % 2 for t in totals] == [1] * odd_totals + [0]
+        stubs = rng.integers(0, n, size=totals[-1], dtype=np.int64)
+        assert np.array_equal(net.stubs, stubs)
+        assert np.array_equal(net.degrees, np.bincount(stubs, minlength=n))
+        assert net.degrees.dtype == np.int64
+
+    def test_poisson_network_has_the_configuration_model_law(self):
+        # Each edge multiset expected at least 5 times is checked on its
+        # own, and the rest pooled.  Resampling only the last degree (the
+        # rule for other laws) would give P(no edge) 0.255, not 0.322.
+        lam, n = 0.6, 3
+        law = poisson_network_law(lam, n, 8)
+        counts = Counter()
+        for seed in range(SEEDS):
+            net = build_configuration_network(Poisson(lam), n, np.random.default_rng(seed))
+            pairs = np.sort(net.stubs.reshape(-1, 2), axis=1).tolist()
+            counts[tuple(sorted(map(tuple, pairs)))] += 1
+        checked = {edges: p for edges, p in law.items() if SEEDS * p >= 5.0}
+        assert len(checked) > 10
+        rest = 1.0 - sum(checked.values())
+        observed = [(counts[edges], p) for edges, p in checked.items()]
+        observed.append((SEEDS - sum(counts[edges] for edges in checked), rest))
+        for count, p in observed:
+            assert abs(count - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
+
+    def test_poisson_build_starts_no_thread(self, monkeypatch):
+        # With 4-stub blocks any key pairing would split into threads.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        run, staged = simulate._on_two_threads, []
+        monkeypatch.setattr(simulate, "_on_two_threads",
+                            lambda f, *args: staged.append(f) or run(f, *args))
+        build_configuration_network(Poisson(5.0), 500, np.random.default_rng(0))
+        assert staged == []
+        build_configuration_network(Zipf(2.3), 500, np.random.default_rng(0))
+        assert staged  # the key pairing does split
 
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
                              ids=["random-keys", "tied-keys"])
@@ -220,6 +291,31 @@ class TestNetworkBuild:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             build_configuration_network(Poisson(3.0), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dist, n, rng, match", [
+        (Poisson(3.0), 2.5, None, "network size n must be an integer"),
+        (Poisson(3.0), -4, None, "network size n must be an integer"),
+        (Poisson(3.0), "10", None, "network size n must be an integer"),
+        (Poisson(3.0), math.inf, None, "network size n must be an integer"),
+        (Zipf(2.3), 10, 7, "must be a numpy.random.Generator"),
+        (Zipf(2.3), 10, np.random.RandomState(7), "must be a numpy.random.Generator"),
+        ("poisson", 10, None, "must be a DegreeDistribution"),
+        (None, 10, None, "must be a DegreeDistribution"),
+    ], ids=["fractional-n", "negative-n", "string-n", "infinite-n", "int-seed",
+            "random-state", "string-law", "no-law"])
+    def test_bad_inputs_raise_value_error(self, dist, n, rng, match):
+        # None stands for a valid generator.
+        with pytest.raises(ValueError, match=match):
+            build_configuration_network(dist, n, np.random.default_rng(0) if rng is None else rng)
+
+    @pytest.mark.parametrize("n", [10.0, np.int64(10), np.float64(10.0)],
+                             ids=["float", "numpy-int", "numpy-float"])
+    def test_integral_n_is_a_python_int(self, n):
+        for dist in (Poisson(3.0), Zipf(2.3)):
+            net = build_configuration_network(dist, n, np.random.default_rng(4))
+            same = build_configuration_network(dist, 10, np.random.default_rng(4))
+            assert type(net.n) is int and net.n == 10
+            assert np.array_equal(net.stubs, same.stubs)
 
 
 class TestReferralEstimate:

@@ -10,11 +10,14 @@ from its checkout's src/.  Prints, per family and side, the mean and
 standard deviation of z against ``referral_expectation``, the mean z
 against each seed's network-exact rate (the mean over nodes of
 1 - (1 - q)^k with k the node's reachable degree, which the trials
-estimate without bias), and the mean number of self-loops per node of
-the seeds' networks; then how many seeds give the same estimate and
-the same stub list (by SHA-256) bit for bit on both sides (all of them
-when a change keeps every draw).  Exits 1 if a family's mean z differs
-between the sides by more than 4 standard errors.
+estimate without bias), the mean number of self-loops per node of the
+seeds' networks, and the mean and variance of the degrees pooled over
+all the seeds' nodes next to the law's own (lam and lam for Poisson, k
+and 0 for regular, the mean and inf for Zipf); then how many seeds give
+the same estimate and the same stub list (by SHA-256) bit for bit on
+both sides (all of them when a change keeps every draw).  Exits 1 if a
+family's mean z differs between the sides by more than 4 standard
+errors.
 Usage: python tools/mc_diff.py CHECKOUT
 """
 
@@ -31,7 +34,7 @@ LIMIT = 4.0
 
 
 def emit() -> None:
-    """Child side: one JSON line per family with its estimates, stub hashes, z and self-loops."""
+    """Child side: one JSON line per family: estimates, stub hashes, z, loops, degree moments."""
     import numpy as np
 
     import refmatch as rm
@@ -58,6 +61,7 @@ def emit() -> None:
     for fam, dist in families.items():
         target = dist.referral_expectation(g.P)
         estimates, hashes, z, net_z, loops = [], [], [], [], []
+        nodes, degree_sum, square_sum = 0, 0.0, 0.0
         for seed in range(SEEDS):
             config = SimConfig.at_context(dist, u_i=g.u, u=baseline.u, v=baseline.v,
                                           phi=params.phi, d_f=params.d_f, n_workers=WORKERS,
@@ -71,9 +75,18 @@ def emit() -> None:
             q = config.employment_rate * config.informed_given_employed
             net_z.append(est.z_score(float(np.mean(-np.expm1(reachable * math.log1p(-q))))))
             loops.append(float(np.sum(net.degrees - reachable)) / 2 / WORKERS)
+            degrees = net.degrees.astype(float)
+            nodes += degrees.size
+            degree_sum += float(degrees.sum())
+            square_sum += float(np.dot(degrees, degrees))
+        mean = degree_sum / nodes
+        # A Zipf law of mean above zeta(2) / zeta(3) = 1.37 has alpha < 3.
+        law_var = {"poisson": dist.mean(), "regular": 0.0, "zipf": math.inf}[fam]
         print(json.dumps({"family": fam, "estimates": estimates, "hashes": hashes,
                           "mean_z": float(np.mean(z)), "sd_z": float(np.std(z, ddof=1)),
-                          "net_z": float(np.mean(net_z)), "loops": float(np.mean(loops))}),
+                          "net_z": float(np.mean(net_z)), "loops": float(np.mean(loops)),
+                          "deg_mean": mean, "deg_var": square_sum / nodes - mean**2,
+                          "law_mean": dist.mean(), "law_var": law_var}),
               flush=True)
 
 
@@ -93,12 +106,14 @@ if __name__ == "__main__":
     ours = run_in(Path(__file__).resolve().parents[1])
     theirs = run_in(Path(sys.argv[1]).resolve())
     print(f"{SEEDS} seeds x {WORKERS} workers x {TRIALS} trials per family")
-    print(f"{'family':<8} {'side':<9} {'mean z':>8} {'sd z':>7} {'net z':>8} {'loops/node':>11}")
+    print(f"{'family':<8} {'side':<9} {'mean z':>8} {'sd z':>7} {'net z':>8} {'loops/node':>11}"
+          f" {'deg mean':>9} {'law':>9} {'deg var':>10} {'law':>9}")
     differing = 0
     for a, b in zip(ours, theirs):
         for side, row in (("this", a), ("CHECKOUT", b)):
             print(f"{row['family']:<8} {side:<9} {row['mean_z']:>+8.3f} {row['sd_z']:>7.3f}"
-                  f" {row['net_z']:>+8.3f} {row['loops']:>11.3e}")
+                  f" {row['net_z']:>+8.3f} {row['loops']:>11.3e} {row['deg_mean']:>9.4f}"
+                  f" {row['law_mean']:>9.4f} {row['deg_var']:>10.4f} {row['law_var']:>9.4f}")
         se = math.hypot(a["sd_z"], b["sd_z"]) / math.sqrt(SEEDS)
         gap = (a["mean_z"] - b["mean_z"]) / se
         differing += abs(gap) > LIMIT
