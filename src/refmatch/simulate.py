@@ -32,8 +32,15 @@ uniform owners (the Erdos-Renyi multigraph of the configuration model,
 Newman, Strogatz & Watts 2001, PRE 64 026118).  So a Poisson network
 draws its total, redrawn until it is even, which conditions the degrees
 on an even sum exactly, then that many uniform owners, and counts its
-degrees from them.  It draws no keys and starts no thread; only the
-self-loop scan below does.
+degrees from them.  Past two blocks of stubs, and with two CPUs in the
+affinity mask (see Threads), a worker thread draws the owners into the
+stub list a block at a time, in up to _STAGES stages of at least a block
+each, while the calling thread counts each stage already drawn; only
+the first stage's draw and the last stage's count do not overlap.
+Successive draws give the same owners, and leave the generator in the
+same state (a pending 32-bit half included), as one draw of them all,
+so a seed gives the same network as one draw and one count, which is
+how a smaller network, or one on one CPU, is built.
 
 Stub pairing.  The stubs of any other law's network are put in
 uniformly random order by sorting random 64-bit keys that carry each
@@ -52,17 +59,26 @@ is sorted, scanned for ties and masked on a thread of its own, and
 edge list the same way.  The tie runs are shuffled on the calling
 thread in ascending order, so a seed gives the same network bit for bit
 as one draw and one sort on one thread (``tools/mc_diff.py`` compares two
-checkouts' stub lists).  The workers write their results only into
-arrays made on the calling thread, and hold temporaries of one chunk
-or block at a time (the draws and owner ids of one node chunk, a block
-of one scan), since glibc gives each thread its own heap and memory
-freed there stays resident.
+checkouts' stub lists).
+
+Threads.  Each two-thread step pins its worker to all but the first CPU
+of the calling thread's affinity mask, and the calling thread to the
+first while it runs its half; left to itself, the kernel may start the
+worker on the caller's CPU and keep both there.  With one CPU in the
+mask both halves run in turn on the calling thread and no thread starts.
+The workers write their results only into arrays made on the calling
+thread, and hold temporaries of one chunk or block at a time (the draws
+and owner ids of one node chunk, a block of owners or of one scan),
+since glibc gives each thread its own heap and memory freed there stays
+resident; so a Poisson network's n-long stage counts are made on the
+calling thread.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -80,10 +96,14 @@ __all__ = [
 ]
 
 _PARITY_RESAMPLE_LIMIT = 100
-# Stubs per node chunk of keys (on average: a hub's chunk holds more) and
-# pairs per block of the tie and self-loop scans; work whose first half
-# holds at most one block stays on one thread.
+# Stubs per node chunk of keys (on average: a hub's chunk holds more),
+# owners per draw of a Poisson network and pairs per block of the tie and
+# self-loop scans; work whose first half holds at most one block stays on
+# one thread, and so does a Poisson network of at most two blocks.
 _PAIR_BLOCK = 1 << 16
+# Most stages of a Poisson network's owner draw, each at least one block
+# long; each stage is counted while the next is drawn.
+_STAGES = 8
 
 
 @dataclass(frozen=True)
@@ -122,15 +142,16 @@ def build_configuration_network(
     """Uniform stub-matching network of ``n`` nodes with i.i.d. degrees from ``dist``.
 
     A Poisson network is a Poisson(n lam) stub total, redrawn until it
-    is even, with i.i.d. uniform stub owners in draw order (see the
-    module docstring): its degrees are exactly i.i.d. Poisson(lam)
-    conditioned on an even sum.  For other laws, if the sampled stub
-    total is odd the last node's degree is resampled (up to a bounded
-    number of tries; a degree law with fixed parity, e.g. a constant odd
-    degree, gets one extra stub instead), and then the random keys that
-    pair the stubs are drawn.  Self-loops and parallel edges are kept:
-    they vanish asymptotically and removing them would distort the
-    degree sequence.
+    is even, with i.i.d. uniform stub owners in draw order, drawn on a
+    worker thread while this one counts them where there is a second
+    CPU (see the module docstring): its degrees are exactly i.i.d.
+    Poisson(lam) conditioned on an even sum.  For other laws, if the
+    sampled stub total is odd the last node's degree is resampled (up to
+    a bounded number of tries; a degree law with fixed parity, e.g. a
+    constant odd degree, gets one extra stub instead), and then the
+    random keys that pair the stubs are drawn.  Self-loops and parallel
+    edges are kept: they vanish asymptotically and removing them would
+    distort the degree sequence.
 
     Everything is drawn from ``rng``.  ValueError unless ``dist`` is a
     ``DegreeDistribution``, ``n`` an integer >= 2 and ``rng`` a
@@ -144,11 +165,7 @@ def build_configuration_network(
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
     if isinstance(dist, Poisson):
-        total = 1
-        while total % 2:
-            total = int(rng.poisson(n * dist.lam))
-        stubs = rng.integers(0, n, size=total, dtype=np.int64)
-        return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
+        return _poisson_network(rng, n, dist.lam)
     degrees = dist.sample(rng, n).astype(np.int64, copy=False)
     if degrees.sum() % 2 == 1:
         for _ in range(_PARITY_RESAMPLE_LIMIT):
@@ -158,6 +175,42 @@ def build_configuration_network(
         else:
             degrees[-1] += 1
     return Network(n=n, degrees=degrees, stubs=_pair_stubs(rng, degrees))
+
+
+def _poisson_network(rng: np.random.Generator, n: int, lam: float) -> Network:
+    """Network of an even Poisson(n lam) total of uniform stub owners, as one draw gives them.
+
+    A worker thread draws the owners stage by stage, a block at a time,
+    into the stub list while this thread counts each stage it has drawn
+    (see the module docstring); with one CPU, or at most two blocks of
+    stubs, this thread draws them in one call and then counts them.
+    """
+    while (total := int(rng.poisson(n * lam))) % 2:
+        pass  # an odd total is redrawn
+    if total <= 2 * _PAIR_BLOCK or len(_cpus()) < 2:  # little or no overlap to gain
+        stubs = rng.integers(0, n, size=total, dtype=np.int64)
+        return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
+    # Zeros, not garbage, are what the count reads after a failed draw.
+    stubs, degrees = np.zeros(total, np.int64), np.zeros(n, np.int64)
+    stages = np.array_split(stubs, min(_STAGES, total // _PAIR_BLOCK))  # each at least a block
+    drawn = threading.Semaphore(0)  # released once per stage drawn
+
+    def draw():
+        try:
+            for stage in stages:
+                for block in np.split(stage, range(_PAIR_BLOCK, stage.size, _PAIR_BLOCK)):
+                    block[...] = rng.integers(0, n, size=block.size, dtype=np.int64)
+                drawn.release()
+        finally:
+            drawn.release(len(stages))  # leave no count waiting, also after a failed draw
+
+    def count():
+        for stage in stages:
+            drawn.acquire()
+            np.add(degrees, np.bincount(stage, minlength=n), out=degrees)
+
+    _on_two_threads(lambda part: part(), (draw,), (count,), total - stages[0].size)
+    return Network(n=n, degrees=degrees, stubs=stubs)
 
 
 def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
@@ -195,9 +248,9 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
         later = copy.deepcopy(rng)
         later.bit_generator.advance(edges[mid])
         _on_two_threads(stamp, (later, mid, last), (rng, 0, mid), half)
-        state = rng.bit_generator.state  # keeps any pending 32-bit half
-        state["state"] = later.bit_generator.state["state"]
-        rng.bit_generator.state = state
+        # The state one draw of all the keys leaves, any pending 32-bit half kept.
+        rng.bit_generator.state = {**rng.bit_generator.state,
+                                   "state": later.bit_generator.state["state"]}
     else:
         stamp(rng, 0, last)
     if half:
@@ -221,16 +274,22 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
 
 
 def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
-    """Run ``f(*first)`` on a worker thread and ``f(*second)`` on this one.
+    """Run ``f(*first)`` on a worker thread and ``f(*second)`` on this one, each on its own CPU.
 
-    Joins the worker and re-raises its exception, if any, here.  The two
-    calls must write disjoint memory, write results only into arrays
-    made by the caller and hold temporaries of at most one chunk or
-    block at a time (see the module docstring).  If the first half is
-    at most one block (``size`` items), both run in turn on this
-    thread: a thread start (about 50 us) costs more than it saves there.
+    The worker starts pinned to all but the first CPU of this thread's
+    affinity mask and this thread pins itself to the first; its own mask
+    is restored before the call returns or raises.  Joins the worker and
+    re-raises its exception, if any, here.  The two calls must write
+    disjoint memory, write results only into arrays made by the caller
+    and hold temporaries of at most one chunk or block at a time (see
+    the module docstring).  Both run in turn on this thread, the worker's
+    half first, if the mask holds one CPU or if ``size`` (for a split in
+    two, the first half's items) is at most one block, where a thread
+    start (about 50 us) costs more than it saves.  Where affinity masks
+    are missing, the worker runs unpinned.
     """
-    if size <= _PAIR_BLOCK:
+    pin = getattr(os, "sched_setaffinity", lambda pid, mask: None)
+    if size <= _PAIR_BLOCK or len(cpus := _cpus()) < 2:
         f(*first)
         f(*second)
         return
@@ -243,13 +302,21 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
             errors.append(exc)
 
     worker = threading.Thread(target=work)
-    worker.start()
+    pin(0, cpus[1:])  # the worker starts with this mask
     try:
+        worker.start()
+        pin(0, cpus[:1])
         f(*second)
     finally:
+        pin(0, cpus)
         worker.join()
     if errors:
         raise errors[0]
+
+
+def _cpus() -> list[int]:
+    """This thread's affinity mask, sorted; two CPUs where there are no masks."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0, 1]
 
 
 def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
@@ -259,7 +326,8 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
     """
     half, width = y.size // 2, max(1, min(_PAIR_BLOCK, y.size))
 
-    def scan(start, stop, xor, near, out):
+    def scan(start, stop, out):
+        xor, near = np.empty(width, np.uint64), np.empty(width, bool)
         for s in range(start, stop, width):
             m = min(width, stop - s)
             np.bitwise_xor(x[s:s + m], y[s:s + m], out=xor[:m])
@@ -267,9 +335,7 @@ def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
                 out += (np.flatnonzero(near[:m]) + s).tolist()
 
     found = ([], [])
-    buffers = [(np.empty(width, np.uint64), np.empty(width, bool)) for _ in found]
-    _on_two_threads(scan, (0, half, *buffers[0], found[0]), (half, y.size, *buffers[1], found[1]),
-                    half)
+    _on_two_threads(scan, (0, half, found[0]), (half, y.size, found[1]), half)
     return found[0] + found[1]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import threading
 import time
 from collections import Counter
@@ -78,6 +79,19 @@ def poisson_network_law(lam, n, most_edges):
                 p /= math.factorial(count) * 2 ** (count * (edge[0] == edge[1]))
             law[edges] = p
     return law
+
+
+def affinity_mask(monkeypatch, cpus):
+    """Make ``cpus`` every thread's affinity mask, which then cannot be set."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: None, raising=False)
+
+
+def thread_starts(monkeypatch):
+    """The list that each thread started from now on appends itself to."""
+    starts, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: starts.append(self) or start(self))
+    return starts
 
 
 def sorted_pairing(rng, degrees):
@@ -201,16 +215,90 @@ class TestNetworkBuild:
         for count, p in observed:
             assert abs(count - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
 
-    def test_poisson_build_starts_no_thread(self, monkeypatch):
-        # With 4-stub blocks any key pairing would split into threads.
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        # With 4-stub blocks every build's two-thread work splits, unless
+        # the affinity mask holds one CPU.
         monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
-        run, staged = simulate._on_two_threads, []
-        monkeypatch.setattr(simulate, "_on_two_threads",
-                            lambda f, *args: staged.append(f) or run(f, *args))
-        build_configuration_network(Poisson(5.0), 500, np.random.default_rng(0))
-        assert staged == []
-        build_configuration_network(Zipf(2.3), 500, np.random.default_rng(0))
-        assert staged  # the key pairing does split
+        starts = thread_starts(monkeypatch)
+        for dist in (Poisson(5.0), Degenerate(5), Zipf(2.3)):
+            for mask in ({0, 1}, {3}):
+                affinity_mask(monkeypatch, mask)
+                starts.clear()
+                build_configuration_network(dist, 500, np.random.default_rng(0))
+                assert bool(starts) == (len(mask) == 2), (dist, mask)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937], ids=lambda x: x.__name__)
+    @pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
+    def test_poisson_build_equals_one_draw_and_count(self, bit_generator, pending, monkeypatch):
+        # The owners drawn block by block on a worker, stage by stage,
+        # equal one draw of all of them, the degrees their count, and the
+        # generator goes on as after that one draw.  4-stub blocks and
+        # totals of 0 to about 80 put block and stage edges everywhere.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        affinity_mask(monkeypatch, {0, 1})
+        starts, totals, n = thread_starts(monkeypatch), [], 7
+        for seed, lam in itertools.product(range(8), (0.1, 0.5, 2.0, 9.0)):
+            ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+            if pending:
+                for gen in (ours, theirs):
+                    gen.integers(0, 5, dtype=np.uint32)
+                assert ours.bit_generator.state.get("has_uint32", 1) == 1  # MT19937 keeps none
+            net = build_configuration_network(Poisson(lam), n, ours)
+            total = 1
+            while total % 2:
+                total = int(theirs.poisson(n * lam))
+            stubs = theirs.integers(0, n, size=total, dtype=np.int64)
+            totals.append(total)
+            assert np.array_equal(net.stubs, stubs)
+            assert np.array_equal(net.degrees, np.bincount(stubs, minlength=n))
+            assert ours.random() == theirs.random()
+            # A 32-bit draw takes the pending half first, if there is one.
+            assert ours.integers(0, 1 << 32, dtype=np.uint32) == theirs.integers(
+                0, 1 << 32, dtype=np.uint32)
+        # Totals of up to two blocks are drawn in one call, none at all
+        # included; past that, stages of at least a block; past 8 blocks,
+        # 8 stages, which are whole blocks only if the total is a multiple
+        # of 32.
+        assert 0 in totals and any(0 < t <= 8 for t in totals)
+        assert any(8 < t < 32 for t in totals) and any(t > 32 and t % 32 for t in totals)
+        assert starts
+
+    def test_failed_owner_draw_reaches_the_caller(self, monkeypatch):
+        # The count of a staged draw that fails on its worker stops
+        # waiting, and the draw's error, not a hang, reaches the caller.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        affinity_mask(monkeypatch, {0, 1})
+
+        class FailingDraw:
+            def __init__(self):
+                self._rng, self.calls = np.random.default_rng(0), 0
+
+            def poisson(self, lam):
+                return self._rng.poisson(lam)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 5:  # the second stage's first block
+                    raise MemoryError("owner draw")
+                return self._rng.integers(*args, **kwargs)
+
+        errors = []
+
+        def build():
+            try:
+                simulate._poisson_network(FailingDraw(), 50, 2.0)
+            except MemoryError as exc:
+                errors.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=build, daemon=True)
+        caller.start()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in errors] == ["owner draw"]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
                              ids=["random-keys", "tied-keys"])
@@ -447,7 +535,8 @@ class TestDegreeConditionalUnemployment:
 
 
 class TestTwoThreads:
-    def test_worker_error_reaches_the_caller(self):
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        affinity_mask(monkeypatch, {0, 1})
         ran = []
 
         def half(fail):
@@ -461,7 +550,8 @@ class TestTwoThreads:
         assert len(set(ran)) == 2  # the worker and this thread
         assert threading.active_count() == before
 
-    def test_caller_error_waits_for_the_worker(self):
+    def test_caller_error_waits_for_the_worker(self, monkeypatch):
+        affinity_mask(monkeypatch, {0, 1})
         finished = []
 
         def half(fail):
@@ -475,3 +565,50 @@ class TestTwoThreads:
             simulate._on_two_threads(half, (False,), (True,), simulate._PAIR_BLOCK + 1)
         assert finished  # the worker was joined before the error left
         assert threading.active_count() == before
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="needs an affinity mask of at least two CPUs")
+    def test_halves_run_on_disjoint_cpus(self):
+        masks = {}
+
+        def half(name):
+            masks[name] = (os.sched_getaffinity(0), threading.get_ident())
+
+        simulate._on_two_threads(half, ("worker",), ("caller",), simulate._PAIR_BLOCK + 1)
+        (worker, worker_id), (caller, caller_id) = masks["worker"], masks["caller"]
+        assert worker_id != caller_id == threading.get_ident()
+        assert worker and caller and not worker & caller
+        assert worker | caller == os.sched_getaffinity(0)
+
+    @pytest.mark.parametrize("failing", [None, "worker", "caller"])
+    def test_callers_mask_is_restored(self, failing):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no affinity masks on this platform")
+        before, during = os.sched_getaffinity(0), []
+
+        def half(name):
+            if name == "caller":
+                during.append(os.sched_getaffinity(0))
+            if name == failing:
+                raise RuntimeError(name)
+
+        try:
+            simulate._on_two_threads(half, ("worker",), ("caller",), simulate._PAIR_BLOCK + 1)
+        except RuntimeError as exc:
+            assert str(exc) == failing
+        else:
+            assert failing is None
+        assert during and (during[0] != before) == (len(before) > 1)
+        assert os.sched_getaffinity(0) == before
+
+    def test_one_cpu_runs_both_halves_here(self):
+        if not hasattr(os, "sched_setaffinity"):
+            pytest.skip("no affinity masks on this platform")
+        before, ran = os.sched_getaffinity(0), []
+        os.sched_setaffinity(0, {min(before)})
+        try:
+            simulate._on_two_threads(lambda: ran.append(threading.get_ident()), (), (),
+                                     simulate._PAIR_BLOCK + 1)
+        finally:
+            os.sched_setaffinity(0, before)
+        assert ran == [threading.get_ident()] * 2

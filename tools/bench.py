@@ -6,9 +6,11 @@ root of this checkout, once with ``--trace 0`` and once with
 ``--trace 1``, and writes ``BENCH_<W>.json`` from the records the two
 runs leave in ``perfbench/out/``: the untraced run's end-to-end
 ``metrics``, its ``machine`` (CPU model, ``nproc``, L3, Python and
-numpy), ``ops_per_pass`` and op counts, and the traced run's per-layer
-counts (calls, solves, outer iterations, stubs, bytes), which explain
-the time.  Exits 1 if a run fails or reports a wrong output.
+numpy), ``ops_per_pass``, each op's fastest time in ms in op order
+(``op_fastest_ms``, so a change to one op shows) and op counts, and the
+traced run's per-layer counts (calls, solves, outer iterations, stubs,
+bytes), which explain the time.  Exits 1 if a run fails or reports a
+wrong output.
 Usage: python tools/bench.py [WORKLOAD ...]
 """
 
@@ -46,6 +48,7 @@ if __name__ == "__main__":
             "metrics": plain["metrics"],
             "machine": plain["machine"],
             "ops_per_pass": plain["ops_per_pass"],
+            "op_fastest_ms": plain["op_fastest_ms"],
             "ops": {k: plain["ops"][k] for k in ("attempted", "failed")},
             "per_layer_counts": {k: m["value"] for k, m in traced["metrics"].items()
                                  if m["unit"] in COUNT_UNITS},
