@@ -22,7 +22,10 @@ is informed with probability 1 - (1 - q)^k, q = ``employment_rate *
 informed_given_employed``, and each trial draws that one event.
 Because the contact states are redrawn independently per trial, trials
 are i.i.d. Bernoulli and the reported binomial standard error is exact
-for the network-conditional success rate.
+for the network-conditional success rate.  The trials read the network
+only through the reachable degrees of their focal workers, and their
+order does not matter, so a Poisson estimate draws just those (see
+Poisson networks) while any other law's estimate builds its network.
 
 Poisson networks.  Take i.i.d. Poisson(lam) degrees d_i on n nodes and
 their N stubs in uniform order.  An owner sequence s_1 ... s_N then has
@@ -31,16 +34,18 @@ e^-(n lam) (n lam)^N / N! * n^-N: a Poisson(n lam) stub total with i.i.d.
 uniform owners (the Erdos-Renyi multigraph of the configuration model,
 Newman, Strogatz & Watts 2001, PRE 64 026118).  So a Poisson network
 draws its total, redrawn until it is even, which conditions the degrees
-on an even sum exactly, then that many uniform owners, and counts its
-degrees from them.  Past two blocks of stubs, and with two CPUs in the
-affinity mask (see Threads), a worker thread draws the owners into the
-stub list a block at a time, in up to _STAGES stages of at least a block
-each, while the calling thread counts each stage already drawn; only
-the first stage's draw and the last stage's count do not overlap.
-Successive draws give the same owners, and leave the generator in the
-same state (a pending 32-bit half included), as one draw of them all,
-so a seed gives the same network as one draw and one count, which is
-how a smaller network, or one on one CPU, is built.
+on an even sum exactly, then that many uniform owners in one draw, and
+counts its degrees from them.  Its M = N / 2 edges (stubs 2k and
+2k + 1) are then i.i.d. uniform ordered pairs of nodes, so given a set
+F of m focal workers, f = m / n, an edge has both ends in F with
+probability f^2 and exactly one with 2f(1 - f), and each end in F is
+uniform on F.  A Poisson estimate therefore draws the even total and
+the focal picks, then both ~ Binomial(M, f^2) and one ~ Binomial(M -
+both, 2f / (1 + f)) edges, and one + 2 both uniform ends in F, the first
+2 both in pairs; a pair of equal ends is a self-loop and takes two off
+that worker's count of ends.  That is the law of building the network
+and reading its focal workers, at O(lam t) cost instead of O(lam n),
+with no stub list, no n-long array and no thread.
 
 Stub pairing.  The stubs of any other law's network are put in
 uniformly random order by sorting random 64-bit keys that carry each
@@ -61,23 +66,24 @@ thread in ascending order, so a seed gives the same network bit for bit
 as one draw and one sort on one thread (``tools/mc_diff.py`` compares two
 checkouts' stub lists).
 
-Threads.  Each two-thread step pins its worker to all but the first CPU
-of the calling thread's affinity mask, and the calling thread to the
-first while it runs its half; left to itself, the kernel may start the
-worker on the caller's CPU and keep both there.  With one CPU in the
-mask both halves run in turn on the calling thread and no thread starts.
-The workers write their results only into arrays made on the calling
-thread, and hold temporaries of one chunk or block at a time (the draws
-and owner ids of one node chunk, a block of owners or of one scan),
-since glibc gives each thread its own heap and memory freed there stays
-resident; so a Poisson network's n-long stage counts are made on the
-calling thread.
+Threads.  Only key pairing and the scans run on two threads; a Poisson
+network or estimate starts none.  Each two-thread step pins its worker
+to all but the first CPU of the calling thread's affinity mask, and the
+calling thread to the first while it runs its half; left to itself,
+the kernel may start the worker on the caller's CPU and keep both there.
+With one CPU in the mask both halves run in turn on the calling thread
+and no thread starts.  The workers write their results only into arrays
+made on the calling thread, and hold temporaries of one chunk or block
+at a time (the draws and owner ids of one node chunk, or the buffers of
+one scan), since glibc gives each thread its own heap and memory freed
+there stays resident.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -96,14 +102,10 @@ __all__ = [
 ]
 
 _PARITY_RESAMPLE_LIMIT = 100
-# Stubs per node chunk of keys (on average: a hub's chunk holds more),
-# owners per draw of a Poisson network and pairs per block of the tie and
-# self-loop scans; work whose first half holds at most one block stays on
-# one thread, and so does a Poisson network of at most two blocks.
+# Stubs per node chunk of keys (on average: a hub's chunk holds more) and
+# pairs per block of the tie and self-loop scans; work whose first half
+# holds at most one block stays on one thread.
 _PAIR_BLOCK = 1 << 16
-# Most stages of a Poisson network's owner draw, each at least one block
-# long; each stage is counted while the next is drawn.
-_STAGES = 8
 
 
 @dataclass(frozen=True)
@@ -142,10 +144,9 @@ def build_configuration_network(
     """Uniform stub-matching network of ``n`` nodes with i.i.d. degrees from ``dist``.
 
     A Poisson network is a Poisson(n lam) stub total, redrawn until it
-    is even, with i.i.d. uniform stub owners in draw order, drawn on a
-    worker thread while this one counts them where there is a second
-    CPU (see the module docstring): its degrees are exactly i.i.d.
-    Poisson(lam) conditioned on an even sum.  For other laws, if the
+    is even, with i.i.d. uniform stub owners in draw order (see the
+    module docstring): its degrees are exactly i.i.d. Poisson(lam)
+    conditioned on an even sum.  For other laws, if the
     sampled stub total is odd the last node's degree is resampled (up to
     a bounded number of tries; a degree law with fixed parity, e.g. a
     constant odd degree, gets one extra stub instead), and then the
@@ -165,7 +166,8 @@ def build_configuration_network(
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
     if isinstance(dist, Poisson):
-        return _poisson_network(rng, n, dist.lam)
+        stubs = rng.integers(0, n, size=_even_total(rng, n, dist.lam), dtype=np.int64)
+        return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
     degrees = dist.sample(rng, n).astype(np.int64, copy=False)
     if degrees.sum() % 2 == 1:
         for _ in range(_PARITY_RESAMPLE_LIMIT):
@@ -177,40 +179,31 @@ def build_configuration_network(
     return Network(n=n, degrees=degrees, stubs=_pair_stubs(rng, degrees))
 
 
-def _poisson_network(rng: np.random.Generator, n: int, lam: float) -> Network:
-    """Network of an even Poisson(n lam) total of uniform stub owners, as one draw gives them.
-
-    A worker thread draws the owners stage by stage, a block at a time,
-    into the stub list while this thread counts each stage it has drawn
-    (see the module docstring); with one CPU, or at most two blocks of
-    stubs, this thread draws them in one call and then counts them.
-    """
+def _even_total(rng: np.random.Generator, n: int, lam: float) -> int:
+    """A Poisson(n lam) stub total, redrawn until it is even."""
     while (total := int(rng.poisson(n * lam))) % 2:
-        pass  # an odd total is redrawn
-    if total <= 2 * _PAIR_BLOCK or len(_cpus()) < 2:  # little or no overlap to gain
-        stubs = rng.integers(0, n, size=total, dtype=np.int64)
-        return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
-    # Zeros, not garbage, are what the count reads after a failed draw.
-    stubs, degrees = np.zeros(total, np.int64), np.zeros(n, np.int64)
-    stages = np.array_split(stubs, min(_STAGES, total // _PAIR_BLOCK))  # each at least a block
-    drawn = threading.Semaphore(0)  # released once per stage drawn
+        pass
+    return total
 
-    def draw():
-        try:
-            for stage in stages:
-                for block in np.split(stage, range(_PAIR_BLOCK, stage.size, _PAIR_BLOCK)):
-                    block[...] = rng.integers(0, n, size=block.size, dtype=np.int64)
-                drawn.release()
-        finally:
-            drawn.release(len(stages))  # leave no count waiting, also after a failed draw
 
-    def count():
-        for stage in stages:
-            drawn.acquire()
-            np.add(degrees, np.bincount(stage, minlength=n), out=degrees)
+def _focal_reachable(rng: np.random.Generator, n: int, lam: float, t: int) -> np.ndarray:
+    """Reachable degrees of ``t`` uniform focal workers of a Poisson(lam) network of ``n``.
 
-    _on_two_threads(lambda part: part(), (draw,), (count,), total - stages[0].size)
-    return Network(n=n, degrees=degrees, stubs=stubs)
+    Exactly the law of ``build_configuration_network`` followed by ``t``
+    uniform picks, but drawn from the edge ends in the focal set alone
+    (see the module docstring), ascending by the focal worker's id.
+    """
+    edges = _even_total(rng, n, lam) // 2
+    picks = np.sort(rng.integers(0, n, size=t))
+    slot = np.cumsum(np.diff(picks, prepend=picks[0]) != 0)  # each pick's index in the focal set
+    m = int(slot[-1]) + 1  # f = m / n of the nodes are focal
+    both = int(rng.binomial(edges, (m / n) ** 2))  # edges with both ends in the focal set
+    one = int(rng.binomial(edges - both, 2 * m / (n + m)))  # 2f(1 - f) / (1 - f^2)
+    ends = rng.integers(0, m, size=2 * both + one)  # the first 2 * both pair up
+    reachable = np.bincount(ends, minlength=m)
+    first, second = ends[0:2 * both:2], ends[1:2 * both:2]
+    np.subtract.at(reachable, first[first == second], 2)
+    return reachable[slot]
 
 
 def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
@@ -345,6 +338,9 @@ class SimConfig:
 
     ``employment_rate`` is 1 - u_i for the simulated group;
     ``informed_given_employed`` is P(contact holds info | employed).
+    ValueError unless ``dist`` is a ``DegreeDistribution``, the sizes
+    and seed integers in range and the rates real numbers in [0, 1],
+    which are stored as floats.
     """
 
     dist: DegreeDistribution
@@ -355,6 +351,8 @@ class SimConfig:
     informed_given_employed: float
 
     def __post_init__(self):
+        if not isinstance(self.dist, DegreeDistribution):
+            raise ValueError(f"simulated degree law must be a DegreeDistribution, got {self.dist!r}")
         for name, least in (("n_workers", 2), ("n_trials", 1), ("seed", 0)):
             count = as_count(getattr(self, name), name)
             if count < least:
@@ -362,8 +360,9 @@ class SimConfig:
             object.__setattr__(self, name, count)
         for name in ("employment_rate", "informed_given_employed"):
             val = getattr(self, name)
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val}")
+            if not (isinstance(val, numbers.Real) and 0.0 <= val <= 1.0):
+                raise ValueError(f"{name} must be a real number in [0, 1], got {val!r}")
+            object.__setattr__(self, name, float(val))
 
     @classmethod
     def at_context(
@@ -402,17 +401,20 @@ class ReferralEstimate:
 def estimate_referral_rate(config: SimConfig) -> ReferralEstimate:
     """Empirical referral success frequency with binomial standard error.
 
-    Builds the social network, then runs ``n_trials`` independent focal
+    Builds the social network, or for a Poisson law draws only its focal
+    workers' reachable degrees, then runs ``n_trials`` independent focal
     draws as described in the module docstring.  Raises if the group has
     no unemployed workers to sample (employment_rate == 1).
     """
     if config.employment_rate >= 1.0:
         raise ValueError("no unemployed focal candidates: employment rate is 1")
     rng = np.random.default_rng(config.seed)
-    net = build_configuration_network(config.dist, config.n_workers, rng)
-
-    t = config.n_trials
-    reachable = net.reachable_degrees()[rng.integers(0, net.n, size=t)]
+    n, t = config.n_workers, config.n_trials
+    if isinstance(config.dist, Poisson):
+        reachable = _focal_reachable(rng, n, config.dist.lam, t)
+    else:
+        reachable = build_configuration_network(config.dist, n, rng).reachable_degrees()[
+            rng.integers(0, n, size=t)]
     q = config.employment_rate * config.informed_given_employed
     informed = rng.random(t) < -np.expm1(reachable * math.log1p(-q))
     successes = int(np.count_nonzero(informed))

@@ -6,6 +6,7 @@ import os
 import threading
 import time
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,28 @@ def poisson_network_law(lam, n, most_edges):
             for edge, count in Counter(edges).items():
                 p /= math.factorial(count) * 2 ** (count * (edge[0] == edge[1]))
             law[edges] = p
+    return law
+
+
+def focal_law(lam, n, picks_law, most_edges):
+    """Law of the reachable degrees at sorted focal picks, from the network law.
+
+    ``picks_law`` maps each sorted tuple of focal picks to its
+    probability; the picks are independent of the network.
+    """
+    law = Counter()
+    for edges, p in poisson_network_law(lam, n, most_edges).items():
+        reachable = Counter(x for a, b in edges if a != b for x in (a, b))
+        for picks, q in picks_law.items():
+            law[tuple(reachable[i] for i in picks)] += p * q
+    return law
+
+
+def uniform_picks(n, t):
+    """Each sorted tuple of ``t`` uniform picks from ``n`` nodes with its probability."""
+    law = Counter()
+    for picks in itertools.product(range(n), repeat=t):
+        law[tuple(sorted(picks))] += n**-t
     return law
 
 
@@ -216,11 +239,11 @@ class TestNetworkBuild:
             assert abs(count - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
-        # With 4-stub blocks every build's two-thread work splits, unless
-        # the affinity mask holds one CPU.
+        # With 4-stub blocks every key-paired build's two-thread work
+        # splits, unless the affinity mask holds one CPU.
         monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
         starts = thread_starts(monkeypatch)
-        for dist in (Poisson(5.0), Degenerate(5), Zipf(2.3)):
+        for dist in (Degenerate(5), Zipf(2.3)):
             for mask in ({0, 1}, {3}):
                 affinity_mask(monkeypatch, mask)
                 starts.clear()
@@ -232,10 +255,9 @@ class TestNetworkBuild:
         np.random.MT19937], ids=lambda x: x.__name__)
     @pytest.mark.parametrize("pending", [False, True], ids=["whole", "pending-half"])
     def test_poisson_build_equals_one_draw_and_count(self, bit_generator, pending, monkeypatch):
-        # The owners drawn block by block on a worker, stage by stage,
-        # equal one draw of all of them, the degrees their count, and the
-        # generator goes on as after that one draw.  4-stub blocks and
-        # totals of 0 to about 80 put block and stage edges everywhere.
+        # The owners are one draw of all of them, the degrees their count,
+        # and the generator goes on as after that one draw, on one thread
+        # even where two-thread work would split at 4-stub blocks.
         monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
         affinity_mask(monkeypatch, {0, 1})
         starts, totals, n = thread_starts(monkeypatch), [], 7
@@ -257,48 +279,8 @@ class TestNetworkBuild:
             # A 32-bit draw takes the pending half first, if there is one.
             assert ours.integers(0, 1 << 32, dtype=np.uint32) == theirs.integers(
                 0, 1 << 32, dtype=np.uint32)
-        # Totals of up to two blocks are drawn in one call, none at all
-        # included; past that, stages of at least a block; past 8 blocks,
-        # 8 stages, which are whole blocks only if the total is a multiple
-        # of 32.
-        assert 0 in totals and any(0 < t <= 8 for t in totals)
-        assert any(8 < t < 32 for t in totals) and any(t > 32 and t % 32 for t in totals)
-        assert starts
-
-    def test_failed_owner_draw_reaches_the_caller(self, monkeypatch):
-        # The count of a staged draw that fails on its worker stops
-        # waiting, and the draw's error, not a hang, reaches the caller.
-        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
-        affinity_mask(monkeypatch, {0, 1})
-
-        class FailingDraw:
-            def __init__(self):
-                self._rng, self.calls = np.random.default_rng(0), 0
-
-            def poisson(self, lam):
-                return self._rng.poisson(lam)
-
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                if self.calls == 5:  # the second stage's first block
-                    raise MemoryError("owner draw")
-                return self._rng.integers(*args, **kwargs)
-
-        errors = []
-
-        def build():
-            try:
-                simulate._poisson_network(FailingDraw(), 50, 2.0)
-            except MemoryError as exc:
-                errors.append(exc)
-
-        before = threading.active_count()
-        caller = threading.Thread(target=build, daemon=True)
-        caller.start()
-        caller.join(timeout=10.0)
-        assert not caller.is_alive()
-        assert [str(exc) for exc in errors] == ["owner draw"]
-        assert threading.active_count() == before
+        assert 0 in totals and max(totals) > 32
+        assert not starts
 
     @pytest.mark.parametrize("make_rng", [np.random.default_rng, OneBitKeys],
                              ids=["random-keys", "tied-keys"])
@@ -495,6 +477,19 @@ class TestReferralEstimate:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=-1,
                       employment_rate=0.9, informed_given_employed=0.02)
+        rates = dict(employment_rate=0.9, informed_given_employed=0.02)
+        for dist in ("x", None, Poisson):
+            with pytest.raises(ValueError, match="must be a DegreeDistribution"):
+                SimConfig(dist=dist, n_workers=100, n_trials=10, seed=0, **rates)
+        for name, bad in itertools.product(rates, ("0.5", None, [0.5], 0.5 + 0j, math.nan)):
+            with pytest.raises(ValueError, match=f"{name} must be a real number in"):
+                SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
+                          **{**rates, name: bad})
+        for good in (np.float32(0.5), Fraction(1, 2), 1, True):
+            config = SimConfig(dist=Poisson(5.0), n_workers=100, n_trials=10, seed=0,
+                               employment_rate=good, informed_given_employed=good)
+            assert type(config.employment_rate) is type(config.informed_given_employed) is float
+            assert config.employment_rate == float(good)
         sizes = dict(n_workers=100, n_trials=10, seed=0)
         with pytest.raises(ValueError, match="d_f must be an integer >= 0"):
             SimConfig.at_context(Poisson(5.0), **sizes, **{**CONTEXT, "d_f": 2.5})
@@ -505,6 +500,55 @@ class TestReferralEstimate:
         est = estimate_referral_rate(config_for(Poisson(22.47), n_workers=20_000, n_trials=20_000))
         target = Poisson(22.47).referral_expectation(info_probability_in_context())
         assert abs(est.z_score(target)) < 3.0
+
+
+class TestPoissonFocalWorkers:
+    @pytest.mark.parametrize("n, lam, t, at, seeds", [
+        (3, 1.2, 3, [0, 1, 2], 60_000),
+        (2, 3.0, 64, [0, 63], 20_000),
+        (3, 2.0, 1, [0], 20_000),
+    ], ids=["three-of-three", "every-node-focal-n2", "one-focal-worker"])
+    def test_focal_degrees_have_the_network_law(self, n, lam, t, at, seeds):
+        # The Poisson estimate's reachable degrees at its sorted focal
+        # picks (those at positions ``at``) against those of the
+        # enumerated configuration-model network (the builder's law) with
+        # the same uniform picks: each cell expected at least 5 times on
+        # its own, the rest pooled.  64 picks of 2 nodes take both but
+        # for 2^-63, so f = 1 there, and the first and last sorted picks
+        # are nodes 0 and 1; 1 pick gives one focal worker.
+        picks = uniform_picks(n, t) if len(at) == t else {(0, n - 1): 1.0}
+        law = focal_law(lam, n, picks, 9)
+        rng = np.random.default_rng(5)
+        counts = Counter(tuple(simulate._focal_reachable(rng, n, lam, t)[at].tolist())
+                         for _ in range(seeds))
+        checked = {cell: p for cell, p in law.items() if seeds * p >= 5.0}
+        assert len(checked) >= 5
+        observed = [(counts[cell], p) for cell, p in checked.items()]
+        observed.append((seeds - sum(counts[cell] for cell in checked), 1.0 - sum(checked.values())))
+        for count, p in observed:
+            assert abs(count - seeds * p) < 5.0 * math.sqrt(seeds * p * (1.0 - p)), (count, p)
+
+    def test_estimate_starts_no_thread_and_ignores_the_mask(self, monkeypatch):
+        # With 4-stub blocks any two-thread work would split; a Poisson
+        # estimate has none, so one and two CPUs give the same bits.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        starts, estimates = thread_starts(monkeypatch), []
+        for mask in ({0, 1}, {3}):
+            affinity_mask(monkeypatch, mask)
+            estimates.append(estimate_referral_rate(
+                config_for(Poisson(22.47), n_workers=20_000, n_trials=5_000)))
+        assert not starts
+        assert estimates[0] == estimates[1]
+
+    def test_billion_workers_in_under_a_second(self):
+        # A network would hold about 2.2e10 stubs; the estimate reads only
+        # the ends at its 10^4 focal workers.
+        config = config_for(Poisson(22.47), n_workers=10**9, n_trials=10_000)
+        start = time.perf_counter()
+        est = estimate_referral_rate(config)
+        assert time.perf_counter() - start < 1.0
+        target = Poisson(22.47).referral_expectation(info_probability_in_context())
+        assert abs(est.z_score(target)) < 5.0
 
 
 class TestDegreeConditionalUnemployment:

@@ -15,9 +15,11 @@ seeds' networks, and the mean and variance of the degrees pooled over
 all the seeds' nodes next to the law's own (lam and lam for Poisson, k
 and 0 for regular, the mean and inf for Zipf); then how many seeds give
 the same estimate and the same stub list (by SHA-256) bit for bit on
-both sides (all of them when a change keeps every draw).  Exits 1 if a
-family's mean z differs between the sides by more than 4 standard
-errors.
+both sides (all of them when a change keeps every draw).  The network
+columns are printed only for a side whose estimates build a network: a
+Poisson estimate that draws only its focal workers' degrees builds
+none, and its stub lists are then not compared.  Exits 1 if a family's
+mean z differs between the sides by more than 4 standard errors.
 Usage: python tools/mc_diff.py CHECKOUT
 """
 
@@ -34,7 +36,7 @@ LIMIT = 4.0
 
 
 def emit() -> None:
-    """Child side: one JSON line per family: estimates, stub hashes, z, loops, degree moments."""
+    """Child side: one JSON line per family: estimates, z and, where built, the network columns."""
     import numpy as np
 
     import refmatch as rm
@@ -69,6 +71,8 @@ def emit() -> None:
             est = estimate_referral_rate(config)
             estimates.append(est.estimate)
             z.append(est.z_score(target))
+            if not built:  # this estimate built no network
+                continue
             net = built.pop()  # the estimator's network
             hashes.append(hashlib.sha256(net.stubs.tobytes()).hexdigest())
             reachable = net.reachable_degrees()
@@ -79,15 +83,16 @@ def emit() -> None:
             nodes += degrees.size
             degree_sum += float(degrees.sum())
             square_sum += float(np.dot(degrees, degrees))
-        mean = degree_sum / nodes
-        # A Zipf law of mean above zeta(2) / zeta(3) = 1.37 has alpha < 3.
-        law_var = {"poisson": dist.mean(), "regular": 0.0, "zipf": math.inf}[fam]
-        print(json.dumps({"family": fam, "estimates": estimates, "hashes": hashes,
-                          "mean_z": float(np.mean(z)), "sd_z": float(np.std(z, ddof=1)),
-                          "net_z": float(np.mean(net_z)), "loops": float(np.mean(loops)),
-                          "deg_mean": mean, "deg_var": square_sum / nodes - mean**2,
-                          "law_mean": dist.mean(), "law_var": law_var}),
-              flush=True)
+        row = {"family": fam, "estimates": estimates, "hashes": hashes,
+               "mean_z": float(np.mean(z)), "sd_z": float(np.std(z, ddof=1)),
+               "law_mean": dist.mean()}
+        if nodes:
+            mean = degree_sum / nodes
+            # A Zipf law of mean above zeta(2) / zeta(3) = 1.37 has alpha < 3.
+            law_var = {"poisson": dist.mean(), "regular": 0.0, "zipf": math.inf}[fam]
+            row.update(net_z=float(np.mean(net_z)), loops=float(np.mean(loops)),
+                       deg_mean=mean, deg_var=square_sum / nodes - mean**2, law_var=law_var)
+        print(json.dumps(row), flush=True)
 
 
 def run_in(root: Path) -> list[dict]:
@@ -111,9 +116,10 @@ if __name__ == "__main__":
     differing = 0
     for a, b in zip(ours, theirs):
         for side, row in (("this", a), ("CHECKOUT", b)):
-            print(f"{row['family']:<8} {side:<9} {row['mean_z']:>+8.3f} {row['sd_z']:>7.3f}"
-                  f" {row['net_z']:>+8.3f} {row['loops']:>11.3e} {row['deg_mean']:>9.4f}"
-                  f" {row['law_mean']:>9.4f} {row['deg_var']:>10.4f} {row['law_var']:>9.4f}")
+            network = (f" {row['net_z']:>+8.3f} {row['loops']:>11.3e} {row['deg_mean']:>9.4f}"
+                       f" {row['law_mean']:>9.4f} {row['deg_var']:>10.4f} {row['law_var']:>9.4f}"
+                       if "net_z" in row else "  (no network built)")
+            print(f"{row['family']:<8} {side:<9} {row['mean_z']:>+8.3f} {row['sd_z']:>7.3f}{network}")
         se = math.hypot(a["sd_z"], b["sd_z"]) / math.sqrt(SEEDS)
         gap = (a["mean_z"] - b["mean_z"]) / se
         differing += abs(gap) > LIMIT
@@ -121,7 +127,7 @@ if __name__ == "__main__":
     print(f"{differing} of {len(ours)} families differ")
     for a, b in zip(ours, theirs):
         same = sum(x == y for x, y in zip(a["estimates"], b["estimates"]))
-        nets = sum(x == y for x, y in zip(a["hashes"], b["hashes"]))
-        print(f"{a['family']:<8} {same} of {SEEDS} seeds give the same estimate and {nets} the"
-              f" same stub list bit for bit")
+        nets = (f" and {sum(x == y for x, y in zip(a['hashes'], b['hashes']))} the same stub list"
+                if a["hashes"] and b["hashes"] else "")
+        print(f"{a['family']:<8} {same} of {SEEDS} seeds give the same estimate{nets} bit for bit")
     sys.exit(1 if differing else 0)
