@@ -272,10 +272,10 @@ def _cmd_simulate(args, out) -> int:
                 dist, u_i=g.u, u=baseline.u, v=baseline.v, phi=params.phi,
                 d_f=params.d_f, n_workers=args.workers, n_trials=args.trials, seed=args.seed,
             )
+            est = estimate_referral_rate(config)
         except ValueError as exc:
             raise ConfigError(f"invalid simulation settings: {exc}") from exc
         target = dist.referral_expectation(g.P)
-        est = estimate_referral_rate(config)
         print(
             f"{fam}: estimate = {est.estimate:.6f} +- {est.std_error:.6f}  "
             f"mean-field = {target:.6f}  z = {est.z_score(target):+.2f}",

@@ -366,7 +366,27 @@ class Zipf(DegreeDistribution):
         return k ** (1.0 - alpha) * e + math.exp(-z) * k**-alpha * (0.5 + (mu + alpha / k) / 12.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.zipf(self.alpha, size).astype(np.int64, copy=False)
+        """Devroye's rejection sampler (1986, section X.6), the one ``rng.zipf`` runs, on arrays.
+
+        X = floor(U^(-1/(alpha-1))), U uniform on (0, 1], is kept where
+        V X (T - 1) / (b - 1) <= T / b, with V uniform on [0, 1),
+        T = (1 + 1/X)^(alpha-1) and b = 2^(alpha-1).  Each round draws U for
+        every degree still missing, then V, and keeps the X it accepts, in
+        order.  U is at least 2^-53, so X is at most 2^53 (alpha > 2), as in
+        ``rng.zipf``; from alpha = 1025 on, where b overflows, every degree is
+        1, as there (P(X > 1) < 3e-309).
+        """
+        degrees, done = np.ones(size, np.int64), 0
+        am1 = float(self.alpha) - 1.0
+        b = 2.0**am1 if am1 < 1024.0 else math.inf
+        while done < size and b < math.inf:
+            x = 1.0 - rng.random(size - done)
+            x = np.floor(np.exp(np.log(x, out=x) / -am1, out=x), out=x)
+            t = np.exp(am1 * np.log1p(1.0 / x))
+            kept = x[rng.random(x.size) * x * (t - 1.0) / (b - 1.0) <= t / b]
+            degrees[done:done + kept.size] = kept
+            done += kept.size
+        return degrees
 
 
 def zipf_alpha_for_mean(target_mean: float) -> float:

@@ -1,7 +1,7 @@
 """Monte Carlo cross-validation of the mean-field referral formulas.
 
-An explicit configuration-model social network is built from sampled
-degrees, then a snapshot experiment estimates the probability that an
+A configuration-model social network with sampled degrees is drawn,
+then a snapshot experiment estimates the probability that an
 unemployed worker obtains vacancy information through at least one
 contact.  The estimate is compared against the closed-form
 ``referral_expectation`` of the same degree law.
@@ -24,8 +24,28 @@ Because the contact states are redrawn independently per trial, trials
 are i.i.d. Bernoulli and the reported binomial standard error is exact
 for the network-conditional success rate.  The trials read the network
 only through the reachable degrees of their focal workers, and their
-order does not matter, so a Poisson estimate draws just those (see
-Poisson networks) while any other law's estimate builds its network.
+order does not matter, so an estimate draws just those, from the
+focal workers' stubs alone (see Focal stubs), and builds no network.
+
+Even totals.  The degrees are i.i.d. conditioned on an even sum,
+exactly, by one rule for the builder and the estimate.  A Poisson law
+redraws its stub total (see Poisson networks).  A regular law has a
+fixed parity: where n k is odd the last node gets one extra stub.  A
+Zipf law draws all n degrees, keeps the first n - B (B = 64, or n if
+smaller) with probability Q(p) / max(Q(0), Q(1)), where p is the
+parity the last B must sum to for an even total and Q(p) = (1 + (-1)^p
+(2^(1 - alpha) - 1)^B) / 2 the probability that B degrees sum to parity
+p (P(d even) = 2^-alpha), else draws all n again, then redraws the last
+B until the total is even.  The kept degrees then have the law of the
+first n - B given an even total, and the last B that of B degrees
+given their parity, so the sequence is exact; a Zipf(2.028) sequence
+keeps its first draw but for a chance of 2e-19.  Any other law
+redraws all n degrees until their sum is even.  A law that keeps no
+sequence in 100 draws raises ValueError; that takes a sum that is
+almost never even, as for Zipf(20) on 1,001 nodes, whose degrees are
+odd but for one in 10^6.  (Resampling only the last degree, the old rule, weighs each
+sequence by 1 / P(that degree has the parity needed), which is biased
+wherever P(d even) is not 1/2: for Zipf(2.028) it is 0.245.)
 
 Poisson networks.  Take i.i.d. Poisson(lam) degrees d_i on n nodes and
 their N stubs in uniform order.  An owner sequence s_1 ... s_N then has
@@ -36,46 +56,65 @@ Newman, Strogatz & Watts 2001, PRE 64 026118).  So a Poisson network
 draws its total, redrawn until it is even, which conditions the degrees
 on an even sum exactly, then that many uniform owners in one draw, and
 counts its degrees from them.  Its M = N / 2 edges (stubs 2k and
-2k + 1) are then i.i.d. uniform ordered pairs of nodes, so given a set
-F of m focal workers, f = m / n, an edge has both ends in F with
-probability f^2 and exactly one with 2f(1 - f), and each end in F is
-uniform on F.  A Poisson estimate therefore draws the even total and
-the focal picks, then both ~ Binomial(M, f^2) and one ~ Binomial(M -
-both, 2f / (1 + f)) edges, and one + 2 both uniform ends in F, the first
-2 both in pairs; a pair of equal ends is a self-loop and takes two off
-that worker's count of ends.  That is the law of building the network
-and reading its focal workers, at O(lam t) cost instead of O(lam n),
-with no stub list, no n-long array and no thread.
+2k + 1) are then i.i.d. uniform ordered pairs of nodes.
 
-Stub pairing.  The stubs of any other law's network are put in
-uniformly random order by sorting random 64-bit keys that carry each
-stub's owner in their low bits, with every run of tied random bits put
-in random order; edge k joins stubs 2k and 2k + 1, as in a Poisson
-network.  The keys are drawn and given their owners node chunk by
-node chunk.  On a PCG64 or PCG64DXSM generator, whose ``advance(k)``
-skips k 64-bit draws, the chunks before the one holding the middle stub
-are drawn on the calling thread and the rest on a worker thread, by a
-copy of the generator advanced to their first stub; the generator then
-takes the state one draw of all the keys leaves, pending 32-bit half
-included.  Other generators draw every chunk in turn on the calling
-thread.  The keys are then split in place at their median; each half
-is sorted, scanned for ties and masked on a thread of its own, and
-``Network.reachable_degrees`` scans the two halves of any network's
-edge list the same way.  The tie runs are shuffled on the calling
-thread in ascending order, so a seed gives the same network bit for bit
-as one draw and one sort on one thread (``tools/mc_diff.py`` compares two
-checkouts' stub lists).
+Focal stubs.  Take a uniform matching of N stubs, and the S stubs of a
+set F of m focal workers.  The number b of edges with both ends among
+the focal stubs has P(b + 1) / P(b) = (S - 2b)(S - 2b - 1) / ((2b + 2)
+(N - 2S + 2b + 2)); given b, the focal stubs in uniform order pair
+their first 2b, and a worker's reachable degree is its degree less
+two per pair of its own stubs.  An estimate draws the degrees (regular
+and Zipf: all n, as the builder does, but no stub list; Poisson: only
+the even total N), then the t uniform picks, which give F, then b and
+the focal stubs' order:
+- Regular and Zipf: S is the focal workers' degree sum.  b is two
+  hypergeometric draws: with the stubs in uniform order, the focal ones
+  take x ~ Hypergeometric of the M even places (edge k's first end) and
+  S - x of the M odd ones, each a uniform set, so b, the odd places
+  whose edge's even place is focal, is Hypergeometric(M; x, S - x).
+  numpy draws these for M < 10^9 only.  The focal stubs are put in
+  uniform order by the stub pairing below, over the m focal workers.
+- Poisson: its edges are i.i.d. uniform pairs of nodes, so with
+  f = m / n, b ~ Binomial(M, f^2) edges have both ends in F and
+  one ~ Binomial(M - b, 2f / (1 + f)) exactly one, S = 2b + one, and
+  the focal stubs' owners are i.i.d. uniform on F, so their draw order
+  is already uniform and they need no sort.
+That is the law of building the network and reading its focal
+workers, at a cost set by t and the degree law, not n: no estimate
+holds all N stubs, and a Poisson one not even an n-long array.  An
+estimate whose focal stubs would take more than ``_FOCAL_STUB_BYTES``
+(1 GiB, 8 bytes a stub) raises ValueError naming their count before it
+draws them; a focal Zipf hub can ask for that many.
 
-Threads.  Only key pairing and the scans run on two threads; a Poisson
-network or estimate starts none.  Each two-thread step pins its worker
-to all but the first CPU of the calling thread's affinity mask, and the
-calling thread to the first while it runs its half; left to itself,
-the kernel may start the worker on the caller's CPU and keep both there.
-With one CPU in the mask both halves run in turn on the calling thread
-and no thread starts.  The workers write their results only into arrays
-made on the calling thread, and hold temporaries of one chunk or block
-at a time (the draws and owner ids of one node chunk, or the buffers of
-one scan), since glibc gives each thread its own heap and memory freed
+Stub pairing.  The stubs of any other law's network, and the focal
+stubs of its estimate, are put in uniformly random order by sorting
+random 64-bit keys that carry each stub's owner in their low bits, with
+every run of tied random bits put in random order; edge k joins stubs
+2k and 2k + 1, as in a Poisson network.  The keys are drawn and given
+their owners node chunk by node chunk.  On a PCG64 or PCG64DXSM
+generator, whose ``advance(k)`` skips k 64-bit draws, the chunks before
+the one holding the middle stub are drawn on the calling thread and the
+rest on a worker thread, by a copy of the generator advanced to their
+first stub; the generator then takes the state one draw of all the
+keys leaves, pending 32-bit half included.  Other generators draw every
+chunk in turn on the calling thread.  The keys are then split in place
+at their median; each half is sorted, scanned for ties and masked on a
+thread of its own.  The tie runs are shuffled on the calling thread in
+ascending order, so a seed gives the same order bit for bit as one
+draw and one sort on one thread (``tools/mc_diff.py`` compares two
+checkouts' estimates).
+
+Threads.  Only the key pairing of a regular or Zipf network or
+estimate runs on two threads; a Poisson network or estimate starts
+none.  Each two-thread step pins its worker to all but the first CPU
+of the calling thread's affinity mask, and the calling thread to the
+first while it runs its half; left to itself, the kernel may start the
+worker on the caller's CPU and keep both there.  With one CPU in the
+mask both halves run in turn on the calling thread and no thread
+starts.  The workers write their results only into arrays made on the
+calling thread, and hold temporaries of one chunk or block at a time
+(the draws and owner ids of one node chunk, or the buffers of one
+scan), since glibc gives each thread its own heap and memory freed
 there stays resident.
 """
 
@@ -90,21 +129,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import DegreeDistribution, Poisson, as_count
+from .degree import Degenerate, DegreeDistribution, Poisson, Zipf, as_count
 from .model import contact_reach
 
-__all__ = [
-    "Network",
-    "SimConfig",
-    "ReferralEstimate",
-    "build_configuration_network",
-    "estimate_referral_rate",
-]
+__all__ = ["Network", "SimConfig", "ReferralEstimate", "build_configuration_network",
+           "estimate_referral_rate"]
 
+# A Zipf law redraws its last _PARITY_BLOCK degrees for an even total;
+# a law that keeps no degrees in _PARITY_RESAMPLE_LIMIT draws raises.
+_PARITY_BLOCK = 64
 _PARITY_RESAMPLE_LIMIT = 100
+# An estimate's focal stubs take 8 bytes each, at most this many in all.
+_FOCAL_STUB_BYTES = 1 << 30
 # Stubs per node chunk of keys (on average: a hub's chunk holds more) and
-# pairs per block of the tie and self-loop scans; work whose first half
-# holds at most one block stays on one thread.
+# keys per block of the tie scan; work whose first half holds at most one
+# block stays on one thread.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -131,32 +170,23 @@ class Network:
 
         A node's degree minus two per self-loop at it.
         """
-        ends = self.stubs[0::2]
-        loops = _near_pairs(ends.view(np.uint64), self.stubs[1::2].view(np.uint64), np.uint64(0))
-        reachable = self.degrees.copy()
-        np.subtract.at(reachable, ends[loops], 2)
-        return reachable
+        return _less_loops(self.degrees.copy(), self.stubs)
 
 
-def build_configuration_network(
-    dist: DegreeDistribution, n: int, rng: np.random.Generator
-) -> Network:
+def build_configuration_network(dist: DegreeDistribution, n: int,
+                                rng: np.random.Generator) -> Network:
     """Uniform stub-matching network of ``n`` nodes with i.i.d. degrees from ``dist``.
 
-    A Poisson network is a Poisson(n lam) stub total, redrawn until it
-    is even, with i.i.d. uniform stub owners in draw order (see the
-    module docstring): its degrees are exactly i.i.d. Poisson(lam)
-    conditioned on an even sum.  For other laws, if the
-    sampled stub total is odd the last node's degree is resampled (up to
-    a bounded number of tries; a degree law with fixed parity, e.g. a
-    constant odd degree, gets one extra stub instead), and then the
-    random keys that pair the stubs are drawn.  Self-loops and parallel
-    edges are kept: they vanish asymptotically and removing them would
-    distort the degree sequence.
+    The degrees are conditioned on an even sum exactly, by the rule in
+    the module docstring: a Poisson network is a Poisson(n lam) stub
+    total, redrawn until it is even, of i.i.d. uniform stub owners in
+    draw order; other laws draw their degrees and pair the stubs by
+    random keys.  Self-loops and parallel edges are kept: they vanish
+    asymptotically and removing them would distort the degree sequence.
 
     Everything is drawn from ``rng``.  ValueError unless ``dist`` is a
     ``DegreeDistribution``, ``n`` an integer >= 2 and ``rng`` a
-    ``numpy.random.Generator``.
+    ``numpy.random.Generator``, or if the law gives no even total.
     """
     if not isinstance(dist, DegreeDistribution):
         raise ValueError(f"network degree law must be a DegreeDistribution, got {dist!r}")
@@ -168,14 +198,7 @@ def build_configuration_network(
     if isinstance(dist, Poisson):
         stubs = rng.integers(0, n, size=_even_total(rng, n, dist.lam), dtype=np.int64)
         return Network(n=n, degrees=np.bincount(stubs, minlength=n), stubs=stubs)
-    degrees = dist.sample(rng, n).astype(np.int64, copy=False)
-    if degrees.sum() % 2 == 1:
-        for _ in range(_PARITY_RESAMPLE_LIMIT):
-            degrees[-1] = int(dist.sample(rng, 1)[0])
-            if degrees.sum() % 2 == 0:
-                break
-        else:
-            degrees[-1] += 1
+    degrees = _even_degrees(dist, n, rng)
     return Network(n=n, degrees=degrees, stubs=_pair_stubs(rng, degrees))
 
 
@@ -186,24 +209,79 @@ def _even_total(rng: np.random.Generator, n: int, lam: float) -> int:
     return total
 
 
-def _focal_reachable(rng: np.random.Generator, n: int, lam: float, t: int) -> np.ndarray:
-    """Reachable degrees of ``t`` uniform focal workers of a Poisson(lam) network of ``n``.
+def _even_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` i.i.d. degrees from ``dist`` conditioned on an even sum (see the module docstring)."""
+    degrees = dist.sample(rng, n)
+    if isinstance(dist, Degenerate):  # fixed parity: one extra stub on the last node
+        degrees[-1] += degrees.sum() % 2
+        return degrees
+    block = min(_PARITY_BLOCK, n) if isinstance(dist, Zipf) else 0
+    # The block's sum is even with probability (1 + bias) / 2, as P(d even) = 2^-alpha;
+    # any other law has no block and keeps only an even sum.
+    bias = (2.0 ** (1.0 - dist.alpha) - 1.0) ** block if block else 1.0
+    for _ in range(_PARITY_RESAMPLE_LIMIT):
+        need = int(degrees[:n - block].sum()) % 2  # the parity the block's sum must have
+        # Keep the rest with probability P(the block's sum has parity need) / the larger one.
+        if block == n or rng.random() * (1.0 + abs(bias)) < 1.0 + bias - 2.0 * bias * need:
+            break
+        degrees = dist.sample(rng, n)
+    else:
+        raise ValueError(f"{dist!r} gave no even stub total on {n} nodes")
+    while int(degrees[n - block:].sum()) % 2 != need:
+        degrees[n - block:] = dist.sample(rng, block)
+    return degrees
 
-    Exactly the law of ``build_configuration_network`` followed by ``t``
-    uniform picks, but drawn from the edge ends in the focal set alone
-    (see the module docstring), ascending by the focal worker's id.
+
+def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
+                     t: int) -> np.ndarray:
+    """Reachable degrees at ``t`` uniform picks from a network of ``n`` nodes with law ``dist``.
+
+    Exactly the law of ``build_configuration_network`` followed by the
+    picks, but drawn from the focal workers' stubs alone (see the module
+    docstring), in ascending order of the picked worker's id.
+    ValueError if the focal stubs pass ``_FOCAL_STUB_BYTES``, or if a
+    regular or Zipf network has 10^9 edges or more (the most numpy's
+    hypergeometric draw takes).
     """
-    edges = _even_total(rng, n, lam) // 2
+    poisson = isinstance(dist, Poisson)
+    degrees = None if poisson else _even_degrees(dist, n, rng)
+    total = _even_total(rng, n, dist.lam) if poisson else int(degrees.sum())
     picks = np.sort(rng.integers(0, n, size=t))
-    slot = np.cumsum(np.diff(picks, prepend=picks[0]) != 0)  # each pick's index in the focal set
+    first = np.diff(picks, prepend=-1) != 0  # a focal worker's first pick
+    slot = np.cumsum(first) - 1  # each pick's index in the focal set
     m = int(slot[-1]) + 1  # f = m / n of the nodes are focal
-    both = int(rng.binomial(edges, (m / n) ** 2))  # edges with both ends in the focal set
-    one = int(rng.binomial(edges - both, 2 * m / (n + m)))  # 2f(1 - f) / (1 - f^2)
-    ends = rng.integers(0, m, size=2 * both + one)  # the first 2 * both pair up
-    reachable = np.bincount(ends, minlength=m)
-    first, second = ends[0:2 * both:2], ends[1:2 * both:2]
+    if poisson:  # edges with both ends in the focal set, then with one: 2f(1 - f) / (1 - f^2)
+        pairs = int(rng.binomial(total // 2, (m / n) ** 2))
+        stubs = 2 * pairs + int(rng.binomial(total // 2 - pairs, 2 * m / (n + m)))
+    else:
+        reachable = degrees[picks[first]]
+        stubs = int(reachable.sum())
+        pairs = int(_focal_pairs(rng, stubs, total))
+    if 8 * stubs > _FOCAL_STUB_BYTES:
+        raise ValueError(f"{stubs} focal stubs need more than the {_FOCAL_STUB_BYTES}-byte budget")
+    # Poisson: i.i.d. uniform ends in the focal set, so in uniform order already.
+    ends = rng.integers(0, m, size=stubs) if poisson else _pair_stubs(rng, reachable)
+    reachable = np.bincount(ends, minlength=m) if poisson else reachable
+    return _less_loops(reachable, ends[:2 * pairs])[slot]
+
+
+def _focal_pairs(rng: np.random.Generator, stubs, total):
+    """Edges with both ends among ``stubs`` of ``total`` uniformly matched stubs (arrays too).
+
+    The stubs in uniform order, edge k joining places 2k and 2k + 1, put
+    the focal ones at a uniform set of places: x of the M = N / 2 even
+    places, and the rest at a uniform set of odd places, b of which
+    follow a focal even place.
+    """
+    x = rng.hypergeometric(total // 2, total // 2, stubs)
+    return rng.hypergeometric(x, total // 2 - x, stubs - x)
+
+
+def _less_loops(reachable: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """``reachable`` less two per self-loop: equal ends ``ends[2k]`` and ``ends[2k + 1]``."""
+    first, second = ends[0::2], ends[1::2]
     np.subtract.at(reachable, first[first == second], 2)
-    return reachable[slot]
+    return reachable
 
 
 def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
@@ -217,8 +295,7 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
     only stub-length array.
     """
     n, total = degrees.size, int(degrees.sum())
-    bits = (n - 1).bit_length()
-    low = np.uint64((1 << bits) - 1)
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = np.empty(total, np.uint64)
     step = max(1, n * _PAIR_BLOCK // max(total, 1))  # nodes per chunk
     # Chunk c holds the nodes from c * step on and stubs edges[c] to edges[c + 1] - 1.
@@ -282,7 +359,8 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
     are missing, the worker runs unpinned.
     """
     pin = getattr(os, "sched_setaffinity", lambda pid, mask: None)
-    if size <= _PAIR_BLOCK or len(cpus := _cpus()) < 2:
+    mask = getattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two CPUs where there are no masks
+    if size <= _PAIR_BLOCK or len(cpus := sorted(mask(0))) < 2:
         f(*first)
         f(*second)
         return
@@ -305,11 +383,6 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
         worker.join()
     if errors:
         raise errors[0]
-
-
-def _cpus() -> list[int]:
-    """This thread's affinity mask, sorted; two CPUs where there are no masks."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0, 1]
 
 
 def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
@@ -365,19 +438,8 @@ class SimConfig:
             object.__setattr__(self, name, float(val))
 
     @classmethod
-    def at_context(
-        cls,
-        dist: DegreeDistribution,
-        *,
-        u_i: float,
-        u: float,
-        v: float,
-        phi: float,
-        d_f: int,
-        n_workers: int,
-        n_trials: int,
-        seed: int,
-    ) -> "SimConfig":
+    def at_context(cls, dist: DegreeDistribution, *, u_i: float, u: float, v: float, phi: float,
+                   d_f: int, n_workers: int, n_trials: int, seed: int) -> "SimConfig":
         """Build a config from model-level quantities (u_i, u, v, phi, d_f)."""
         reach = contact_reach(phi, as_count(d_f, "job-network degree d_f"), u, v)
         return cls(dist=dist, n_workers=n_workers, n_trials=n_trials, seed=seed,
@@ -401,23 +463,19 @@ class ReferralEstimate:
 def estimate_referral_rate(config: SimConfig) -> ReferralEstimate:
     """Empirical referral success frequency with binomial standard error.
 
-    Builds the social network, or for a Poisson law draws only its focal
-    workers' reachable degrees, then runs ``n_trials`` independent focal
-    draws as described in the module docstring.  Raises if the group has
-    no unemployed workers to sample (employment_rate == 1).
+    Draws the reachable degrees of the trials' focal workers from their
+    stubs alone, then runs ``n_trials`` independent focal draws, as
+    described in the module docstring.  ValueError if the group has no
+    unemployed workers to sample (employment_rate == 1) or the focal
+    stubs pass the memory budget.
     """
     if config.employment_rate >= 1.0:
         raise ValueError("no unemployed focal candidates: employment rate is 1")
     rng = np.random.default_rng(config.seed)
-    n, t = config.n_workers, config.n_trials
-    if isinstance(config.dist, Poisson):
-        reachable = _focal_reachable(rng, n, config.dist.lam, t)
-    else:
-        reachable = build_configuration_network(config.dist, n, rng).reachable_degrees()[
-            rng.integers(0, n, size=t)]
+    t = config.n_trials
+    reachable = _focal_reachable(rng, config.dist, config.n_workers, t)
     q = config.employment_rate * config.informed_given_employed
-    informed = rng.random(t) < -np.expm1(reachable * math.log1p(-q))
-    successes = int(np.count_nonzero(informed))
+    successes = int(np.count_nonzero(rng.random(t) < -np.expm1(reachable * math.log1p(-q))))
     est = successes / t
     se = math.sqrt(est * (1.0 - est) / t)
     return ReferralEstimate(estimate=est, std_error=se, n_trials=t, successes=successes)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from refmatch import (CalibrationTargets, Degenerate, ModelParams, Poisson, SolverConfig, Zipf,
-                      calibration, cli, experiments, solver)
+                      calibration, cli, experiments, simulate, solver)
 from refmatch.calibration import CalibrationError, baseline_groups, calibrate
 from refmatch.cli import (
     EXIT_BAD_CONFIG,
@@ -577,6 +577,16 @@ class TestSimulateCommand:
         assert text == ""
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+
+    def test_focal_stubs_past_the_budget_exit_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * 1_000)
+        code, text = run_cli("simulate", "--family", "regular", "--workers", "2000",
+                             "--trials", "1000")
+        assert code == EXIT_BAD_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid simulation settings: ")
+        assert "focal stubs need more than the 8000-byte budget" in err[0]
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"

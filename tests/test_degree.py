@@ -606,3 +606,25 @@ class TestSampling:
             draws = dist.sample(rng, 1000)
             assert draws.dtype == np.int64
             assert check(draws)
+
+    @pytest.mark.parametrize("alpha", [2.028, 2.3, 5.0])
+    def test_zipf_sample_has_the_zipf_law(self, alpha):
+        # Each degree k expected at least 5 times in the draws is seen
+        # within 5 se of draws * k^-alpha / zeta(alpha) times, and the
+        # degrees past the last such k as often as their pooled mass.
+        draws, norm = 200_000, zeta(alpha)
+        last = int((draws / (5.0 * norm)) ** (1.0 / alpha))  # draws * last^-alpha / zeta >= 5
+        degrees = Zipf(alpha).sample(np.random.default_rng(11), draws)
+        seen = np.bincount(np.minimum(degrees, last + 1), minlength=last + 2)
+        pmf = [k**-alpha / norm for k in range(1, last + 1)]
+        cells = [*zip(seen[1:last + 1], pmf), (seen[last + 1], 1.0 - math.fsum(pmf))]
+        assert seen[0] == 0 and last >= 5
+        for count, p in cells:
+            assert abs(count - draws * p) < 5.0 * math.sqrt(draws * p * (1.0 - p)), (count, p)
+
+    def test_zipf_sample_past_overflow_is_all_ones(self):
+        # From alpha = 1025 on, 2^(alpha - 1) overflows and P(d > 1) < 3e-309.
+        for alpha in (1025.0, 1e6):
+            draws = Zipf(alpha).sample(np.random.default_rng(0), 100)
+            assert draws.dtype == np.int64 and np.all(draws == 1)
+        assert Zipf(2.3).sample(np.random.default_rng(0), 0).size == 0

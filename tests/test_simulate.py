@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refmatch import Degenerate, Poisson, Zipf, simulate
+from refmatch import Degenerate, Poisson, Zipf, degree, simulate
 from refmatch.simulate import SimConfig, build_configuration_network, estimate_referral_rate
 
 # Baseline snapshot context shared by the estimator tests (unemployment,
@@ -82,14 +82,34 @@ def poisson_network_law(lam, n, most_edges):
     return law
 
 
-def focal_law(lam, n, picks_law, most_edges):
+def regular_network_law(k, n):
+    """Every edge multiset of a degree-``k`` network on ``n`` nodes with its probability.
+
+    The last node owns one extra stub where n k is odd, as in the
+    builder, and every perfect matching of the stubs is equally likely.
+    """
+    counts = Counter()
+
+    def match(owners, edges):
+        if not owners:
+            counts[tuple(sorted(edges))] += 1
+        for i in range(1, len(owners)):
+            match(owners[1:i] + owners[i + 1:], edges + [(owners[0], owners[i])])
+
+    match([i for i in range(n) for _ in range(k)] + [n - 1] * (n * k % 2), [])
+    total = sum(counts.values())
+    return {edges: count / total for edges, count in counts.items()}
+
+
+def focal_law(network_law, picks_law):
     """Law of the reachable degrees at sorted focal picks, from the network law.
 
-    ``picks_law`` maps each sorted tuple of focal picks to its
-    probability; the picks are independent of the network.
+    ``network_law`` maps each edge multiset to its probability and
+    ``picks_law`` each sorted tuple of focal picks to its probability;
+    the picks are independent of the network.
     """
     law = Counter()
-    for edges, p in poisson_network_law(lam, n, most_edges).items():
+    for edges, p in network_law.items():
         reachable = Counter(x for a, b in edges if a != b for x in (a, b))
         for picks, q in picks_law.items():
             law[tuple(reachable[i] for i in picks)] += p * q
@@ -102,6 +122,38 @@ def uniform_picks(n, t):
     for picks in itertools.product(range(n), repeat=t):
         law[tuple(sorted(picks))] += n**-t
     return law
+
+
+def assert_cells_match(counts, law, draws):
+    """Each cell of ``law`` expected at least 5 times in ``draws`` within 5 se of its count.
+
+    The cells expected fewer times are pooled into one; returns the
+    number of cells checked on their own.
+    """
+    checked = {cell: p for cell, p in law.items() if draws * p >= 5.0}
+    observed = [(counts[cell], p) for cell, p in checked.items()]
+    observed.append((draws - sum(counts[cell] for cell in checked),
+                     max(0.0, 1.0 - sum(checked.values()))))
+    for count, p in observed:
+        assert abs(count - draws * p) <= 5.0 * math.sqrt(draws * p * (1.0 - p)), (count, p)
+    return len(checked)
+
+
+def assert_same_law(ours, theirs):
+    """Each cell seen at least 10 times in the two samples has proportions within 5 se.
+
+    The se is that of the difference of two proportions, from the
+    pooled one; the cells seen fewer times are pooled into one.
+    """
+    sizes = sum(ours.values()), sum(theirs.values())
+    cells = [cell for cell in ours.keys() | theirs.keys() if ours[cell] + theirs[cell] >= 10]
+    rest = [size - sum(side[cell] for cell in cells) for size, side in zip(sizes, (ours, theirs))]
+    pairs = [(ours[cell], theirs[cell]) for cell in cells] + [tuple(rest)]
+    for a, b in pairs:
+        p = (a + b) / sum(sizes)
+        se = math.sqrt(p * (1.0 - p) * (1.0 / sizes[0] + 1.0 / sizes[1]))
+        assert abs(a / sizes[0] - b / sizes[1]) <= 5.0 * se, (a, b)
+    return len(cells)
 
 
 def affinity_mask(monkeypatch, cpus):
@@ -169,7 +221,7 @@ class TestNetworkBuild:
         assert abs(net.degrees.mean() - lam) < bound
 
     def test_odd_total_resampled_to_even(self):
-        # Poisson redraws its stub total and Zipf the last degree until
+        # Poisson redraws its stub total and Zipf its last degrees until
         # the total is even; a fixed odd degree cannot be fixed by
         # resampling and gets one extra stub
         for dist, seed in itertools.product([Poisson(3.0), Zipf(2.3)], range(6)):
@@ -190,12 +242,19 @@ class TestNetworkBuild:
     def test_pairing_sorts_random_keys_carrying_the_owner_ids(self):
         # A seed's pairing is the owner list ordered by one uniform 64-bit
         # key per stub, drawn right after the degrees, whose low 9 bits
-        # (enough for 300 ids) hold the owner.
+        # (enough for 300 ids) hold the owner.  The degrees are one draw,
+        # whose first n - 64 are kept with probability P(the last 64 sum
+        # to their parity) / the larger of the two, then the last 64
+        # redrawn until the sum is even.
         dist, n, seed = Zipf(2.3), 300, 2
         net = build_configuration_network(dist, n, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        degrees = dist.sample(rng, n)
-        assert degrees.sum() % 2 == 0  # no parity resample draws in between
+        degrees, rest = dist.sample(rng, n), n - simulate._PARITY_BLOCK
+        need = degrees[:rest].sum() % 2
+        bias = (2.0 ** (1.0 - dist.alpha) - 1.0) ** simulate._PARITY_BLOCK
+        assert rng.random() * (1.0 + abs(bias)) < 1.0 + bias - 2.0 * bias * need  # kept
+        while degrees[rest:].sum() % 2 != need:
+            degrees[rest:] = dist.sample(rng, n - rest)
         assert np.array_equal(net.degrees, degrees)
         owners = np.repeat(np.arange(n), degrees)
         keys = rng.integers(0, 2**64, size=owners.size, dtype=np.uint64)
@@ -237,6 +296,27 @@ class TestNetworkBuild:
         observed.append((SEEDS - sum(counts[edges] for edges in checked), rest))
         for count, p in observed:
             assert abs(count - SEEDS * p) < 5.0 * math.sqrt(SEEDS * p * (1.0 - p))
+
+    @pytest.mark.parametrize("block", [None, 1], ids=["whole", "block-1"])
+    def test_zipf_degrees_have_the_even_sum_law(self, block, monkeypatch):
+        # i.i.d. Zipf(2.3) degrees on 3 nodes conditioned on an even sum:
+        # each degree triple expected at least 5 times is checked on its
+        # own, the rest pooled.  With 64-degree blocks all 3 degrees are
+        # redrawn; with 1-degree blocks the first two are kept with the
+        # parity weight.  Resampling only the last degree would give
+        # (1, 1, 2) 0.340, not 0.175.
+        if block:
+            monkeypatch.setattr(simulate, "_PARITY_BLOCK", block)
+        dist, draws = Zipf(2.3), 10_000
+        rng = np.random.default_rng(8)
+        counts = Counter(tuple(simulate._even_degrees(dist, 3, rng).tolist())
+                         for _ in range(draws))
+        pmf = [0.0] + [k**-dist.alpha / degree.zeta(dist.alpha) for k in range(1, 40)]
+        even = (1.0 + (2.0 ** (1.0 - dist.alpha) - 1.0) ** 3) / 2.0
+        law = {d: pmf[d[0]] * pmf[d[1]] * pmf[d[2]] / even
+               for d in itertools.product(range(1, 40), repeat=3) if sum(d) % 2 == 0}
+        assert all(sum(d) % 2 == 0 for d in counts)
+        assert assert_cells_match(counts, law, draws) > 10
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         # With 4-stub blocks every key-paired build's two-thread work
@@ -403,7 +483,7 @@ class TestReferralEstimate:
         assert est.estimate == 0.0
         assert est.std_error == 0.0
 
-    def test_network_conditional_exactness_with_self_loops(self):
+    def test_network_conditional_exactness_with_self_loops(self, monkeypatch):
         # A configuration network of degree-k nodes has (k - 1) / 2
         # self-loops on average, whatever its size, so 4 nodes of degree
         # 40 have about 20, which take about 10 of each node's 40 contacts
@@ -415,18 +495,17 @@ class TestReferralEstimate:
             dist=Degenerate(40), n_workers=4, n_trials=200_000, seed=3,
             employment_rate=0.9, informed_given_employed=0.03 / 0.9,
         )
-        # The estimator's network: it seeds one generator with the config's seed.
-        net = build_configuration_network(
-            config.dist, config.n_workers, np.random.default_rng(config.seed)
-        )
-        self_entries = np.zeros(net.n, dtype=np.int64)  # two per self-loop
-        for a, b in zip(net.stubs[0::2].tolist(), net.stubs[1::2].tolist()):
-            self_entries[a] += 2 * (a == b)
-        assert self_entries.sum() > 0
-        q = config.employment_rate * config.informed_given_employed
-        exact = np.mean(1.0 - (1.0 - q) ** (net.degrees - self_entries))
-        ignoring_loops = np.mean(1.0 - (1.0 - q) ** net.degrees)
+        # The estimator's own reachable degrees, one per trial.
+        focal = simulate._focal_reachable
+        seen = []
+        monkeypatch.setattr(simulate, "_focal_reachable",
+                            lambda *args: seen.append(focal(*args)) or seen[-1])
         est = estimate_referral_rate(config)
+        (reachable,) = seen
+        assert reachable.size == config.n_trials and np.any(reachable < 40)
+        q = config.employment_rate * config.informed_given_employed
+        exact = np.mean(1.0 - (1.0 - q) ** reachable)
+        ignoring_loops = 1.0 - (1.0 - q) ** 40
         assert abs(est.z_score(exact)) < 4.0
         assert abs(est.z_score(ignoring_loops)) > 4.0
 
@@ -517,9 +596,9 @@ class TestPoissonFocalWorkers:
         # for 2^-63, so f = 1 there, and the first and last sorted picks
         # are nodes 0 and 1; 1 pick gives one focal worker.
         picks = uniform_picks(n, t) if len(at) == t else {(0, n - 1): 1.0}
-        law = focal_law(lam, n, picks, 9)
+        law = focal_law(poisson_network_law(lam, n, 9), picks)
         rng = np.random.default_rng(5)
-        counts = Counter(tuple(simulate._focal_reachable(rng, n, lam, t)[at].tolist())
+        counts = Counter(tuple(simulate._focal_reachable(rng, Poisson(lam), n, t)[at].tolist())
                          for _ in range(seeds))
         checked = {cell: p for cell, p in law.items() if seeds * p >= 5.0}
         assert len(checked) >= 5
@@ -549,6 +628,96 @@ class TestPoissonFocalWorkers:
         assert time.perf_counter() - start < 1.0
         target = Poisson(22.47).referral_expectation(info_probability_in_context())
         assert abs(est.z_score(target)) < 5.0
+
+
+class TestFocalWorkers:
+    @pytest.mark.parametrize("k, n, t, at, draws, cells", [
+        (2, 3, 3, [0, 1, 2], 8_000, 5),
+        (4, 2, 64, [0, 63], 4_000, 3),
+        (3, 3, 1, [0], 4_000, 5),
+    ], ids=["three-of-three", "every-node-focal-n2", "one-focal-worker-parity-stub"])
+    def test_regular_focal_degrees_have_the_network_law(self, k, n, t, at, draws, cells):
+        # As for Poisson, against every matching of the network's stubs;
+        # k = 3 on 3 nodes gives the last node an extra stub.  On 2 nodes
+        # both have the same reachable degree.
+        picks = uniform_picks(n, t) if len(at) == t else {(0, n - 1): 1.0}
+        law = focal_law(regular_network_law(k, n), picks)
+        rng = np.random.default_rng(6)
+        counts = Counter(tuple(simulate._focal_reachable(rng, Degenerate(k), n, t)[at].tolist())
+                         for _ in range(draws))
+        assert assert_cells_match(counts, law, draws) >= cells
+
+    @pytest.mark.parametrize("alpha, n, t, at", [
+        (2.3, 2, 64, [0, 63]), (2.1, 5, 1, [0]),
+    ], ids=["every-node-focal-n2", "one-focal-worker"])
+    def test_zipf_focal_degrees_have_the_builders_law(self, alpha, n, t, at):
+        # Against the built network's reachable degrees at the same
+        # uniform picks, sorted: the two samples' cells agree.
+        dist, draws = Zipf(alpha), 3_000
+        rng = np.random.default_rng(7)
+        ours = Counter(tuple(simulate._focal_reachable(rng, dist, n, t)[at].tolist())
+                       for _ in range(draws))
+        theirs = Counter()
+        for _ in range(draws):
+            reachable = build_configuration_network(dist, n, rng).reachable_degrees()
+            theirs[tuple(reachable[np.sort(rng.integers(0, n, size=t))][at].tolist())] += 1
+        assert assert_same_law(ours, theirs) >= 4
+
+    @pytest.mark.parametrize("stubs, total", [(7, 12), (12, 12), (9, 10), (40, 100), (1, 2)])
+    def test_pairs_among_focal_stubs_have_the_matching_law(self, stubs, total):
+        # b edges join two of S focal stubs of N uniformly matched ones
+        # with P(b + 1) / P(b) = (S - 2b)(S - 2b - 1) / ((2b + 2)(N - 2S + 2b + 2)).
+        draws = 100_000
+        b = simulate._focal_pairs(np.random.default_rng(9), np.full(draws, stubs), total)
+        law, p = {}, 1.0
+        for k in range(max(0, stubs - total // 2), stubs // 2 + 1):
+            law[k] = p
+            p *= (stubs - 2 * k) * (stubs - 2 * k - 1) / (2 * k + 2)
+            p /= total - 2 * stubs + 2 * k + 2
+        law = {k: w / sum(law.values()) for k, w in law.items()}
+        assert set(np.unique(b).tolist()) <= law.keys()
+        assert assert_cells_match(Counter(b.tolist()), law, draws) >= min(len(law), 3)
+
+    @pytest.mark.parametrize("dist", [Poisson(22.47), Degenerate(22), Zipf(2.3)],
+                             ids=["poisson", "regular", "zipf"])
+    def test_focal_stub_budget(self, dist, monkeypatch):
+        # Past the budget an estimate raises, naming its focal stubs,
+        # before it draws their owners or pairs them.  Its draws up to
+        # then: the degrees (Poisson: the total), the picks and, for
+        # Poisson, the edges with both and with one end at a focal worker.
+        n, t = 2_000, 1_000
+        config = config_for(dist, n_workers=n, n_trials=t)
+        rng = np.random.default_rng(config.seed)
+        if isinstance(dist, Poisson):
+            edges = simulate._even_total(rng, n, dist.lam) // 2
+            f = np.unique(rng.integers(0, n, size=t)).size / n
+            both = int(rng.binomial(edges, f**2))
+            stubs = 2 * both + int(rng.binomial(edges - both, 2 * f / (1 + f)))
+        else:
+            degrees = simulate._even_degrees(dist, n, rng)
+            stubs = int(degrees[np.unique(rng.integers(0, n, size=t))].sum())
+        pair = simulate._pair_stubs
+        monkeypatch.setattr(simulate, "_pair_stubs", None)
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * stubs - 1)
+        with pytest.raises(ValueError, match=f"^{stubs} focal stubs need more than the "
+                                             f"{8 * stubs - 1}-byte budget"):
+            estimate_referral_rate(config)
+        monkeypatch.setattr(simulate, "_pair_stubs", pair)
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * stubs)
+        assert 0.0 < estimate_referral_rate(config).estimate < 1.0
+
+    @pytest.mark.parametrize("dist", [Degenerate(5), Zipf(2.3)], ids=["regular", "zipf"])
+    def test_estimate_is_the_same_on_one_cpu(self, dist, monkeypatch):
+        # With 4-stub blocks the key sort of the focal stubs runs on two
+        # threads unless the mask holds one CPU; both give the same bits.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
+        starts, estimates = thread_starts(monkeypatch), []
+        for mask in ({0, 1}, {3}):
+            affinity_mask(monkeypatch, mask)
+            starts.clear()
+            estimates.append(estimate_referral_rate(config_for(dist, n_workers=500, n_trials=300)))
+            assert bool(starts) == (len(mask) == 2)
+        assert estimates[0] == estimates[1]
 
 
 class TestDegreeConditionalUnemployment:

@@ -1,25 +1,29 @@
 """Compare the Monte Carlo referral estimates of two checkouts in distribution.
 
-Seeded estimates change whenever the stub pairing draws differently, so
+Seeded estimates change whenever the estimator draws differently, so
 this compares their distribution, not their values.  For each degree
 family of ``refmatch simulate`` (Poisson, regular and Zipf at the common
 mean degree) at the baseline context, runs SEEDS seeded estimates of
 WORKERS workers x TRIALS trials with the refmatch of this checkout and
 with that of CHECKOUT, each in a subprocess that imports the package
 from its checkout's src/.  Prints, per family and side, the mean and
-standard deviation of z against ``referral_expectation``, the mean z
-against each seed's network-exact rate (the mean over nodes of
-1 - (1 - q)^k with k the node's reachable degree, which the trials
-estimate without bias), the mean number of self-loops per node of the
-seeds' networks, and the mean and variance of the degrees pooled over
-all the seeds' nodes next to the law's own (lam and lam for Poisson, k
-and 0 for regular, the mean and inf for Zipf); then how many seeds give
-the same estimate and the same stub list (by SHA-256) bit for bit on
-both sides (all of them when a change keeps every draw).  The network
-columns are printed only for a side whose estimates build a network: a
-Poisson estimate that draws only its focal workers' degrees builds
-none, and its stub lists are then not compared.  Exits 1 if a family's
-mean z differs between the sides by more than 4 standard errors.
+standard deviation of z against ``referral_expectation``; then, per
+family, the gap between the two sides' mean z in standard errors, and
+how many seeds give the same estimate bit for bit on both sides (all
+of them when a change keeps every draw).
+
+A side whose estimates build a network (checkouts before every
+family's estimate read only its focal workers' stubs) also prints the
+network columns: the mean z against each seed's network-exact rate
+(the mean over nodes of 1 - (1 - q)^k with k the node's reachable
+degree, which the trials estimate without bias), the mean number of
+self-loops per node, and the mean and variance of the degrees pooled
+over all the seeds' nodes next to the law's own (lam and lam for
+Poisson, k and 0 for regular, the mean and inf for Zipf), and, where
+both sides build networks, how many seeds give the same stub list (by
+SHA-256).  A side that builds none prints "(no network built)" there.
+Exits 1 if a family's mean z differs between the sides by more than 4
+standard errors.
 Usage: python tools/mc_diff.py CHECKOUT
 """
 
@@ -45,7 +49,8 @@ def emit() -> None:
     from refmatch.experiments import COMMON_MEAN_DEGREE
     from refmatch.simulate import SimConfig, estimate_referral_rate
 
-    # Keep the network each estimate builds, so that it is not built twice.
+    # Keep the network each estimate builds, if it builds one, so that it
+    # is not built twice.
     build, built = simulate.build_configuration_network, []
 
     def keep(*args):
