@@ -247,14 +247,14 @@ def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
     degrees = None if poisson else _even_degrees(dist, n, rng)
     total = _even_total(rng, n, dist.lam) if poisson else int(degrees.sum())
     picks = np.sort(rng.integers(0, n, size=t))
-    first = np.diff(picks, prepend=-1) != 0  # a focal worker's first pick
+    first = np.concatenate(([True], picks[1:] != picks[:-1]))  # a focal worker's first pick
     slot = np.cumsum(first) - 1  # each pick's index in the focal set
     m = int(slot[-1]) + 1  # f = m / n of the nodes are focal
     if poisson:  # edges with both ends in the focal set, then with one: 2f(1 - f) / (1 - f^2)
         pairs = int(rng.binomial(total // 2, (m / n) ** 2))
         stubs = 2 * pairs + int(rng.binomial(total // 2 - pairs, 2 * m / (n + m)))
     else:
-        reachable = degrees[picks[first]]
+        reachable = degrees[picks.compress(first)]
         stubs = int(reachable.sum())
         pairs = int(_focal_pairs(rng, stubs, total))
     if 8 * stubs > _FOCAL_STUB_BYTES:
