@@ -82,6 +82,9 @@ _WOOD_TERMS = 24
 # K = 10^6 + 1.
 _BLOCK = 4096
 _CAP = 10.0**6 + 1.0
+# Zipf draws per sampler round: its float temporaries stay in the cache
+# and off the heap's high-water mark.
+_SAMPLE_BLOCK = 1 << 16
 
 
 def as_count(value, name: str) -> int:
@@ -371,8 +374,8 @@ class Zipf(DegreeDistribution):
         X = floor(U^(-1/(alpha-1))), U uniform on (0, 1], is kept where
         V X (T - 1) / (b - 1) <= T / b, with V uniform on [0, 1),
         T = (1 + 1/X)^(alpha-1) and b = 2^(alpha-1).  Each round draws U for
-        every degree still missing, then V, and keeps the X it accepts, in
-        order.  U is at least 2^-53, so X is at most 2^53 (alpha > 2), as in
+        the degrees still missing, at most _SAMPLE_BLOCK of them, then V, and
+        keeps the X it accepts, in order.  U is at least 2^-53, so X is at most 2^53 (alpha > 2), as in
         ``rng.zipf``; from alpha = 1025 on, where b overflows, every degree is
         1, as there (P(X > 1) < 3e-309).
         """
@@ -380,7 +383,7 @@ class Zipf(DegreeDistribution):
         am1 = float(self.alpha) - 1.0
         b = 2.0**am1 if am1 < 1024.0 else math.inf
         while done < size and b < math.inf:
-            x = 1.0 - rng.random(size - done)
+            x = 1.0 - rng.random(min(size - done, _SAMPLE_BLOCK))
             x = np.floor(np.exp(np.log(x, out=x) / -am1, out=x), out=x)
             t = np.exp(am1 * np.log1p(1.0 / x))
             kept = x[rng.random(x.size) * x * (t - 1.0) / (b - 1.0) <= t / b]

@@ -43,9 +43,10 @@ keeps its first draw but for a chance of 2e-19.  Any other law
 redraws all n degrees until their sum is even.  A law that keeps no
 sequence in 100 draws raises ValueError; that takes a sum that is
 almost never even, as for Zipf(20) on 1,001 nodes, whose degrees are
-odd but for one in 10^6.  (Resampling only the last degree, the old rule, weighs each
-sequence by 1 / P(that degree has the parity needed), which is biased
-wherever P(d even) is not 1/2: for Zipf(2.028) it is 0.245.)
+odd but for one in 10^6.  (Resampling only the last degree, the old
+rule, weighs each sequence by 1 / P(that degree has the parity
+needed), which is biased wherever P(d even) is not 1/2: for
+Zipf(2.028) it is 0.245.)
 
 Poisson networks.  Take i.i.d. Poisson(lam) degrees d_i on n nodes and
 their N stubs in uniform order.  An owner sequence s_1 ... s_N then has
@@ -68,10 +69,11 @@ and Zipf: all n, as the builder does, but no stub list; Poisson: only
 the even total N), then the t uniform picks, which give F, then b and
 the focal stubs' order:
 - Regular and Zipf: S is the focal workers' degree sum.  b is two
-  hypergeometric draws: with the stubs in uniform order, the focal ones
-  take x ~ Hypergeometric of the M even places (edge k's first end) and
-  S - x of the M odd ones, each a uniform set, so b, the odd places
-  whose edge's even place is focal, is Hypergeometric(M; x, S - x).
+  hypergeometric draws: with the stubs in uniform order, x ~
+  Hypergeometric(M, M; S) focal stubs take even places (edge k's first
+  end, place 2k) and S - x odd ones, each a uniform set of places, so b,
+  the odd places whose edge's even place is focal, is
+  Hypergeometric(x, M - x; S - x).
   numpy draws these for M < 10^9 only.  The focal stubs are put in
   uniform order by the stub pairing below, over the m focal workers.
 - Poisson: its edges are i.i.d. uniform pairs of nodes, so with
@@ -86,7 +88,7 @@ estimate whose focal stubs would take more than ``_FOCAL_STUB_BYTES``
 (1 GiB, 8 bytes a stub) raises ValueError naming their count before it
 draws them; a focal Zipf hub can ask for that many.
 
-Stub pairing.  The stubs of any other law's network, and the focal
+Stub pairing.  The stubs of a regular or Zipf network, and the focal
 stubs of its estimate, are put in uniformly random order by sorting
 random 64-bit keys that carry each stub's owner in their low bits, with
 every run of tied random bits put in random order; edge k joins stubs
@@ -247,14 +249,14 @@ def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
     degrees = None if poisson else _even_degrees(dist, n, rng)
     total = _even_total(rng, n, dist.lam) if poisson else int(degrees.sum())
     picks = np.sort(rng.integers(0, n, size=t))
-    first = np.concatenate(([True], picks[1:] != picks[:-1]))  # a focal worker's first pick
-    slot = np.cumsum(first) - 1  # each pick's index in the focal set
+    later = np.concatenate(([False], picks[1:] != picks[:-1]))  # first pick of a later worker
+    slot = np.cumsum(later)  # each pick's index in the focal set
     m = int(slot[-1]) + 1  # f = m / n of the nodes are focal
     if poisson:  # edges with both ends in the focal set, then with one: 2f(1 - f) / (1 - f^2)
         pairs = int(rng.binomial(total // 2, (m / n) ** 2))
         stubs = 2 * pairs + int(rng.binomial(total // 2 - pairs, 2 * m / (n + m)))
     else:
-        reachable = degrees[picks.compress(first)]
+        reachable = degrees[np.append(picks[0], picks.compress(later))]
         stubs = int(reachable.sum())
         pairs = int(_focal_pairs(rng, stubs, total))
     if 8 * stubs > _FOCAL_STUB_BYTES:
