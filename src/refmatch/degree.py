@@ -375,9 +375,9 @@ class Zipf(DegreeDistribution):
         V X (T - 1) / (b - 1) <= T / b, with V uniform on [0, 1),
         T = (1 + 1/X)^(alpha-1) and b = 2^(alpha-1).  Each round draws U for
         the degrees still missing, at most _SAMPLE_BLOCK of them, then V, and
-        keeps the X it accepts, in order.  U is at least 2^-53, so X is at most 2^53 (alpha > 2), as in
-        ``rng.zipf``; from alpha = 1025 on, where b overflows, every degree is
-        1, as there (P(X > 1) < 3e-309).
+        keeps the X it accepts, in order.  U is at least 2^-53, so X is at
+        most 2^53 (alpha > 2), as in ``rng.zipf``; from alpha = 1025 on,
+        where b overflows, every degree is 1, as there (P(X > 1) < 3e-309).
         """
         degrees, done = np.ones(size, np.int64), 0
         am1 = float(self.alpha) - 1.0

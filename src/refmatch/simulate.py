@@ -74,13 +74,28 @@ the focal stubs' order:
   end, place 2k) and S - x odd ones, each a uniform set of places, so b,
   the odd places whose edge's even place is focal, is
   Hypergeometric(x, M - x; S - x).
-  numpy draws these for M < 10^9 only.  The focal stubs are put in
-  uniform order by the stub pairing below, over the m focal workers.
+  numpy draws these for M < 10^9 only.  The focal worker of largest
+  degree d, the hub, is paired by counts alone: given b, the 2b paired
+  focal stubs are a uniform set of them, uniformly matched, so
+  c ~ Hypergeometric(d, S - d; 2b) of them are the hub's, l, the b of
+  c stubs among 2b, are its self-loops, c - 2l pair it with the others
+  and b' = b - c + l edges join two of the others.  The other focal
+  stubs are put in uniform order by the stub pairing below, with the
+  hub's count at 0, and pair their first 2b'; the hub's reachable
+  degree is d - 2l.  So a heavy-tailed law sorts the stubs of all but
+  its largest focal degree: at 10^5 picks of 10^5 Zipf(2.028) nodes,
+  in 200 seeds S reached 1.0e7 while S - d stayed below 760,000 (in one
+  seed a focal hub held 901,840 of S = 1,285,027 stubs).
 - Poisson: its edges are i.i.d. uniform pairs of nodes, so with
   f = m / n, b ~ Binomial(M, f^2) edges have both ends in F and
   one ~ Binomial(M - b, 2f / (1 + f)) exactly one, S = 2b + one, and
   the focal stubs' owners are i.i.d. uniform on F, so their draw order
-  is already uniform and they need no sort.
+  is already uniform and they need no sort.  The 2b paired ends are
+  drawn in one array, for their self-loops; the unpaired ones only
+  count, and are drawn and counted 2^20 at a time, so no array of more
+  than max(2b, 2^20) ends is made (a single draw of all S ends, at 10^5
+  picks of 10^6 nodes, made a 17 MB array, whose first mmap set the
+  peak RSS of a process that held smaller free blocks).
 That is the law of building the network and reading its focal
 workers, at a cost set by t and the degree law, not n: no estimate
 holds all N stubs, and a Poisson one not even an n-long array.  An
@@ -115,8 +130,8 @@ worker on the caller's CPU and keep both there.  With one CPU in the
 mask both halves run in turn on the calling thread and no thread
 starts.  The workers write their results only into arrays made on the
 calling thread, and hold temporaries of one chunk or block at a time
-(the draws and owner ids of one node chunk, or the buffers of one
-scan), since glibc gives each thread its own heap and memory freed
+(the draws and owner ids of one node chunk, or the comparison of one
+block of the tie scan), since glibc gives each thread its own heap and memory freed
 there stays resident.
 """
 
@@ -145,7 +160,8 @@ _PARITY_RESAMPLE_LIMIT = 100
 _FOCAL_STUB_BYTES = 1 << 30
 # Stubs per node chunk of keys (on average: a hub's chunk holds more) and
 # keys per block of the tie scan; work whose first half holds at most one
-# block stays on one thread.
+# block stays on one thread.  A Poisson estimate draws and counts its
+# unpaired focal ends 16 blocks (8 MB) at a time.
 _PAIR_BLOCK = 1 << 16
 
 
@@ -257,13 +273,21 @@ def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
         stubs = 2 * pairs + int(rng.binomial(total // 2 - pairs, 2 * m / (n + m)))
     else:
         reachable = degrees[np.append(picks[0], picks.compress(later))]
-        stubs = int(reachable.sum())
-        pairs = int(_focal_pairs(rng, stubs, total))
+        stubs, top = int(reachable.sum()), int(reachable.argmax())
+        hub, reachable[top] = int(reachable[top]), 0  # paired by counts alone
+        pairs = int(_focal_pairs(rng, stubs, total))  # edges within the focal stubs
+        at_hub = int(rng.hypergeometric(hub, stubs - hub, 2 * pairs))  # hub stubs among them
+        loops = int(_focal_pairs(rng, at_hub, 2 * pairs))
+        pairs -= at_hub - loops  # edges within the other focal stubs
     if 8 * stubs > _FOCAL_STUB_BYTES:
         raise ValueError(f"{stubs} focal stubs need more than the {_FOCAL_STUB_BYTES}-byte budget")
-    # Poisson: i.i.d. uniform ends in the focal set, so in uniform order already.
-    ends = rng.integers(0, m, size=stubs) if poisson else _pair_stubs(rng, reachable)
-    reachable = np.bincount(ends, minlength=m) if poisson else reachable
+    if poisson:  # i.i.d. uniform ends in the focal set: the paired ones, then the rest by blocks
+        ends = rng.integers(0, m, size=2 * pairs)
+        reachable = np.bincount(ends, minlength=m)
+        for i in range(2 * pairs, stubs, block := _PAIR_BLOCK << 4):
+            reachable += np.bincount(rng.integers(0, m, min(block, stubs - i)), minlength=m)
+    else:  # the hub's entry is 0 while the other focal stubs are paired
+        ends, reachable[top] = _pair_stubs(rng, reachable), hub - 2 * loops
     return _less_loops(reachable, ends[:2 * pairs])[slot]
 
 
@@ -281,8 +305,7 @@ def _focal_pairs(rng: np.random.Generator, stubs, total):
 
 def _less_loops(reachable: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """``reachable`` less two per self-loop: equal ends ``ends[2k]`` and ``ends[2k + 1]``."""
-    first, second = ends[0::2], ends[1::2]
-    np.subtract.at(reachable, first[first == second], 2)
+    np.subtract.at(reachable, ends[0::2].compress(ends[0::2] == ends[1::2]), 2)
     return reachable
 
 
@@ -309,10 +332,14 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
         # freed one to the system and faults it back in at the next chunk.
         for c in range(first, stop):
             a, lo, hi = c * step, edges[c], edges[c + 1]
-            np.bitwise_and(gen.integers(0, 1 << 64, size=hi - lo, dtype=np.uint64), ~low,
-                           out=keys[lo:hi])
+            np.bitwise_and(gen.integers(0, 1 << 64, hi - lo, np.uint64), ~low, out=keys[lo:hi])
             keys[lo:hi] |= np.repeat(np.arange(a, min(a + step, n), dtype=np.uint64),
                                      degrees[a:a + step])
+
+    def scan(start, stop, out):  # each i from start to stop - 1 where keys i and i + 1 tie
+        for s in range(start, stop, _PAIR_BLOCK):
+            e = min(s + _PAIR_BLOCK, stop)
+            out += (np.flatnonzero((keys[s:e] ^ keys[s + 1:e + 1]) <= low) + s).tolist()
 
     # advance(k) is k 64-bit draws only on these; other generators draw in turn.
     if half > _PAIR_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
@@ -333,12 +360,12 @@ def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
     # differ.  Each run of equal high bits goes in random order; a run may
     # cross a block edge or the split, so runs are formed only once all
     # blocks are read.
-    ties = _near_pairs(keys, keys[1:], low)  # i where keys i and i + 1 tie
+    ties = ([], [])
+    _on_two_threads(scan, (0, half, ties[0]), (half, total - 1, ties[1]), half)
     lo = hi = 0  # the run [lo, hi) being formed
-    for i in [*ties, total]:
+    for i in [*ties[0], *ties[1], total]:
         if i >= hi:
-            if hi > lo:
-                keys[lo:hi] = keys[lo:hi][rng.permutation(hi - lo)]
+            keys[lo:hi] = keys[lo:hi][rng.permutation(hi - lo)]  # no draw where hi - lo < 2
             lo = i
         hi = i + 2
     _on_two_threads(np.bitwise_and, (first, low, first), (second, low, second), half)
@@ -385,26 +412,6 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
         worker.join()
     if errors:
         raise errors[0]
-
-
-def _near_pairs(x: np.ndarray, y: np.ndarray, low: np.uint64) -> list[int]:
-    """Each i, ascending, where ``x[i]`` and ``y[i]`` differ only in the bits of ``low``.
-
-    The two halves of ``y`` are scanned block by block on two threads.
-    """
-    half, width = y.size // 2, max(1, min(_PAIR_BLOCK, y.size))
-
-    def scan(start, stop, out):
-        xor, near = np.empty(width, np.uint64), np.empty(width, bool)
-        for s in range(start, stop, width):
-            m = min(width, stop - s)
-            np.bitwise_xor(x[s:s + m], y[s:s + m], out=xor[:m])
-            if np.less_equal(xor[:m], low, out=near[:m]).any():
-                out += (np.flatnonzero(near[:m]) + s).tolist()
-
-    found = ([], [])
-    _on_two_threads(scan, (0, half, found[0]), (half, y.size, found[1]), half)
-    return found[0] + found[1]
 
 
 @dataclass(frozen=True)

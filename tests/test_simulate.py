@@ -607,6 +607,22 @@ class TestPoissonFocalWorkers:
         for count, p in observed:
             assert abs(count - seeds * p) < 5.0 * math.sqrt(seeds * p * (1.0 - p)), (count, p)
 
+    @pytest.mark.parametrize("pair_block", [1, 1 << 16], ids=["16-end-blocks", "default"])
+    def test_one_focal_worker_counts_every_unpaired_end(self, pair_block, monkeypatch):
+        # With one focal worker every edge with both ends at it is a
+        # self-loop, so its reachable degree is the number of edges with
+        # one end at it, however many blocks those ends are drawn in.
+        monkeypatch.setattr(simulate, "_PAIR_BLOCK", pair_block)
+        n, lam = 1_000, 22.47
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            edges = simulate._even_total(rng, n, lam) // 2
+            rng.integers(0, n, size=1)  # the one pick
+            both = int(rng.binomial(edges, (1 / n) ** 2))
+            one = int(rng.binomial(edges - both, 2 / (n + 1)))
+            reachable = simulate._focal_reachable(np.random.default_rng(seed), Poisson(lam), n, 1)
+            assert reachable.tolist() == [one]
+
     def test_estimate_starts_no_thread_and_ignores_the_mask(self, monkeypatch):
         # With 4-stub blocks any two-thread work would split; a Poisson
         # estimate has none, so one and two CPUs give the same bits.
@@ -648,11 +664,12 @@ class TestFocalWorkers:
         assert assert_cells_match(counts, law, draws) >= cells
 
     @pytest.mark.parametrize("alpha, n, t, at", [
-        (2.3, 2, 64, [0, 63]), (2.1, 5, 1, [0]),
-    ], ids=["every-node-focal-n2", "one-focal-worker"])
+        (2.3, 2, 64, [0, 63]), (2.3, 4, 64, [0, 21, 42, 63]), (2.1, 5, 1, [0]),
+    ], ids=["every-node-focal-n2", "every-node-focal-n4", "one-focal-worker"])
     def test_zipf_focal_degrees_have_the_builders_law(self, alpha, n, t, at):
         # Against the built network's reachable degrees at the same
-        # uniform picks, sorted: the two samples' cells agree.
+        # uniform picks, sorted: the two samples' cells agree.  The
+        # largest focal degree is paired by counts and the rest by keys.
         dist, draws = Zipf(alpha), 3_000
         rng = np.random.default_rng(7)
         ours = Counter(tuple(simulate._focal_reachable(rng, dist, n, t)[at].tolist())
