@@ -93,9 +93,9 @@ the focal stubs' order:
   is already uniform and they need no sort.  The 2b paired ends are
   drawn in one array, for their self-loops; the unpaired ones only
   count, and are drawn and counted 2^20 at a time, so no array of more
-  than max(2b, 2^20) ends is made (a single draw of all S ends, at 10^5
-  picks of 10^6 nodes, made a 17 MB array, whose first mmap set the
-  peak RSS of a process that held smaller free blocks).
+  than max(2b, 2^20) ends is made: one array of all S ends (17 MB at
+  10^5 picks of 10^6 nodes) would need a fresh mmap wherever the freed
+  blocks are smaller, and would set the process's peak RSS.
 That is the law of building the network and reading its focal
 workers, at a cost set by t and the degree law, not n: no estimate
 holds all N stubs, and a Poisson one not even an n-long array.  An
