@@ -43,7 +43,11 @@ keeps its first draw but for a chance of 2e-19.  Any other law
 redraws all n degrees until their sum is even.  A law that keeps no
 sequence in 100 draws raises ValueError; that takes a sum that is
 almost never even, as for Zipf(20) on 1,001 nodes, whose degrees are
-odd but for one in 10^6.  (Resampling only the last degree, the old
+odd but for one in 10^6.  On 64 nodes or fewer a Zipf law's block is
+the whole sequence, and each redraw of it counts against the 100:
+Zipf(20) on 3 nodes, whose sum is even once in 3.5 x 10^5 draws,
+raises almost always, and Zipf(5) on 3 nodes (once in 11) in about
+one seed of 10^4.  (Resampling only the last degree, the old
 rule, weighs each sequence by 1 / P(that degree has the parity
 needed), which is biased wherever P(d even) is not 1/2: for
 Zipf(2.028) it is 0.245.)
@@ -101,43 +105,38 @@ workers, at a cost set by t and the degree law, not n: no estimate
 holds all N stubs, and a Poisson one not even an n-long array.  An
 estimate whose focal stubs would take more than ``_FOCAL_STUB_BYTES``
 (1 GiB, 8 bytes a stub) raises ValueError naming their count before it
-draws them; a focal Zipf hub can ask for that many.
+draws them; a focal Zipf hub can ask for that many.  So does a regular
+or Zipf estimate whose n degrees would, before it draws them.
 
 Stub pairing.  The stubs of a regular or Zipf network, and the focal
 stubs of its estimate, are put in uniformly random order by sorting
 random 64-bit keys that carry each stub's owner in their low bits, with
 every run of tied random bits put in random order; edge k joins stubs
-2k and 2k + 1, as in a Poisson network.  The keys are drawn and given
-their owners node chunk by node chunk.  On a PCG64 or PCG64DXSM
-generator, whose ``advance(k)`` skips k 64-bit draws, the chunks before
-the one holding the middle stub are drawn on the calling thread and the
-rest on a worker thread, by a copy of the generator advanced to their
-first stub; the generator then takes the state one draw of all the
-keys leaves, pending 32-bit half included.  Other generators draw every
-chunk in turn on the calling thread.  The keys are then split in place
-at their median; each half is sorted, scanned for ties and masked on a
-thread of its own.  The tie runs are shuffled on the calling thread in
-ascending order, so a seed gives the same order bit for bit as one
-draw and one sort on one thread (``tools/mc_diff.py`` compares two
-checkouts' estimates).
+2k and 2k + 1, as in a Poisson network.  All the keys are drawn in
+one call and given their owners node chunk by node chunk.  Only the
+first P stubs are read (a network: all; an estimate: the 2b' paired
+focal stubs), so the keys are split in place at P, the first P at
+P // 2, and the two parts sorted; the tie runs among the first P are
+then shuffled in ascending order and those P keys masked.  Where a tie
+run crosses the cut at P, all the keys are sorted and every run
+shuffled first, so the first P keep their exact law.  So a seed gives
+the first P owners bit for bit as one draw and one sort of all the
+keys (``tools/mc_diff.py`` compares two checkouts' estimates).
 
-Threads.  Only the key pairing of a regular or Zipf network or
-estimate runs on two threads; a Poisson network or estimate starts
-none.  Each two-thread step pins its worker to all but the first CPU
-of the calling thread's affinity mask, and the calling thread to the
-first while it runs its half; left to itself, the kernel may start the
-worker on the caller's CPU and keep both there.  With one CPU in the
-mask both halves run in turn on the calling thread and no thread
-starts.  The workers write their results only into arrays made on the
-calling thread, and hold temporaries of one chunk or block at a time
-(the draws and owner ids of one node chunk, or the comparison of one
-block of the tie scan), since glibc gives each thread its own heap and memory freed
+Threads.  Only the sort of the two parts runs on two threads; a
+Poisson network or estimate starts none.  The worker sorts the first
+part pinned to all but the first CPU of the calling thread's affinity
+mask, and the calling thread the second pinned to the first; left to
+itself, the kernel may start the worker on the caller's CPU and keep
+both there.  With one CPU in the mask, or a first part of at most one
+block, both parts are sorted in turn on the calling thread and no
+thread starts.  The sort works in place in the keys, made on the
+calling thread: glibc gives each thread its own heap, and memory freed
 there stays resident.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import numbers
 import os
@@ -159,8 +158,8 @@ _PARITY_RESAMPLE_LIMIT = 100
 # An estimate's focal stubs take 8 bytes each, at most this many in all.
 _FOCAL_STUB_BYTES = 1 << 30
 # Stubs per node chunk of keys (on average: a hub's chunk holds more) and
-# keys per block of the tie scan; work whose first half holds at most one
-# block stays on one thread.  A Poisson estimate draws and counts its
+# keys per block of the tie scan; a sort whose first part holds at most
+# one block stays on one thread.  A Poisson estimate draws and counts its
 # unpaired focal ends 16 blocks (8 MB) at a time.
 _PAIR_BLOCK = 1 << 16
 
@@ -239,8 +238,10 @@ def _even_degrees(dist: DegreeDistribution, n: int, rng: np.random.Generator) ->
     bias = (2.0 ** (1.0 - dist.alpha) - 1.0) ** block if block else 1.0
     for _ in range(_PARITY_RESAMPLE_LIMIT):
         need = int(degrees[:n - block].sum()) % 2  # the parity the block's sum must have
-        # Keep the rest with probability P(the block's sum has parity need) / the larger one.
-        if block == n or rng.random() * (1.0 + abs(bias)) < 1.0 + bias - 2.0 * bias * need:
+        # Keep the rest with probability P(the block's sum has parity need) / the larger one;
+        # a block of all n degrees keeps only an even sum.
+        if (int(degrees.sum()) % 2 == 0 if block == n else
+                rng.random() * (1.0 + abs(bias)) < 1.0 + bias - 2.0 * bias * need):
             break
         degrees = dist.sample(rng, n)
     else:
@@ -262,6 +263,8 @@ def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
     hypergeometric draw takes).
     """
     poisson = isinstance(dist, Poisson)
+    if not poisson and 8 * n > _FOCAL_STUB_BYTES:
+        raise ValueError(f"{n} degrees need more than the {_FOCAL_STUB_BYTES}-byte budget")
     degrees = None if poisson else _even_degrees(dist, n, rng)
     total = _even_total(rng, n, dist.lam) if poisson else int(degrees.sum())
     picks = np.sort(rng.integers(0, n, size=t))
@@ -287,8 +290,8 @@ def _focal_reachable(rng: np.random.Generator, dist: DegreeDistribution, n: int,
         for i in range(2 * pairs, stubs, block := _PAIR_BLOCK << 4):
             reachable += np.bincount(rng.integers(0, m, min(block, stubs - i)), minlength=m)
     else:  # the hub's entry is 0 while the other focal stubs are paired
-        ends, reachable[top] = _pair_stubs(rng, reachable), hub - 2 * loops
-    return _less_loops(reachable, ends[:2 * pairs])[slot]
+        ends, reachable[top] = _pair_stubs(rng, reachable, 2 * pairs), hub - 2 * loops
+    return _less_loops(reachable, ends)[slot]
 
 
 def _focal_pairs(rng: np.random.Generator, stubs, total):
@@ -309,67 +312,50 @@ def _less_loops(reachable: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return reachable
 
 
-def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray) -> np.ndarray:
-    """Owner of each stub, in uniformly random order.
+def _pair_stubs(rng: np.random.Generator, degrees: np.ndarray, paired=None) -> np.ndarray:
+    """Owners of the first ``paired`` (default: all) stubs, in uniformly random order.
 
     Each stub gets a uniform 64-bit key whose low bits are overwritten
     with its owner's id; sorting the keys orders the stubs by their
     random high bits, and masking leaves the owners.  The keys are drawn
-    and stamped node chunk by node chunk, on two threads where the
-    generator can skip ahead (see the module docstring), so they are the
-    only stub-length array.
+    in one call and stamped node chunk by node chunk, so they are the
+    only stub-length array; only the first ``paired`` are sorted (see the
+    module docstring).
     """
     n, total = degrees.size, int(degrees.sum())
+    paired = total if paired is None else paired
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = np.empty(total, np.uint64)
-    step = max(1, n * _PAIR_BLOCK // max(total, 1))  # nodes per chunk
-    # Chunk c holds the nodes from c * step on and stubs edges[c] to edges[c + 1] - 1.
-    edges = [0, *np.add.reduceat(degrees, range(0, n, step)).cumsum().tolist()]
-    half, last = total // 2, len(edges) - 1
-
-    def stamp(gen, first, stop):  # draw and stamp chunks first to stop - 1
-        # One temporary at a time: with two alive, glibc returns the
-        # freed one to the system and faults it back in at the next chunk.
-        for c in range(first, stop):
-            a, lo, hi = c * step, edges[c], edges[c + 1]
-            np.bitwise_and(gen.integers(0, 1 << 64, hi - lo, np.uint64), ~low, out=keys[lo:hi])
-            keys[lo:hi] |= np.repeat(np.arange(a, min(a + step, n), dtype=np.uint64),
-                                     degrees[a:a + step])
-
-    def scan(start, stop, out):  # each i from start to stop - 1 where keys i and i + 1 tie
-        for s in range(start, stop, _PAIR_BLOCK):
-            e = min(s + _PAIR_BLOCK, stop)
-            out += (np.flatnonzero((keys[s:e] ^ keys[s + 1:e + 1]) <= low) + s).tolist()
-
-    # advance(k) is k 64-bit draws only on these; other generators draw in turn.
-    if half > _PAIR_BLOCK and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
-        mid = int(np.searchsorted(edges, half, side="right")) - 1  # the chunk holding stub half
-        later = copy.deepcopy(rng)
-        later.bit_generator.advance(edges[mid])
-        _on_two_threads(stamp, (later, mid, last), (rng, 0, mid), half)
-        # The state one draw of all the keys leaves, any pending 32-bit half kept.
-        rng.bit_generator.state = {**rng.bit_generator.state,
-                                   "state": later.bit_generator.state["state"]}
-    else:
-        stamp(rng, 0, last)
+    keys = rng.integers(0, 1 << 64, total, np.uint64)
+    step, lo = max(1, n * _PAIR_BLOCK // max(total, 1)), 0  # nodes per chunk; its first stub
+    for a in range(0, n, step):
+        owners = np.repeat(np.arange(a, min(a + step, n), dtype=np.uint64), degrees[a:a + step])
+        chunk, lo = keys[lo:lo + owners.size], lo + owners.size
+        chunk &= ~low
+        chunk |= owners
+    # Each partition puts every key before its cut at most every key after it.
+    half, end = paired // 2, paired
+    if paired < total:
+        keys.partition(paired)
     if half:
-        keys.partition(half)  # every key before keys[half] is at most every key after
-    first, second = keys[:half], keys[half:]
-    _on_two_threads(np.ndarray.sort, (first,), (second,), half)
+        keys[:paired].partition(half)
+    _on_two_threads(np.ndarray.sort, (keys[:half],), (keys[half:paired],), half)
+    if 0 < paired < total and keys[paired - 1] ^ keys[paired] <= low:  # a tie run crosses the cut
+        keys[paired:].sort()
+        end = total
     # Sorted i.i.d. keys are a uniform order only where the high bits
-    # differ.  Each run of equal high bits goes in random order; a run may
-    # cross a block edge or the split, so runs are formed only once all
-    # blocks are read.
-    ties = ([], [])
-    _on_two_threads(scan, (0, half, ties[0]), (half, total - 1, ties[1]), half)
+    # differ: each run of equal high bits among the first end goes in
+    # random order.
+    ties = []
+    for s in range(0, end - 1, _PAIR_BLOCK):  # each i where keys i and i + 1 tie
+        e = min(s + _PAIR_BLOCK, end - 1)
+        ties += (np.flatnonzero((keys[s:e] ^ keys[s + 1:e + 1]) <= low) + s).tolist()
     lo = hi = 0  # the run [lo, hi) being formed
-    for i in [*ties[0], *ties[1], total]:
+    for i in [*ties, end]:
         if i >= hi:
             keys[lo:hi] = keys[lo:hi][rng.permutation(hi - lo)]  # no draw where hi - lo < 2
             lo = i
         hi = i + 2
-    _on_two_threads(np.bitwise_and, (first, low, first), (second, low, second), half)
-    return keys.view(np.int64)
+    return np.bitwise_and(keys[:paired], low, out=keys[:paired]).view(np.int64)
 
 
 def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
@@ -378,13 +364,13 @@ def _on_two_threads(f, first: tuple, second: tuple, size: int) -> None:
     The worker starts pinned to all but the first CPU of this thread's
     affinity mask and this thread pins itself to the first; its own mask
     is restored before the call returns or raises.  Joins the worker and
-    re-raises its exception, if any, here.  The two calls must write
-    disjoint memory, write results only into arrays made by the caller
-    and hold temporaries of at most one chunk or block at a time (see
-    the module docstring).  Both run in turn on this thread, the worker's
-    half first, if the mask holds one CPU or if ``size`` (for a split in
-    two, the first half's items) is at most one block, where a thread
-    start (about 50 us) costs more than it saves.  Where affinity masks
+    re-raises its exception, if any, here.  The two calls (the sorts of
+    the two parts of the stub keys) must write disjoint memory, write
+    results only into arrays made by the caller and make no large
+    temporaries (see the module docstring).  Both run in turn on this
+    thread, the worker's first, if the mask holds one CPU or if ``size``
+    (the first part's items) is at most one block, where a thread start
+    (about 50 us) costs more than it saves.  Where affinity masks
     are missing, the worker runs unpinned.
     """
     pin = getattr(os, "sched_setaffinity", lambda pid, mask: None)

@@ -579,14 +579,25 @@ class TestSimulateCommand:
         assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
 
     def test_focal_stubs_past_the_budget_exit_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * 1_000)
+        # The budget admits the 2,000 degrees but not the focal stubs.
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * 2_000)
         code, text = run_cli("simulate", "--family", "regular", "--workers", "2000",
                              "--trials", "1000")
         assert code == EXIT_BAD_CONFIG
         assert text == ""
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid simulation settings: ")
-        assert "focal stubs need more than the 8000-byte budget" in err[0]
+        assert "focal stubs need more than the 16000-byte budget" in err[0]
+
+    def test_degrees_past_the_budget_exit_cleanly(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * 1_000)
+        code, text = run_cli("simulate", "--family", "zipf", "--workers", "2000",
+                             "--trials", "1000")
+        assert code == EXIT_BAD_CONFIG
+        assert text == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid simulation settings: ")
+        assert "2000 degrees need more than the 8000-byte budget" in err[0]
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"

@@ -32,13 +32,12 @@ SEEDS = 30_000
 class OneBitKeys:
     """A PCG64 generator whose 64-bit keys keep one random high bit, so keys tie.
 
-    Each key is the top bit of one 64-bit draw, so a copy advanced by k
-    draws gives the keys from the k-th on, as the split key draw needs.
+    Each key is the top bit of one 64-bit draw, so nearly every key lies
+    in one of two long tie runs.
     """
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.bit_generator = self._rng.bit_generator
 
     def integers(self, low, high, size, dtype):
         return self._rng.integers(low, high, size=size, dtype=dtype) >> dtype(63) << dtype(63)
@@ -384,15 +383,24 @@ class TestNetworkBuild:
                              ids=["random-keys", "tied-keys"])
     @pytest.mark.parametrize("total", [0, 2, 9, 10, 14, 19, 22, 38])
     def test_split_pairing_equals_one_sort(self, total, make_rng, monkeypatch):
-        # 4-stub blocks put block edges, odd block tails and the split
-        # between the halves inside tie runs and self-loops; halves of
-        # more than one block run on two threads.
+        # The first ``paired`` owners are those of one sort of all the
+        # keys.  4-stub blocks put block edges, odd block tails and the
+        # cuts at paired // 2 and paired inside tie runs and self-loops;
+        # parts of more than one block are sorted on two threads.  With
+        # one random bit per key, a cut inside a tie run takes the path
+        # that sorts and shuffles every key.
         monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
         degrees = np.bincount(np.arange(total) % 7, minlength=7)
-        for seed in range(20):
-            stubs = simulate._pair_stubs(make_rng(seed), degrees)
-            assert np.array_equal(stubs, sorted_pairing(make_rng(seed), degrees))
-            if total % 2:
+        crossed = 0
+        for seed, paired in itertools.product(range(20), {0, 2, total - 2, total}):
+            if not 0 <= paired <= total:
+                continue
+            stubs = simulate._pair_stubs(make_rng(seed), degrees, paired)
+            assert np.array_equal(stubs, sorted_pairing(make_rng(seed), degrees)[:paired])
+            zeros = np.count_nonzero(make_rng(seed).integers(0, 1 << 64, total, np.uint64)
+                                     < np.uint64(1 << 63))  # keys whose top bit is 0
+            crossed += 0 < paired < total and paired != zeros
+            if total % 2 or paired < total:
                 continue
             net = simulate.Network(n=7, degrees=degrees, stubs=stubs)
             reachable = [0] * 7
@@ -401,11 +409,13 @@ class TestNetworkBuild:
                     reachable[a] += 1
                     reachable[b] += 1
             assert net.reachable_degrees().tolist() == reachable
+        assert crossed or make_rng is not OneBitKeys or total < 4
 
-    @pytest.mark.parametrize("bit_generator, split", [
-        (np.random.PCG64, True), (np.random.PCG64DXSM, True), (np.random.Philox, False),
-        (np.random.MT19937, False), (np.random.SFC64, False),
-    ], ids=lambda x: getattr(x, "__name__", str(x)))
+    # The ids' True marks the PCG family.
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937,
+        np.random.SFC64,
+    ], ids=["PCG64-True", "PCG64DXSM-True", "Philox-False", "MT19937-False", "SFC64-False"])
     @pytest.mark.parametrize("degrees, pending", [
         ([6, 5, 5, 6, 5, 5, 6], False),
         ([6, 5, 5, 6, 5, 5, 6], True),  # a 32-bit half is pending before the keys
@@ -413,16 +423,12 @@ class TestNetworkBuild:
         ([1, 1, 1, 1, 30], False),  # ... and comes last
         ([0] * 7, False),
     ], ids=["spread", "pending-half", "hub-first", "hub-last", "empty"])
-    def test_split_draw_leaves_one_draws_state(self, degrees, pending, bit_generator, split,
+    def test_split_draw_leaves_one_draws_state(self, degrees, pending, bit_generator,
                                                monkeypatch):
-        # The keys drawn in two parts, the later one by an advanced copy,
-        # equal one draw of all of them, and the generator goes on as
-        # after that one draw.  Only the PCG generators split.
+        # The pairing equals one draw and one sort of all the keys, and
+        # the generator goes on as after that one draw, whatever the
+        # generator.
         monkeypatch.setattr(simulate, "_PAIR_BLOCK", 4)
-        run = simulate._on_two_threads
-        staged = []
-        monkeypatch.setattr(simulate, "_on_two_threads",
-                            lambda f, *args: staged.append(f.__name__) or run(f, *args))
         degrees = np.array(degrees)
         for seed in range(10):
             ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
@@ -436,11 +442,22 @@ class TestNetworkBuild:
             # A 32-bit draw takes the pending half first, if there is one.
             assert ours.integers(0, 1 << 32, dtype=np.uint32) == theirs.integers(
                 0, 1 << 32, dtype=np.uint32)
-        assert ("stamp" in staged) == (split and sum(degrees) > 0)
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             build_configuration_network(Poisson(3.0), 1, np.random.default_rng(0))
+
+    def test_small_law_of_odd_sums_raises_at_once(self):
+        # On 3 nodes the whole Zipf(50) sequence is the parity block, and
+        # its sum is even about once in 4 x 10^14 draws: each redraw of
+        # the block counts against the limit, so the builder and the
+        # estimate raise instead of redrawing without end.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="gave no even stub total on 3 nodes"):
+            build_configuration_network(Zipf(50.0), 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gave no even stub total on 3 nodes"):
+            estimate_referral_rate(config_for(Zipf(50.0), n_workers=3, n_trials=10))
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("dist, n, rng, match", [
         (Poisson(3.0), 2.5, None, "network size n must be an integer"),
@@ -702,7 +719,9 @@ class TestFocalWorkers:
         # before it draws their owners or pairs them.  Its draws up to
         # then: the degrees (Poisson: the total), the picks and, for
         # Poisson, the edges with both and with one end at a focal worker.
-        n, t = 2_000, 1_000
+        # The picks are as many as the nodes, so that the budgets admit
+        # the n degrees (8 n bytes) for every law: 2,591 Zipf focal stubs.
+        n, t = 2_000, 2_000
         config = config_for(dist, n_workers=n, n_trials=t)
         rng = np.random.default_rng(config.seed)
         if isinstance(dist, Poisson):
@@ -722,6 +741,24 @@ class TestFocalWorkers:
         monkeypatch.setattr(simulate, "_pair_stubs", pair)
         monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * stubs)
         assert 0.0 < estimate_referral_rate(config).estimate < 1.0
+
+    @pytest.mark.parametrize("dist", [Degenerate(22), Zipf(2.3)], ids=["regular", "zipf"])
+    def test_degree_budget(self, dist, monkeypatch):
+        # A regular or Zipf estimate draws its n degrees, 8 bytes each;
+        # past the budget it raises, naming their count, before it draws
+        # them.  A Poisson estimate draws no n-long array (see
+        # test_billion_workers_in_under_a_second).
+        n = 2_000
+        config = config_for(dist, n_workers=n, n_trials=10)
+        draw = simulate._even_degrees
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * n - 1)
+        monkeypatch.setattr(simulate, "_even_degrees", None)
+        with pytest.raises(ValueError, match=f"^{n} degrees need more than the "
+                                             f"{8 * n - 1}-byte budget"):
+            estimate_referral_rate(config)
+        monkeypatch.setattr(simulate, "_even_degrees", draw)
+        monkeypatch.setattr(simulate, "_FOCAL_STUB_BYTES", 8 * n)
+        assert 0.0 <= estimate_referral_rate(config).estimate <= 1.0
 
     @pytest.mark.parametrize("dist", [Degenerate(5), Zipf(2.3)], ids=["regular", "zipf"])
     def test_estimate_is_the_same_on_one_cpu(self, dist, monkeypatch):
