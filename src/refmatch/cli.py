@@ -39,7 +39,6 @@ from .experiments import (
 # Unused here since the rows carry both numbers; perfbench/spans.py traces these names.
 from .metrics import gini, social_welfare  # noqa: F401
 from .model import DEFAULT_GROUP_SIZE, Equilibrium, GroupSpec, ModelParams
-from .simulate import SimConfig, estimate_referral_rate
 from .solver import ConvergenceError, SolverConfig, solve_all, solve_equilibrium
 
 EXIT_OK = 0
@@ -260,6 +259,8 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_simulate(args, out) -> int:
+    from .simulate import SimConfig, estimate_referral_rate  # numpy only for this command
+
     params, baseline = calibrated_baseline()
     g = baseline.groups[0]
     poisson, zipf = (group.dist for group in _common_mean_groups())

@@ -62,8 +62,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported by the samplers, off the solve path
+    import numpy as np
 
 __all__ = ["DegreeDistribution", "Poisson", "Degenerate", "Zipf", "as_count", "is_finite", "zeta",
            "polylog", "zipf_alpha_for_mean"]
@@ -268,6 +270,8 @@ class Poisson(DegreeDistribution):
         return -math.expm1(-self.lam * p_info)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        import numpy as np
+
         return rng.poisson(self.lam, size).astype(np.int64, copy=False)
 
 
@@ -290,6 +294,8 @@ class Degenerate(DegreeDistribution):
         return -math.expm1(self.k * math.log1p(-p_info))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        import numpy as np
+
         return np.full(size, self.k, dtype=np.int64)
 
 
@@ -379,6 +385,8 @@ class Zipf(DegreeDistribution):
         most 2^53 (alpha > 2), as in ``rng.zipf``; from alpha = 1025 on,
         where b overflows, every degree is 1, as there (P(X > 1) < 3e-309).
         """
+        import numpy as np
+
         degrees, done = np.ones(size, np.int64), 0
         am1 = float(self.alpha) - 1.0
         b = 2.0**am1 if am1 < 1024.0 else math.inf

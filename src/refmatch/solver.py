@@ -2,28 +2,35 @@
 
 The equilibrium is a pair (u_1..u_I, v) satisfying, simultaneously,
 group-level flow balance u_i p_i = delta (1 - u_i) and the free-entry
-vacancy closure.  The solver runs a damped outer fixed-point iteration
-whose every step
-  1. solves the scalar flow-balance equation once per distinct degree law
-     with the market rate p_m and the contact reach frozen (a Jacobi
-     sweep, so group order cannot matter); the equation does not involve
-     a group's size, so every group on the law takes that root, and each
-     group's update is damped;
-  2. closes v at the new unemployment vector;
-  3. evaluates the economy once at (u_i, v) (``_evaluate``): aggregate u,
-     p_m, the contact reach, each group's P_i and referral rate, and the
-     flow residuals.
+vacancy closure.  The flow equation involves a group's network only
+through its degree law, not its size, so groups on one law share u
+exactly: the iteration holds one u_l per distinct law (``_law_slots``),
+and its every step
+  1. solves the scalar flow-balance equation once per law with the
+     market rate p_m and the contact reach frozen (a Jacobi sweep, so
+     group order cannot matter), then damps and clips each u_l;
+  2. closes v at the new unemployment rates;
+  3. evaluates the economy once at (u_l, v): aggregate u, p_m and the
+     contact reach (``_aggregates``), then each law's P_l, referral rate
+     and flow residual (``_evaluate``), one kernel call per law.
+Groups enter a step only through the sums over them, the aggregate u
+and the closure, which take each group's u_l; the equilibrium and a
+``ConvergenceError`` are per group again, and ``flow_residual``, whose
+caller may give two groups on a law different u_i, evaluates per group.
 Until the residuals vanish, each evaluation's p_m and reach are what the
 next sweep freezes; the last one holds the equilibrium's rates, so
 assembling it evaluates nothing again.  A group's per-contact
 information probability has one formula, contact reach times (1 - u_i)
 (``info_probability``), which the solver forms from the reach it holds.
 A step's state is plain Python floats: the damped update, the vacancy
-closure (``closure_for``, formed once per solve), each P_i, referral
-rate and flow residual are scalar arithmetic, and the step makes no
-numpy call.  Every sum over groups -- the size total L (``group_sizes``),
-the aggregate u = fsum(u_i L_i) / L, the closure's sum and, in the
-equilibrium, the entry flow -- is one ``math.fsum``.  A correctly rounded
+closure (``closure_for``, formed once per solve), each P_l, referral
+rate and flow residual are scalar arithmetic, and a solve imports no
+numpy: ``_iterate`` returns its per-group u as a tuple, and only the
+public arrays (``flow_residual``'s and ``ConvergenceError.u_vec``) and
+the restart draws import it, where they are made.  Every sum over
+groups -- the size total L (``group_sizes``), the aggregate
+u = fsum(u_i L_i) / L, the closure's sum and, in the equilibrium, the
+entry flow -- is one ``math.fsum``.  A correctly rounded
 sum depends on its terms and not on their order, so the order in which
 the groups are listed moves no bit of a solve.  max() keeps a NaN only
 in first place, so a step checks its residuals for NaN and raises at
@@ -32,10 +39,12 @@ The iteration stops once every flow residual is below ``_RESIDUAL_TOL``
 and free entry holds to 1e4 times that.  Every step damps by the same
 ``_DAMPING``, so a step depends only on the iterate it starts from, and
 an iterate seen before the stop begins a cycle that repeats forever.
-The solver keeps each iterate with the step that made it (the start is
-step 0's) and raises at the first one seen again, naming the period:
-1 where the iterate repeats, p where it equals the one p steps before.
-That ends the no-market corner, where every u_i sits at the clip, and
+The solver keeps each iterate of the u_l with the step that made it
+(the start is step 0's) and raises at the first one seen again, naming
+the period: 1 where the iterate repeats, p where it equals the one p
+steps before; the groups' u follow from the u_l, so this is the step at
+which the group vector repeats.
+That ends the no-market corner, where every u sits at the clip, and
 the ulp-level cycles near it, of any period, in tens of steps.
 A scalar solve is one function, ``_solve_group_u``: it chooses a bracket
 that provably holds a root, then closes it in one inline loop of regula
@@ -81,9 +90,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .degree import as_count
 from .model import (
@@ -101,6 +108,9 @@ from .model import (
     vacancy_closure,
     wage,
 )
+
+if TYPE_CHECKING:  # numpy is imported where an array is made, off the solve path
+    import numpy as np
 
 __all__ = ["SolverConfig", "ConvergenceError", "flow_residual", "solve_equilibrium", "solve_all"]
 
@@ -138,28 +148,13 @@ class ConvergenceError(RuntimeError):
     """Raised when the outer iteration fails; carries the last iterate."""
 
     def __init__(self, message: str, u_vec: Sequence[float], v: float, residual: float, iterations: int):
+        import numpy as np
+
         super().__init__(message)
         self.u_vec = np.asarray(u_vec)
         self.v = v
         self.residual = residual
         self.iterations = iterations
-
-
-class _Point(NamedTuple):
-    """The economy evaluated at (u_vec, v), once per outer step.
-
-    u, p_m and reach are what the next Jacobi sweep freezes; P, p_r and
-    the flow residuals R are what an equilibrium reports.
-    """
-
-    u_vec: list[float]
-    v: float
-    u: float
-    p_m: float
-    reach: float
-    P: list[float]
-    p_r: list[float]
-    R: list[float]
 
 
 def _aggregates(params: ModelParams, sizes: list[float], total: float, u_vec: list[float], v: float):
@@ -172,21 +167,18 @@ def _aggregates(params: ModelParams, sizes: list[float], total: float, u_vec: li
     return u, market_arrival(params, u, v), contact_reach(params.phi, params.d_f, u, v)
 
 
-def _evaluate(params: ModelParams, groups: Sequence[GroupSpec], sizes: list[float], total: float,
-              u_vec: list[float], v: float) -> _Point:
-    """The one evaluation of the economy at plain floats (u_vec, v) an outer step makes.
+def _evaluate(delta: float, dists: list, u_vec: list[float], p_m: float, reach: float):
+    """(P, p_r, R): each u_i's information probability, referral rate and flow residual.
 
-    ``sizes`` and ``total`` are as for :func:`_aggregates`; every u_i lies
-    in [0, 1].  Each P_i is info_probability's reach (1 - u_i), formed
-    from the reach at hand.  The reach passed contact_reach's checks, so
-    every P_i lies in [0, 1], and p_r_i is the law's unchecked kernel, or
-    +0.0 at P_i = 0, exactly what referral_expectation returns.
+    ``dists[i]`` is u_i's degree law; p_m and reach are the aggregates
+    at hand, and every u_i lies in [0, 1].  Each P_i is
+    info_probability's reach (1 - u_i).  The reach passed contact_reach's
+    checks, so every P_i lies in [0, 1], and p_r_i is the law's unchecked
+    kernel, or +0.0 at P_i = 0, exactly what referral_expectation returns.
     """
-    u, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
     P = [reach * (1.0 - u_i) for u_i in u_vec]
-    p_r = [g.dist._reach(P_i) if P_i else 0.0 for g, P_i in zip(groups, P)]
-    R = [u_i * (p_m + p_r_i) - params.delta * (1.0 - u_i) for u_i, p_r_i in zip(u_vec, p_r)]
-    return _Point(u_vec, v, u, p_m, reach, P, p_r, R)
+    p_r = [d._reach(P_i) if P_i else 0.0 for d, P_i in zip(dists, P)]
+    return P, p_r, [u_i * (p_m + p_r_i) - delta * (1.0 - u_i) for u_i, p_r_i in zip(u_vec, p_r)]
 
 
 def flow_residual(
@@ -197,10 +189,13 @@ def flow_residual(
     Raises ``ValueError`` for a u_i outside [0, 1], a v that is not
     positive and finite, or sizes that sum past the largest double.
     """
+    import numpy as np
+
     u_vec = np.asarray(u_vec, dtype=np.float64).tolist()
     if bad := [u_i for u_i in u_vec if not 0.0 <= u_i <= 1.0]:
         raise ValueError(f"group unemployment rate must lie in [0, 1], got {bad[0]}")
-    return np.array(_evaluate(params, groups, *group_sizes(groups), u_vec, v).R)
+    _, p_m, reach = _aggregates(params, *group_sizes(groups), u_vec, v)
+    return np.array(_evaluate(params.delta, [g.dist for g in groups], u_vec, p_m, reach)[2])
 
 
 def _solve_group_u(params: ModelParams, group: GroupSpec, p_m: float, phi_bracket: float,
@@ -326,16 +321,24 @@ def _law_slots(groups: Sequence[GroupSpec]) -> tuple[list[int], list[int]]:
 
 def _iterate(
     params: ModelParams, groups: Sequence[GroupSpec], config: SolverConfig
-) -> tuple[np.ndarray, float, float, int, Equilibrium]:
+) -> tuple[tuple[float, ...], float, float, int, Equilibrium]:
     """Damped Jacobi iteration: (u_vec, v, max |R_i|, iterations, equilibrium).
 
-    The state of a step is plain floats; u_vec is returned as an array.
+    The state of a step is one plain float u_l per distinct degree law
+    (``_law_slots``), which every group on the law shares: each step
+    solves, damps, clips and evaluates each law once.  Groups enter only
+    through the sums over them (the aggregate u and the vacancy closure),
+    which take each group's u_l, and through what the iteration returns
+    or raises: u_vec, a tuple, and the equilibrium are per group.
     """
-    u_vec = [float(config.initial_u)] * len(groups)
     sizes, total = group_sizes(groups)
     heads, where = _law_slots(groups)
-    damping, keep = _DAMPING, 1.0 - _DAMPING
-    seen = {tuple(u_vec): 0}  # each iterate so far, with the step that made it
+    solving = [groups[i] for i in heads]
+    dists = [g.dist for g in solving]
+    delta, damping, keep, lo, hi = params.delta, _DAMPING, 1.0 - _DAMPING, _U_EPS, 1.0 - _U_EPS
+    u_law = [float(config.initial_u)] * len(heads)
+    u_vec = [u_law[j] for j in where]
+    seen = {tuple(u_law): 0}  # each law iterate so far, with the step that made it
     v = vacancy_closure(params, groups, u_vec)
     closure = closure_for(params, groups)
     _, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
@@ -344,39 +347,41 @@ def _iterate(
     for it in range(1, _MAX_OUTER_ITERS + 1):
         # From the third sweep on, each law's solve also takes its iterate
         # and flow residual from the last evaluation as an anchor.
-        lasts = (zip(roots, before, [u_vec[i] for i in heads], [point.R[i] for i in heads])
-                 if before else [None] * len(heads))
-        before, roots = roots, [_solve_group_u(params, groups[i], p_m, reach, last)
-                                for i, last in zip(heads, lasts)]
-        u_vec = [min(max(keep * u_i + damping * roots[j], _U_EPS), 1.0 - _U_EPS)
-                 for u_i, j in zip(u_vec, where)]
+        lasts = zip(roots, before, u_law, R) if before else [None] * len(heads)
+        before, roots = roots, [_solve_group_u(params, g, p_m, reach, last)
+                                for g, last in zip(solving, lasts)]
+        # The clip min(max(x, lo), hi) as two comparisons: the same value, NaN included.
+        u_law = [lo if (x := keep * u_l + damping * r) < lo else hi if x > hi else x
+                 for u_l, r in zip(u_law, roots)]
+        u_vec = [u_law[j] for j in where]
 
         v = closure(u_vec)
-        point = _evaluate(params, groups, sizes, total, u_vec, v)
-        residual = max(map(abs, point.R))
-        if any(map(math.isnan, point.R)):  # max() keeps a NaN only in first place
+        u, p_m, reach = _aggregates(params, sizes, total, u_vec, v)
+        P, p_r, R = _evaluate(delta, dists, u_law, p_m, reach)
+        residual = max(map(abs, R))
+        if any(map(math.isnan, R)):  # max() keeps a NaN only in first place
             raise ConvergenceError(f"flow residual is NaN at step {it}", u_vec, v, math.nan, it)
         if residual < _RESIDUAL_TOL:
-            eq = _assemble(params, groups, total, point, residual, it)
+            eq = _assemble(params, groups, total, [(u_law[j], P[j], p_r[j]) for j in where],
+                           u, v, p_m, residual, it)
             # Free entry weighs each flow residual by about 1/v, so where v is
             # tiny flow balance alone leaves r V far from 0: go on until it is
             # within 1e4 times the flow tolerance (1e-8, the row gate's bound).
             if abs(eq.V * params.r) < 1e4 * _RESIDUAL_TOL:
-                return np.array(u_vec), v, residual, it, eq
+                return tuple(u_vec), v, residual, it, eq
         # At a fixed damping a step depends only on the iterate it starts
         # from, so an iterate seen before ends a cycle that repeats forever.
-        if period := it - seen.setdefault(tuple(u_vec), it):
+        if period := it - seen.setdefault(tuple(u_law), it):
             gap = (f"residual {residual:.3e}" if residual >= _RESIDUAL_TOL
                    else f"r V = {eq.V * params.r:.3e}")
             how = "repeats" if period == 1 else f"cycles with period {period}"
-            corner = all(1.0 - u_i < 2.0 * _U_EPS for u_i in u_vec)
+            corner = all(1.0 - u_l < 2.0 * _U_EPS for u_l in u_law)
             raise ConvergenceError(
                 f"outer iterate {how} at step {it} ({gap})"
                 + ("; every group sits at the u = 1 - 1e-9 clip: the no-market corner,"
                    " whose employment lies below what a double near 1 resolves" if corner else ""),
                 u_vec, v, residual, it,
             )
-        p_m, reach = point.p_m, point.reach
 
     raise ConvergenceError(
         f"no convergence after {_MAX_OUTER_ITERS} outer iterations (residual {residual:.3e})",
@@ -384,32 +389,30 @@ def _iterate(
     )
 
 
-def _assemble(
-    params: ModelParams,
-    groups: Sequence[GroupSpec],
-    total: float,
-    point: _Point,
-    residual: float,
-    iterations: int,
-) -> Equilibrium:
-    """The equilibrium at ``point``; ``total`` is the sum of the group sizes."""
+def _assemble(params: ModelParams, groups: Sequence[GroupSpec], total: float,
+              per_group: list[tuple[float, float, float]], u: float, v: float, p_m: float,
+              residual: float, iterations: int) -> Equilibrium:
+    """The equilibrium at each group's (u_i, P_i, p_r_i), with aggregate u, v and p_m.
+
+    ``total`` is the sum of the group sizes.
+    """
     states, entry_flows = [], []
-    for g, u_i, P, p_r in zip(groups, point.u_vec, point.P, point.p_r):
-        p_i = point.p_m + p_r
-        q_i = g.size * u_i * p_i / (total * point.v)  # worker arrival rate faced by a vacancy
+    for g, (u_i, P, p_r) in zip(groups, per_group):
+        p_i = p_m + p_r
+        q_i = g.size * u_i * p_i / (total * v)  # worker arrival rate faced by a vacancy
         s_i = surplus(params, p_i)
         w_i = wage(params, s_i)
         vals = value_functions(params, w_i, p_i)
         entry_flows.append(q_i * (1.0 - params.beta) * s_i)
         states.append(
             GroupState(
-                size=g.size, u=u_i, P=P, p_market=point.p_m, p_referral=p_r,
+                size=g.size, u=u_i, P=P, p_market=p_m, p_referral=p_r,
                 p_total=p_i, S=s_i, w=w_i, W=vals.W, U=vals.U, J=vals.J,
             )
         )
     vacant_value = (math.fsum(entry_flows) - params.c) / params.r
     return Equilibrium(
-        params=params, groups=tuple(states), u=point.u, v=point.v, V=vacant_value,
+        params=params, groups=tuple(states), u=u, v=v, V=vacant_value,
         residual=residual, iterations=iterations,
     )
 
@@ -450,7 +453,10 @@ def solve_all(
     """
     config = config or SolverConfig()
     found = [solve_equilibrium(params, groups, config)]
-    rng = np.random.default_rng(_RESTART_SEED)
+    if config.multistart:  # numpy only where restart points are drawn
+        import numpy as np
+
+        rng = np.random.default_rng(_RESTART_SEED)
     for _ in range(config.multistart):
         restart = replace(config, initial_u=float(rng.uniform(0.002, 0.6)))
         try:

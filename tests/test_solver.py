@@ -171,14 +171,14 @@ class TestUncheckedKernels:
         for u_vec in (np.full(n, solver._U_EPS), np.full(n, 1.0 - solver._U_EPS),
                       rng.uniform(solver._U_EPS, 1.0 - solver._U_EPS, n)):
             v = vacancy_closure(params, groups, u_vec.tolist())
-            point = solver._evaluate(params, groups, sizes, math.fsum(sizes), u_vec.tolist(), v)
-            assert point.P == [info_probability(params, u_i, point.u, v) for u_i in u_vec.tolist()]
-            assert point.p_r == [g.dist.referral_expectation(P_i)
-                                 for g, P_i in zip(groups, point.P)]
-            assert all(math.copysign(1.0, p_r) == 1.0 for p_r in point.p_r)
-            assert all(type(x) is float for x in point.P + point.p_r)
+            u, p_m, reach = solver._aggregates(params, sizes, math.fsum(sizes), u_vec.tolist(), v)
+            P, p_r, R = solver._evaluate(params.delta, laws, u_vec.tolist(), p_m, reach)
+            assert P == [info_probability(params, u_i, u, v) for u_i in u_vec.tolist()]
+            assert p_r == [g.dist.referral_expectation(P_i) for g, P_i in zip(groups, P)]
+            assert all(math.copysign(1.0, p_r_i) == 1.0 for p_r_i in p_r)
+            assert all(type(x) is float for x in P + p_r)
             # The step's plain-float residuals are the public array's, bit for bit.
-            assert [x.hex() for x in point.R] == [
+            assert [x.hex() for x in R] == [
                 float(x).hex() for x in flow_residual(params, groups, u_vec, v)]
 
 
@@ -588,10 +588,9 @@ class TestOneEvaluationPerStep:
         assert len(calls) == eq.iterations + 1
 
     def test_kernel_calls_outside_sweeps(self, monkeypatch):
-        # Each step evaluates every group's referral rate once; the
-        # equilibrium reuses the last evaluation instead of making its own.
-        dists = [CountingDist(g.dist) for g in self.ECONOMY]
-        groups = [GroupSpec(g.size, d) for g, d in zip(self.ECONOMY, dists)]
+        # Each step evaluates every distinct law's referral rate once, so a
+        # third group on the Zipf law adds no call; the equilibrium reuses the
+        # last evaluation instead of making its own.
         in_sweeps = []
         solve_group_u = solver._solve_group_u
 
@@ -602,9 +601,15 @@ class TestOneEvaluationPerStep:
             return u
 
         monkeypatch.setattr(solver, "_solve_group_u", counting)
-        eq = solve_equilibrium(PUBLISHED, groups)
-        outside = sum(d.calls for d in dists) - sum(in_sweeps)
-        assert outside == len(groups) * eq.iterations
+        for repeat in (False, True):
+            dists = [CountingDist(g.dist) for g in self.ECONOMY]
+            groups = [GroupSpec(g.size, d) for g, d in zip(self.ECONOMY, dists)]
+            groups += [GroupSpec(3.5e5, dists[1])] if repeat else []
+            in_sweeps.clear()
+            eq = solve_equilibrium(PUBLISHED, groups)
+            outside = sum(d.calls for d in dists) - sum(in_sweeps)
+            assert outside == len(dists) * eq.iterations
+            assert len(eq.groups) == len(groups)
 
     def test_equilibrium_numbers_are_floats(self):
         eq = solve_equilibrium(PUBLISHED, self.ECONOMY)
@@ -661,6 +666,11 @@ class TestDistinctLaws:
             0.04438095742771315, 0.07574263902162733, 0.06167063597528391, 0.055614665866866,
         ]
         assert eq.v == 0.04147021802448763
+        # Groups of different sizes on one law hold one state, bit for bit.
+        for law in set(self.LAWS):
+            states = {tuple(getattr(state, f.name).hex() for f in fields(state) if f.name != "size")
+                      for state, d in zip(eq.groups, self.LAWS) if d == law}
+            assert len(states) == 1, law
 
     def test_one_group_solve_per_distinct_law(self, monkeypatch):
         laws = count_group_solves(monkeypatch)
@@ -674,8 +684,9 @@ class TestDistinctLaws:
             hash(listed)
         laws = count_group_solves(monkeypatch)
         # Groups 0 and 2 share one object; the equal copy in group 1 is solved apart.
-        eq = solve_equilibrium(PUBLISHED, self.groups(
-            (listed, ListedPoisson(22.47), listed, Poisson(5.0))))
+        groups = self.groups((listed, ListedPoisson(22.47), listed, Poisson(5.0)))
+        assert solver._law_slots(groups) == ([0, 1, 3], [0, 1, 0, 2])
+        eq = solve_equilibrium(PUBLISHED, groups)
         assert len(laws) == 3 * eq.iterations
         same = solve_equilibrium(PUBLISHED, self.groups(
             (Poisson(22.47), Poisson(22.47), Poisson(22.47), Poisson(5.0))))
@@ -689,12 +700,14 @@ class TestRepeatedIterate:
     CORNER = ModelParams(eta=0.05, gamma=0.01, phi=0.0)
 
     @pytest.mark.parametrize("laws", [(Poisson(22.47),),
-                                      (Poisson(22.47), Zipf(2.3), Degenerate(7))])
+                                      (Poisson(22.47), Zipf(2.3), Degenerate(7)),
+                                      (Poisson(22.47), Zipf(2.3), Poisson(22.47))])
     def test_corner_raises_at_once(self, laws):
         groups = [GroupSpec(size, d) for size, d in zip((1.0, 2.0, 0.5), laws)]
         with pytest.raises(ConvergenceError, match="no-market corner") as err:
             solve_equilibrium(self.CORNER, groups)
         assert err.value.iterations < 100
+        assert err.value.u_vec.shape == (len(groups),)  # per group, a law repeated or not
         assert err.value.residual >= solver._RESIDUAL_TOL
         assert np.all(1.0 - err.value.u_vec < 2e-9)
         assert err.value.v > 0.0
@@ -856,7 +869,8 @@ def numpy_calls(fn, *args) -> list[str]:
 
 class TestNoNumpyInTheStep:
     def test_only_the_returned_iterate_is_an_array(self):
-        # 45 steps; with the aggregate u a numpy dot product, each made an array.
+        # 45 steps; with the aggregate u a numpy dot product, each made an
+        # array.  The returned iterate was an array until it became a tuple.
         zipf = Zipf(2.3)
         groups = (GroupSpec(1e6, Poisson(zipf.mean())), GroupSpec(2e6, zipf))
-        assert numpy_calls(solve_equilibrium, PUBLISHED, groups) == ["array"]
+        assert numpy_calls(solve_equilibrium, PUBLISHED, groups) == []
